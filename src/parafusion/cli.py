@@ -9,12 +9,12 @@ from fractions import Fraction
 
 from .arith import mod1
 from .codes import Classification, dual_code, euclidean_weight, load_code, split_even_odd
-from .u0 import U0Label, fuse_u0, weight_mod1
+from .u0 import U0Label, all_u0_labels, fuse_u0, weight_mod1
 from .ud import (
     CharacterLabel,
     case_b_inventory,
     character_from_eta,
-    induce,
+    induce_from_orbit,
     orbits,
     weight_mod1_uxi,
 )
@@ -134,13 +134,8 @@ def cmd_modules(args) -> tuple[dict, int]:
     counts: dict[str, int] = {}
     for o in census:
         key = str(o.character)
-        if o.stabilizer_order == 1:
-            contribution = 1
-        elif code.k % 4 == 1:
-            contribution = o.stabilizer_order
-        else:
-            contribution = o.isotropic_order
-        counts[key] = counts.get(key, 0) + contribution
+        counts[key] = counts.get(key, 0) + o.twisted_count
+    class_weight = {c: weight_mod1(c) for c in all_u0_labels(code.k)}
     orbit_table = []
     for o in census:
         entry = {
@@ -150,12 +145,12 @@ def cmd_modules(args) -> tuple[dict, int]:
             "isotropic_order": o.isotropic_order,
             "character": str(o.character),
             "weight_mod1": _rat(
-                mod1(sum((weight_mod1(c) for c in o.representative.components()),
+                mod1(sum((class_weight[c] for c in o.representative.components()),
                          Fraction(0)))
             ),
         }
         if args.induce:
-            report = induce(code, o.representative)
+            report = induce_from_orbit(code, o)
             entry["induced"] = {
                 "summand_count": report.summand_count,
                 "multiplicity": report.multiplicity,

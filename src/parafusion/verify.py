@@ -27,7 +27,7 @@ from .u0 import (
     top_level_closed_form,
     u0_vacuum,
 )
-from .ud import count_twisted, induce, orbits
+from .ud import count_twisted, induce_from_orbit, orbits
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -203,14 +203,7 @@ def suite_counting(k: int, seed: int = 0, length_max: int = 2,
                 bad = (code, f"character count {len(chars)} != |D| = {code.size}")
                 break
             total = sum(count_twisted(code, chi) for chi in chars)
-            census_total = 0
-            for o in census:
-                if o.stabilizer_order == 1:
-                    census_total += 1
-                elif k % 4 == 1:
-                    census_total += o.stabilizer_order
-                else:
-                    census_total += o.isotropic_order
+            census_total = sum(o.twisted_count for o in census)
             if total != census_total:
                 bad = (code, f"count sum {total} != census total {census_total}")
                 break
@@ -219,10 +212,7 @@ def suite_counting(k: int, seed: int = 0, length_max: int = 2,
                 break
             mismatch = next(
                 (o for o in census
-                 if induce(code, o.representative).summand_count != (
-                     1 if o.stabilizer_order == 1
-                     else o.stabilizer_order if k % 4 == 1
-                     else o.isotropic_order)),
+                 if induce_from_orbit(code, o).summand_count != o.twisted_count),
                 None,
             )
             if mismatch is not None:

@@ -1,11 +1,14 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from parafusion import ud
 from parafusion.arith import ResidueVector, mod1
 from parafusion.codes import (
     Classification,
+    CodeTooLargeError,
     all_codes,
     dual_code,
     enumerate_code,
@@ -14,7 +17,9 @@ from parafusion.codes import (
 )
 from parafusion.u0 import U0Label, b_form_u0
 from parafusion.ud import (
+    CharacterLabel,
     IrrU0Label,
+    _isotropic_part,
     act,
     all_irr_labels,
     b_form_vec,
@@ -23,6 +28,7 @@ from parafusion.ud import (
     character_of,
     count_twisted,
     induce,
+    induce_from_orbit,
     orbits,
     stabilizer,
     trivial_character,
@@ -308,3 +314,101 @@ def test_case_b_inventory_nontrivial_even_part():
 def test_case_b_inventory_requires_case_b():
     with pytest.raises(ValueError):
         case_b_inventory(enumerate_code(3, 2, [(3, 3)]))
+
+
+def _direct_census(code):
+    """The orbit census built label by label from `act`, `stabilizer`,
+    `character_of` and `_isotropic_part`, independent of the index kernel."""
+    census, seen = [], set()
+    for x in all_irr_labels(code.k, code.length):
+        if x in seen:
+            continue
+        members = tuple(sorted({act(xi, x) for xi in code.elements}))
+        seen.update(members)
+        stab = stabilizer(code, members[0])
+        census.append((members[0], members, stab, _isotropic_part(code, stab),
+                       character_of(members[0], code)))
+    return census
+
+
+def _kernel_cases():
+    for k in range(2, 6):
+        for ell in (1, 2):
+            for code in all_codes(k, ell):
+                if code.classification is not Classification.INVALID:
+                    yield code
+    rng = random.Random(23)
+    for k in (3, 4):
+        drawn = 0
+        while drawn < 4:
+            code = random_code(k, 3, rng)
+            if code.classification is not Classification.INVALID:
+                drawn += 1
+                yield code
+
+
+def test_orbit_kernel_matches_direct_census(monkeypatch):
+    duals = []
+
+    def counted_dual(code, *args, **kwargs):
+        duals.append(code)
+        return dual_code(code, *args, **kwargs)
+
+    monkeypatch.setattr(ud, "dual_code", counted_dual)
+    checked = 0
+    for code in _kernel_cases():
+        ud._dual_elements.cache_clear()
+        ud._canonical_eta.cache_clear()
+        duals.clear()
+        census = orbits(code)
+        assert duals == [code]
+        got = [(o.representative, o.members, o.stabilizer, o.isotropic, o.character)
+               for o in census]
+        assert got == _direct_census(code), code
+        for chi in {o.character for o in census}:
+            assert orbits(code, restrict_to_character=chi) == tuple(
+                o for o in census if o.character == chi)
+        if code.classification is Classification.CASE_A:
+            for o in census:
+                assert induce_from_orbit(code, o) == induce(code, o.representative)
+        checked += 1
+    assert checked > 40
+
+
+def test_orbits_reject_foreign_or_noncanonical_characters():
+    code = enumerate_code(3, 2, [(3, 3)])
+    other = enumerate_code(3, 2, [(0, 3)])
+    assert orbits(code, restrict_to_character=trivial_character(other)) == ()
+    assert orbits(code, restrict_to_character=CharacterLabel(code, (3, 3))) == ()
+
+
+def test_orbits_label_budget():
+    with pytest.raises(CodeTooLargeError):
+        orbits(enumerate_code(3, 2, [(3, 3)]), max_labels=80)
+
+
+def test_induce_from_inconsistent_orbit_is_an_error():
+    code = enumerate_code(3, 2, [(3, 3)])
+    census = orbits(code)
+    free = next(o for o in census if o.stabilizer_order == 1)
+    with pytest.raises(ValueError, match="inconsistent"):
+        induce_from_orbit(code, replace(free, members=free.members[:1]))
+    fixed = next(o for o in census if o.stabilizer_order == 2)
+    with pytest.raises(ValueError, match="square"):
+        induce_from_orbit(code, replace(fixed, isotropic=()))
+
+
+def test_twisted_count_rule():
+    k3 = orbits(enumerate_code(3, 2, [(3, 3)]))
+    k5 = orbits(enumerate_code(5, 1, [(5,)]))
+    assert {(o.stabilizer_order, o.twisted_count) for o in k3} == {(1, 1), (2, 2)}
+    assert {(o.stabilizer_order, o.twisted_count) for o in k5} == {(1, 1), (2, 2)}
+    mixed = orbits(enumerate_code(3, 3, [(3, 3, 0), (0, 3, 3)]))
+    assert {(o.stabilizer_order, o.isotropic_order, o.twisted_count)
+            for o in mixed} == {(1, 1, 1), (2, 2, 2), (4, 1, 1)}
+
+
+def test_case_b_inventory_checks_its_even_part(monkeypatch):
+    monkeypatch.setattr(ud, "generating_subset", lambda k, length, elements: ())
+    with pytest.raises(RuntimeError, match="even part"):
+        case_b_inventory(enumerate_code(2, 2, [(2, 0), (0, 2)]))
