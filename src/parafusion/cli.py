@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 from .arith import mod1
-from .codes import Classification, dual_code, euclidean_weight, load_code, split_even_odd
+from .codes import Classification, euclidean_weight, load_code
 from .u0 import U0Label, all_u0_labels, fuse_u0, weight_mod1
 from .ud import (
     CharacterLabel,
@@ -31,15 +31,14 @@ def _label_list(x) -> list[str]:
     return [str(c) for c in x.components()]
 
 
-def _report(command: str, parameters: dict, results: dict, seed=None,
-            deterministic: bool = True) -> dict:
+def _report(command: str, parameters: dict, results: dict, seed=None) -> dict:
     return {
         "schema": SCHEMA,
         "command": command,
         "parameters": parameters,
         "results": results,
         "seed": seed,
-        "deterministic": deterministic,
+        "deterministic": True,
     }
 
 
@@ -64,7 +63,7 @@ def cmd_fusion(args) -> tuple[dict, int]:
         ],
     }
     params = {"k": args.k, "left": args.left, "right": args.right}
-    return _report("fusion", params, results, deterministic=args.deterministic), 0
+    return _report("fusion", params, results), 0
 
 
 def cmd_classify(args) -> tuple[dict, int]:
@@ -82,14 +81,13 @@ def cmd_classify(args) -> tuple[dict, int]:
             }
             for g in code.generators
         ],
-        "dual_size": dual_code(code).size,
+        # the standard pairing on (Z_2k)^ell is nondegenerate
+        "dual_size": (2 * code.k) ** code.length // code.size,
     }
     if code.classification is Classification.CASE_B:
-        d0, d1 = split_even_odd(code)
-        results["even_part_size"] = len(d0)
-        results["odd_part_size"] = len(d1)
-    return _report("classify", {"code": args.code}, results,
-                   deterministic=args.deterministic), 0
+        # the diagonal class is a character of D onto Z_2
+        results["even_part_size"] = results["odd_part_size"] = code.size // 2
+    return _report("classify", {"code": args.code}, results), 0
 
 
 def _parse_chi(text: str, code) -> CharacterLabel:
@@ -107,6 +105,8 @@ def cmd_modules(args) -> tuple[dict, int]:
         raise ValueError("module inventory requires a Case A or Case B code")
 
     if code.classification is Classification.CASE_B:
+        if args.chi is not None:
+            raise ValueError("--chi restricts a Case A census; a Case B code has none")
         inventory = case_b_inventory(code)
         results = {
             "classification": "CaseB",
@@ -126,10 +126,9 @@ def cmd_modules(args) -> tuple[dict, int]:
                 for e in inventory.entries
             ],
         }
-        return _report("modules", params, results,
-                       deterministic=args.deterministic), 0
+        return _report("modules", params, results), 0
 
-    chi = _parse_chi(args.chi, code) if args.chi else None
+    chi = _parse_chi(args.chi, code) if args.chi is not None else None
     census = orbits(code, restrict_to_character=chi)
     counts: dict[str, int] = {}
     for o in census:
@@ -166,7 +165,7 @@ def cmd_modules(args) -> tuple[dict, int]:
         "orbits": orbit_table,
         "twisted_module_counts": counts,
     }
-    return _report("modules", params, results, deterministic=args.deterministic), 0
+    return _report("modules", params, results), 0
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -180,9 +179,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         "all_passed": all_passed,
     }
     params = {"suite": args.suite, "k": args.k}
-    report = _report("verify", params, results, seed=args.seed,
-                     deterministic=args.deterministic)
-    return report, 0 if all_passed else 1
+    return _report("verify", params, results, seed=args.seed), 0 if all_passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,11 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fusion)
 
     p = sub.add_parser("classify", help="enumerate and classify a code from JSON")
-    p.add_argument("--code", required=True, help="path to a code JSON file")
+    p.add_argument("--code", required=True, help="code JSON text or a path to a JSON file")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("modules", help="orbit census and module inventory for a code")
-    p.add_argument("--code", required=True, help="path to a code JSON file")
+    p.add_argument("--code", required=True, help="code JSON text or a path to a JSON file")
     p.add_argument("--chi", default=None, help="restrict to the character 'a,b,...'")
     p.add_argument("--induce", action="store_true", help="include induced-module reports")
     p.set_defaults(func=cmd_modules)
@@ -214,10 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--deterministic", action="store_true", default=True,
-                        help="force single-threaded evaluation (always on)")
     return parser
 
 

@@ -82,28 +82,21 @@ def _pairing_is_integral(k: int, xi: ResidueVector, eta: ResidueVector) -> bool:
     return ((k - 1) * sum(a * b for a, b in zip(xi, eta))) % (2 * k) == 0
 
 
-def _diagonal_class(k: int, xi: ResidueVector) -> int | None:
-    """(k-1)(xi.xi)/2k mod 2 if that value is an integer, else None."""
-    num = (k - 1) * sum(a * a for a in xi)
-    if num % (2 * k):
-        return None
-    return (num // (2 * k)) % 2
+def _diagonal_class(k: int, xi: ResidueVector) -> int:
+    """(k-1)(xi.xi)/2k mod 2, for xi whose pairing with itself is integral."""
+    return ((k - 1) * sum(a * a for a in xi) // (2 * k)) % 2
 
 
-def _classify(k: int, generators: Sequence[ResidueVector],
-              elements: Sequence[ResidueVector]) -> Classification:
-    diag = [_diagonal_class(k, xi) for xi in elements]
-    if all(c == 0 for c in diag):
-        return Classification.CASE_A
-    if any(c is None for c in diag):
+def _classify(k: int, generators: Sequence[ResidueVector]) -> Classification:
+    # q(x+y) = q(x) + q(y) + 2p(x,y), p(x,y) = (k-1)(x.y)/2k, q(x) = p(x,x): once
+    # the generator pairings are integral, q mod 2 is additive on D.  A nonintegral
+    # pairing makes some q(x+y) fail to be an even integer: not Case A, so Invalid.
+    pairs = combinations_with_replacement(generators, 2)
+    if not all(_pairing_is_integral(k, g, h) for g, h in pairs):
         return Classification.INVALID
-    # some odd diagonal; pairings must still be integral (bilinear, so
-    # generator pairs suffice)
-    for i in range(len(generators)):
-        for j in range(i, len(generators)):
-            if not _pairing_is_integral(k, generators[i], generators[j]):
-                return Classification.INVALID
-    return Classification.CASE_B
+    if any(_diagonal_class(k, g) for g in generators):
+        return Classification.CASE_B
+    return Classification.CASE_A
 
 
 def _closure(
@@ -146,7 +139,7 @@ def enumerate_code(
             raise ValueError(f"generator {vec} does not match mod {2 * k}, length {length}")
         gens.append(vec)
     elements = _closure(k, length, gens, max_size)
-    return Code(k, length, tuple(gens), elements, _classify(k, gens, elements))
+    return Code(k, length, tuple(gens), elements, _classify(k, gens))
 
 
 def split_even_odd(code: Code) -> tuple[tuple[ResidueVector, ...], tuple[ResidueVector, ...]]:
@@ -198,7 +191,7 @@ def dual_code(code: Code, max_size: int = DEFAULT_MAX_CODE_SIZE) -> Code:
         )
     )
     dual_gens = generating_subset(k, length, elements)
-    return Code(k, length, dual_gens, elements, _classify(k, dual_gens, elements))
+    return Code(k, length, dual_gens, elements, _classify(k, dual_gens))
 
 
 def all_codes(
@@ -244,7 +237,10 @@ def load_code(source, max_size: int = DEFAULT_MAX_CODE_SIZE) -> Code:
     Schema: {"k": int, "length": int, "generators": [[int, ...], ...]}.
     Generator entries are reduced mod 2k.
     """
-    if isinstance(source, (str, Path)) and Path(source).exists():
+    # JSON text never goes through Path: a long code is not a valid file name
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        obj = json.loads(source)
+    elif isinstance(source, (str, Path)) and Path(source).exists():
         obj = json.loads(Path(source).read_text())
     elif isinstance(source, str):
         obj = json.loads(source)
@@ -256,10 +252,11 @@ def load_code(source, max_size: int = DEFAULT_MAX_CODE_SIZE) -> Code:
     if missing:
         raise ValueError(f"code JSON is missing fields: {sorted(missing)}")
     k, length, generators = obj["k"], obj["length"], obj["generators"]
-    if not isinstance(k, int) or not isinstance(length, int):
+    # type() and not isinstance(): JSON true/false load as bool, an int subclass
+    if type(k) is not int or type(length) is not int:
         raise ValueError("k and length must be integers")
     if not isinstance(generators, list) or not all(
-        isinstance(g, list) and all(isinstance(e, int) for e in g) for g in generators
+        isinstance(g, list) and all(type(e) is int for e in g) for g in generators
     ):
         raise ValueError("generators must be a list of integer lists")
     return enumerate_code(k, length, generators, max_size)

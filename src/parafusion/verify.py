@@ -238,4 +238,6 @@ SUITES = {
 def run_suite(name: str, k: int, seed: int = 0) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
     return SUITES[name](k, seed=seed)

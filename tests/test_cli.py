@@ -177,3 +177,50 @@ def test_report_rationals_are_strings(tmp_path, capsys):
     _, out, _ = run_cli(capsys, ["classify", "--code", str(path)])
     assert '"1/2"' in out
     assert "0.5" not in out
+
+
+def test_deterministic_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fusion", "--k", "3", "--left", "1,1", "--right", "1,1", "--deterministic"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("suite, k", [
+    ("appendix-a", "1"),
+    ("appendix-a", "-5"),
+    ("discriminant", "0"),
+])
+def test_verify_k_below_two_is_usage_error(capsys, suite, k):
+    status, out, err = run_cli(capsys, ["verify", "--suite", suite, "--k", k])
+    assert status == 2 and out == "" and "k must be >= 2" in err
+
+
+def test_modules_chi_on_case_b_is_usage_error(capsys):
+    code = json.dumps({"k": 3, "length": 1, "generators": [[3]]})
+    status, out, err = run_cli(capsys, ["modules", "--code", code, "--chi", "x"])
+    assert status == 2 and out == "" and "--chi" in err
+
+
+def test_classify_long_code_text(capsys):
+    # a length-30 code: its JSON text is too long for a file name, and its
+    # ambient space (6^30 vectors) is far too large to scan
+    code = json.dumps({"k": 3, "length": 30,
+                       "generators": [[3] * 30, [0, 3] * 15, [2] * 30]})
+    assert len(code) > 300
+    status, out, err = run_cli(capsys, ["classify", "--code", code])
+    assert status == 0 and err == ""
+    results = json.loads(out)["results"]
+    assert results["size"] == 12
+    assert results["dual_size"] == 6 ** 30 // 12
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", True),
+    ("length", True),
+    ("generators", [[True]]),
+])
+def test_classify_rejects_bools(capsys, field, value):
+    obj = {"k": 3, "length": 1, "generators": [[3]]}
+    obj[field] = value
+    status, out, err = run_cli(capsys, ["classify", "--code", json.dumps(obj)])
+    assert status == 2 and out == "" and "integer" in err

@@ -18,6 +18,25 @@ from parafusion.codes import (
 )
 
 
+def _elementwise_classification(code):
+    """The rule that walked every codeword, kept as the reference for the generator rule."""
+    k = code.k
+    diag = []
+    for xi in code.elements:
+        num = (k - 1) * sum(a * a for a in xi)
+        diag.append(None if num % (2 * k) else (num // (2 * k)) % 2)
+    if all(c == 0 for c in diag):
+        return Classification.CASE_A
+    if any(c is None for c in diag):
+        return Classification.INVALID
+    gens = code.generators
+    for i in range(len(gens)):
+        for j in range(i, len(gens)):
+            if (k - 1) * sum(a * b for a, b in zip(gens[i], gens[j])) % (2 * k):
+                return Classification.INVALID
+    return Classification.CASE_B
+
+
 def test_trivial_code():
     code = enumerate_code(3, 2, [])
     assert code.size == 1
@@ -70,6 +89,13 @@ def test_classification_is_presentation_independent():
         )
         assert deterministic.elements == code.elements
         assert deterministic.classification == code.classification
+    rng = random.Random(17)
+    case_b = 0
+    for _ in range(1000):
+        code = random_code(rng.randint(2, 7), rng.randint(1, 4), rng, max_generators=3)
+        assert code.classification is _elementwise_classification(code), code
+        case_b += code.classification is Classification.CASE_B
+    assert case_b
 
 
 def test_enumeration_guard():
@@ -105,7 +131,8 @@ def test_case_b_parity_is_an_additive_character():
         if code.classification is not Classification.CASE_B:
             continue
         found += 1
-        d0, _ = split_even_odd(code)
+        d0, d1 = split_even_odd(code)
+        assert len(d0) == len(d1) == code.size // 2
         d0set = set(d0)
 
         def parity(x):
@@ -155,6 +182,7 @@ def test_double_dual_is_identity():
     for _ in range(15):
         code = random_code(rng.randint(2, 4), rng.randint(1, 3), rng)
         assert dual_code(dual_code(code)).elements == code.elements
+        assert dual_code(code).size == (2 * code.k) ** code.length // code.size
 
 
 def test_dual_guard():
@@ -170,6 +198,10 @@ def test_all_codes_counts():
     assert len(all_codes(3, 2)) == 30
     with pytest.raises(ValueError):
         all_codes(2, 3)
+    for k in range(2, 7):
+        for length in (1, 2):
+            for code in all_codes(k, length):
+                assert code.classification is _elementwise_classification(code), code
 
 
 def test_load_code(tmp_path):

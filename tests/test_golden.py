@@ -1,10 +1,13 @@
-"""Byte identity of `modules` reports against a committed golden corpus.
+"""Byte identity of CLI reports against a committed golden corpus.
 
-Each case is a CLI call; `tests/golden/<name>.json` holds its exact
-standard output.  The corpus covers Case A codes at several k, a length-3
-code, a character filter, induced-module reports at k = 1 and k = 3
-(mod 4), including a multiplicity-two orbit under a character filter,
-and two Case B codes.
+Each case is a full CLI argument list; `tests/golden/<name>.json` holds
+its exact standard output.  The `modules` cases cover Case A codes at
+several k, a length-3 code, a character filter, induced-module reports at
+k = 1 and k = 3 (mod 4), including a multiplicity-two orbit under a
+character filter, and two Case B codes.  The `classify` cases cover the
+empty code, Case A, Case B at k = 3, 4 and 8, an Invalid code and a
+length-5 code; the `verify` cases run the counting suite, which classifies
+every code of `all_codes`.
 
 Regenerate the corpus (only when a report is meant to change) with
 
@@ -28,33 +31,58 @@ def _code(k, length, generators):
 
 
 CASES = {
-    "case-a-k3": ["--code", _code(3, 2, [[3, 3]])],
-    "case-a-k4": ["--code", _code(4, 2, [[4, 0], [0, 4]])],
-    "case-a-k5": ["--code", _code(5, 2, [[5, 5], [2, 4]])],
-    "case-a-k7": ["--code", _code(7, 2, [[7, 7]])],
-    "case-a-k3-length3": ["--code", _code(3, 3, [[2, 2, 2], [3, 3, 0]])],
-    "chi-k5": ["--code", _code(5, 2, [[5, 5], [2, 4]]), "--chi", "eta=1,3"],
-    "chi-k4": ["--code", _code(4, 2, [[4, 0], [0, 4]]), "--chi", "3,6"],
-    "induce-k5": ["--code", _code(5, 2, [[5, 5], [2, 4]]), "--induce"],
-    "induce-k3": ["--code", _code(3, 2, [[3, 3]]), "--induce"],
+    "case-a-k3": ["modules", "--code", _code(3, 2, [[3, 3]])],
+    "case-a-k4": ["modules", "--code", _code(4, 2, [[4, 0], [0, 4]])],
+    "case-a-k5": ["modules", "--code", _code(5, 2, [[5, 5], [2, 4]])],
+    "case-a-k7": ["modules", "--code", _code(7, 2, [[7, 7]])],
+    "case-a-k3-length3": ["modules", "--code", _code(3, 3, [[2, 2, 2], [3, 3, 0]])],
+    "chi-k5": ["modules", "--code", _code(5, 2, [[5, 5], [2, 4]]), "--chi", "eta=1,3"],
+    "chi-k4": ["modules", "--code", _code(4, 2, [[4, 0], [0, 4]]), "--chi", "3,6"],
+    "induce-k5": ["modules", "--code", _code(5, 2, [[5, 5], [2, 4]]), "--induce"],
+    "induce-k3": ["modules", "--code", _code(3, 2, [[3, 3]]), "--induce"],
     "induce-k3-multiplicity2": [
-        "--code", _code(3, 3, [[3, 3, 0], [0, 3, 3]]), "--chi", "0,0,0", "--induce"],
-    "case-b-k3": ["--code", _code(3, 2, [[3, 0], [0, 3]])],
-    "case-b-k4": ["--code", _code(4, 2, [[2, 2]])],
+        "modules", "--code", _code(3, 3, [[3, 3, 0], [0, 3, 3]]),
+        "--chi", "0,0,0", "--induce"],
+    "case-b-k3": ["modules", "--code", _code(3, 2, [[3, 0], [0, 3]])],
+    "case-b-k4": ["modules", "--code", _code(4, 2, [[2, 2]])],
+    "classify-empty": ["classify", "--code", _code(3, 2, [])],
+    "classify-case-a-k3": ["classify", "--code", _code(3, 2, [[3, 3]])],
+    "classify-case-b-k3": ["classify", "--code", _code(3, 1, [[3]])],
+    "classify-case-b-k4": ["classify", "--code", _code(4, 2, [[2, 2]])],
+    "classify-invalid-k3": ["classify", "--code", _code(3, 1, [[1]])],
+    "classify-k3-length5": [
+        "classify", "--code", _code(3, 5, [[3, 3, 0, 0, 0], [2, 2, 2, 0, 0], [0, 0, 3, 3, 3]])],
+    "classify-case-b-k8-length4": [
+        "classify", "--code", _code(8, 4, [[4, 4, 0, 0], [0, 4, 4, 4]])],
+    "verify-counting-k2": ["verify", "--suite", "counting", "--k", "2"],
+    "verify-counting-k3": ["verify", "--suite", "counting", "--k", "3"],
 }
 
 
-def _run(capsys, name: str) -> str:
-    status = main(["modules"] + CASES[name])
+def _names(command: str) -> list[str]:
+    return sorted(name for name, argv in CASES.items() if argv[0] == command)
+
+
+def _check(capsys, name: str) -> None:
+    status = main(CASES[name])
     captured = capsys.readouterr()
     assert status == 0 and captured.err == ""
-    return captured.out
+    assert captured.out == (GOLDEN / f"{name}.json").read_text()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", _names("modules"))
 def test_modules_report_matches_golden(capsys, name):
-    expected = (GOLDEN / f"{name}.json").read_text()
-    assert _run(capsys, name) == expected
+    _check(capsys, name)
+
+
+@pytest.mark.parametrize("name", _names("classify"))
+def test_classify_report_matches_golden(capsys, name):
+    _check(capsys, name)
+
+
+@pytest.mark.parametrize("name", _names("verify"))
+def test_verify_report_matches_golden(capsys, name):
+    _check(capsys, name)
 
 
 def test_golden_corpus_has_no_strays():
@@ -66,10 +94,10 @@ if __name__ == "__main__":
     import io
 
     GOLDEN.mkdir(exist_ok=True)
-    for name, args in CASES.items():
+    for name, argv in CASES.items():
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            if main(["modules"] + args) != 0:
+            if main(argv) != 0:
                 sys.exit(f"{name}: nonzero exit")
         (GOLDEN / f"{name}.json").write_text(out.getvalue())
         print(name, len(out.getvalue()), file=sys.stderr)
