@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .arith import mod1
 from .codes import Classification, euclidean_weight, load_code
@@ -222,7 +223,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(report, indent=2, sort_keys=True))
+    # streamed in batches of encoder chunks: one write per chunk is one system
+    # call when stdout is unbuffered (python -u, PYTHONUNBUFFERED)
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+    while text := "".join(islice(chunks, 4096)):
+        sys.stdout.write(text)
+    sys.stdout.write("\n")
     return status
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -52,8 +52,9 @@ class Code:
     k: int
     length: int
     generators: tuple[ResidueVector, ...]
-    elements: tuple[ResidueVector, ...]
-    classification: Classification
+    # both follow from the fields above, so equality and the hash skip them
+    elements: tuple[ResidueVector, ...] = field(compare=False)
+    classification: Classification = field(compare=False)
 
     @property
     def size(self) -> int:

@@ -29,17 +29,11 @@ class FusionSum:
     def items(self):
         return self._terms
 
-    def labels(self):
-        return tuple(label for label, _ in self._terms)
-
     def multiplicity(self, label) -> int:
         for lab, m in self._terms:
             if lab == label:
                 return m
         return 0
-
-    def total(self) -> int:
-        return sum(m for _, m in self._terms)
 
     def map_labels(self, fn) -> "FusionSum":
         """Push the multiset through a label map, merging multiplicities."""

@@ -111,9 +111,8 @@ def special_vectors(k: int, a: Sequence[int] | None = None) -> SpecialVectors:
     gamma_km1 = LatticeVector(k, tuple(Fraction(1) for _ in range(k - 1)) + (Fraction(0),))
     gamma_k = LatticeVector(k, (Fraction(1),) * k)
     d = LatticeVector(k, tuple(Fraction(1) for _ in range(k - 1)) + (Fraction(1 - k),))
-    assert gamma_k.norm() == 2 * k
-    assert d.norm() == 2 * (k - 1) * k
-    assert gamma_k.inner(d) == 0
+    if (gamma_k.norm(), d.norm(), gamma_k.inner(d)) != (2 * k, 2 * (k - 1) * k, 0):
+        raise RuntimeError("gamma_k and d fail their norm and orthogonality identities")
     delta = None
     if a is not None:
         if len(a) != k or any(x not in (0, 1) for x in a):
@@ -192,21 +191,11 @@ def verify_coset_inner_congruence(
     k: int, p: int, q: int, samples: int = 20, seed: int = 0
 ) -> bool:
     """Sample-check that <x, y> = (k-1)pq/2k mod Z for x in Ntilde(p),
-    y in Ntilde(q), and <x, x> = (k-1)p^2/2k mod 2Z."""
-    rng = random.Random(seed)
-    rep_p = coset_rep(ntilde_coset(k, p))
-    rep_q = coset_rep(ntilde_coset(k, q))
-    pair_target = Fraction((k - 1) * p * q, 2 * k)
-    norm_target = Fraction((k - 1) * p * p, 2 * k)
-    for _ in range(samples):
-        x = rep_p + random_n_element(k, rng)
-        y = rep_q + random_n_element(k, rng)
-        if mod1(x.inner(y) - pair_target) != 0:
-            return False
-        diff = x.norm() - norm_target
-        if diff.denominator != 1 or diff.numerator % 2 != 0:
-            return False
-    return True
+    y in Ntilde(q), and <x, x> = (k-1)p^2/2k mod 2Z: the length-1 case of
+    `verify_coset_inner_congruence_vec`, with the same samples."""
+    return verify_coset_inner_congruence_vec(
+        ResidueVector(2 * k, (p,)), ResidueVector(2 * k, (q,)), samples, seed
+    )
 
 
 def verify_coset_inner_congruence_vec(
@@ -276,7 +265,8 @@ def discriminant_group(k: int) -> tuple[int, ...]:
         row = []
         for v in basis:
             val = u.inner(v)
-            assert val.denominator == 1
+            if val.denominator != 1:
+                raise RuntimeError(f"N is not integral: a Gram entry is {val}")
             row.append(val.numerator)
         gram.append(tuple(row))
     return smith_normal_form(IntegerMatrix(tuple(gram)))
@@ -304,7 +294,8 @@ def gamma_d_parity(code: Code, translate_samples: int = 4, seed: int = 0) -> Gam
     kk = 2 * k
     d = special_vectors(k).d
     nd = d.norm()
-    assert nd.denominator == 1
+    if nd.denominator != 1:
+        raise RuntimeError(f"d is not integral: its norm is {nd}")
     nd = nd.numerator
 
     # integrality: fractional pairing is bilinear over the code group,
@@ -334,7 +325,10 @@ def gamma_d_parity(code: Code, translate_samples: int = 4, seed: int = 0) -> Gam
         rep = _code_coset_rep(code, xi)
         moved = [r + random_n_element(k, rng) for r in rep]
         diff = _pair_inner(moved, moved) - _pair_inner(rep, rep)
-        assert diff.denominator == 1 and diff.numerator % 2 == 0
+        if diff.denominator != 1 or diff.numerator % 2:
+            raise RuntimeError(
+                f"an N-translate of the coset of {xi} moved its norm by {diff}, not by 2Z"
+            )
 
     return GammaParity.ODD if any_odd else GammaParity.EVEN
 

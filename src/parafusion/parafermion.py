@@ -106,7 +106,8 @@ def fuse_pf(a: ParafermionLabel, b: ParafermionLabel) -> FusionSum:
         if (i1 + i2 + r) % 2:
             continue
         num = 2 * j1 - i1 + 2 * j2 - i2 + r
-        assert num % 2 == 0, "parity constraint violated in parafermion fusion"
+        if num % 2:
+            raise RuntimeError("parity constraint violated in parafermion fusion")
         terms.append(canonicalize_pf(k, r, num // 2))
     return FusionSum(terms)
 

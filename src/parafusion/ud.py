@@ -18,7 +18,7 @@ from math import isqrt
 from operator import getitem, mul
 
 from .arith import ResidueVector, mod1, standard_inner
-from .codes import Classification, Code, CodeTooLargeError, dual_code, split_even_odd, \
+from .codes import Classification, Code, CodeTooLargeError, split_even_odd, \
     enumerate_code, generating_subset
 from .u0 import U0Label, all_u0_labels, canonicalize_u0
 
@@ -160,14 +160,21 @@ class CharacterLabel:
 
 
 @lru_cache(maxsize=None)
-def _dual_elements(code: Code) -> tuple[ResidueVector, ...]:
-    return dual_code(code).elements
+def _character_names(code: Code) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The least eta of each character, by `_eta_key`: the eta with one key
+    form one coset of the dual code, and `product` runs in lexicographic order."""
+    n = 2 * code.k
+    if n ** code.length > DEFAULT_MAX_LABELS:
+        raise CodeTooLargeError(f"{n ** code.length} eta vectors exceed {DEFAULT_MAX_LABELS}")
+    names = {}
+    for eta in product(range(n), repeat=code.length):
+        names.setdefault(_eta_key(code, eta), eta)
+    return names
 
 
 @lru_cache(maxsize=None)
 def _canonical_eta(code: Code, eta: tuple[int, ...]) -> tuple[int, ...]:
-    vec = ResidueVector(2 * code.k, eta)
-    return min((vec + delta).entries for delta in _dual_elements(code))
+    return _character_names(code)[_eta_key(code, eta)]
 
 
 def character_of(x: IrrU0Label, code: Code) -> CharacterLabel:
@@ -252,7 +259,8 @@ class _LabelKernel:
     the labels in `all_irr_labels` order.  `shift[c][d]` is the class of
     (i, l + d) when c is the class of (i, l).  `rank_rows` orders index
     tuples as IrrU0Label orders labels: by mu, then by nu.  A character is
-    computed once per `_eta_key`, and an isotropic part once per stabilizer.
+    named by its `_eta_key` in `_character_names`, and an isotropic part is
+    computed once per stabilizer.
     """
 
     def __init__(self, code: Code):
@@ -269,10 +277,10 @@ class _LabelKernel:
                       for c in classes]
         self.mu = [c.i for c in classes]
         self.nu = [c.l for c in classes]
-        self.eta = [((k - 1) * c.l - k * c.i) % n for c in classes]
+        eta = [((k - 1) * c.l - k * c.i) % n for c in classes]
         # key(x) == _eta_key(code, eta of x), read from per-position tables
         # because a character restriction keys every label
-        self.key_rows = [[[g[r] * e % n for e in self.eta] for r in range(ell)]
+        self.key_rows = [[[g[r] * e % n for e in eta] for r in range(ell)]
                          for g in code.generators]
         self.rank_rows = [
             [c.i * k ** (ell - 1 - r) * n ** ell + c.l * n ** (ell - 1 - r)
@@ -280,7 +288,7 @@ class _LabelKernel:
             for r in range(ell)
         ]
         self.words = [xi.entries for xi in code.elements]
-        self._characters: dict[tuple[int, ...], CharacterLabel] = {}
+        self.names = _character_names(code)
         self._isotropic: dict[tuple[ResidueVector, ...], tuple[ResidueVector, ...]] = {}
 
     def index(self, x: IrrU0Label) -> tuple[int, ...]:
@@ -305,12 +313,7 @@ class _LabelKernel:
 
     def info(self, members, stab) -> OrbitInfo:
         code, rep = self.code, members[0]
-        key = self.key(rep)
-        character = self._characters.get(key)
-        if character is None:
-            eta = tuple(self.eta[c] for c in rep)
-            character = CharacterLabel(code, _canonical_eta(code, eta))
-            self._characters[key] = character
+        character = CharacterLabel(code, self.names[self.key(rep)])
         isotropic = self._isotropic.get(stab)
         if isotropic is None:
             isotropic = self._isotropic[stab] = _isotropic_part(code, stab)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -212,6 +213,15 @@ def test_classify_long_code_text(capsys):
     results = json.loads(out)["results"]
     assert results["size"] == 12
     assert results["dual_size"] == 6 ** 30 // 12
+
+
+def test_modules_chi_on_long_code_fails_fast(capsys):
+    # naming a character of a length-30 code would pass over 6^30 eta vectors
+    code = json.dumps({"k": 3, "length": 30, "generators": [[3] * 30]})
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, ["modules", "--code", code, "--chi", ",".join("0" * 30)])
+    assert time.perf_counter() - start < 1.0
+    assert status == 2 and out == "" and "exceed" in err
 
 
 @pytest.mark.parametrize("field, value", [

@@ -7,7 +7,7 @@ k = 1 and k = 3 (mod 4), including a multiplicity-two orbit under a
 character filter, and two Case B codes.  The `classify` cases cover the
 empty code, Case A, Case B at k = 3, 4 and 8, an Invalid code and a
 length-5 code; the `verify` cases run the counting suite, which classifies
-every code of `all_codes`.
+every code of `all_codes`; the `fusion` cases fuse one pair at k = 3, 4, 5.
 
 Regenerate the corpus (only when a report is meant to change) with
 
@@ -56,6 +56,9 @@ CASES = {
         "classify", "--code", _code(8, 4, [[4, 4, 0, 0], [0, 4, 4, 4]])],
     "verify-counting-k2": ["verify", "--suite", "counting", "--k", "2"],
     "verify-counting-k3": ["verify", "--suite", "counting", "--k", "3"],
+    "fusion-k3": ["fusion", "--k", "3", "--left", "1,1", "--right", "1,1"],
+    "fusion-k4": ["fusion", "--k", "4", "--left", "2,2", "--right", "2,0"],
+    "fusion-k5": ["fusion", "--k", "5", "--left", "2,2", "--right", "2,4"],
 }
 
 
@@ -82,6 +85,11 @@ def test_classify_report_matches_golden(capsys, name):
 
 @pytest.mark.parametrize("name", _names("verify"))
 def test_verify_report_matches_golden(capsys, name):
+    _check(capsys, name)
+
+
+@pytest.mark.parametrize("name", _names("fusion"))
+def test_fusion_report_matches_golden(capsys, name):
     _check(capsys, name)
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from parafusion import lattice
 from parafusion.arith import ResidueVector
 from parafusion.codes import Classification, enumerate_code, random_code
 from parafusion.lattice import (
@@ -141,6 +142,15 @@ def test_gamma_d_parity_examples():
     assert gamma_d_parity(enumerate_code(3, 1, [[3]])) == GammaParity.ODD
     assert gamma_d_parity(enumerate_code(5, 1, [[5]])) == GammaParity.EVEN
     assert gamma_d_parity(enumerate_code(3, 1, [[1]])) == GammaParity.NOT_INTEGRAL
+
+
+def test_gamma_d_parity_spot_check_fails_on_a_half_integral_translate(monkeypatch):
+    # a translate outside N shifts a norm by an odd amount: the spot check
+    # raises, also under python -O
+    half = LatticeVector(3, (Fraction(1, 2), Fraction(-1, 2), 0))
+    monkeypatch.setattr(lattice, "random_n_element", lambda k, rng: half)
+    with pytest.raises(RuntimeError, match="N-translate"):
+        gamma_d_parity(enumerate_code(3, 1, [[3]]))
 
 
 def test_gamma_d_parity_matches_classification_on_random_codes():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from parafusion import ud
+from parafusion import codes, ud
 from parafusion.arith import ResidueVector, mod1
 from parafusion.codes import (
     Classification,
@@ -317,17 +317,26 @@ def test_case_b_inventory_requires_case_b():
 
 
 def _direct_census(code):
-    """The orbit census built label by label from `act`, `stabilizer`,
-    `character_of` and `_isotropic_part`, independent of the index kernel."""
+    """The orbit census built label by label from `act`, `stabilizer` and
+    `_isotropic_part`, independent of the index kernel; each character is
+    named by definition, as the least eta of its dual-code coset (computed
+    once per coset)."""
+    k, dual = code.k, dual_code(code).elements
+    names = {}
     census, seen = [], set()
     for x in all_irr_labels(code.k, code.length):
         if x in seen:
             continue
         members = tuple(sorted({act(xi, x) for xi in code.elements}))
         seen.update(members)
-        stab = stabilizer(code, members[0])
-        census.append((members[0], members, stab, _isotropic_part(code, stab),
-                       character_of(members[0], code)))
+        rep = members[0]
+        stab = stabilizer(code, rep)
+        eta = ResidueVector(2 * k, tuple((k - 1) * n - k * m for m, n in zip(rep.mu, rep.nu)))
+        if eta not in names:
+            coset = [eta + delta for delta in dual]
+            names.update(dict.fromkeys(coset, min(v.entries for v in coset)))
+        census.append((rep, members, stab, _isotropic_part(code, stab),
+                       CharacterLabel(code, names[eta])))
     return census
 
 
@@ -354,17 +363,20 @@ def test_orbit_kernel_matches_direct_census(monkeypatch):
         duals.append(code)
         return dual_code(code, *args, **kwargs)
 
-    monkeypatch.setattr(ud, "dual_code", counted_dual)
+    # ud binds no dual_code of its own, so this patch sees every call
+    assert not hasattr(ud, "dual_code")
+    monkeypatch.setattr(codes, "dual_code", counted_dual)
     checked = 0
     for code in _kernel_cases():
-        ud._dual_elements.cache_clear()
+        ud._character_names.cache_clear()
         ud._canonical_eta.cache_clear()
         duals.clear()
         census = orbits(code)
-        assert duals == [code]
+        assert duals == []
         got = [(o.representative, o.members, o.stabilizer, o.isotropic, o.character)
                for o in census]
         assert got == _direct_census(code), code
+        assert all(character_of(o.representative, code) == o.character for o in census)
         for chi in {o.character for o in census}:
             assert orbits(code, restrict_to_character=chi) == tuple(
                 o for o in census if o.character == chi)
