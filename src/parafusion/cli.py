@@ -69,6 +69,12 @@ def cmd_fusion(args) -> tuple[dict, int]:
 
 def cmd_classify(args) -> tuple[dict, int]:
     code = load_code(args.code)
+    # the standard pairing on (Z_2k)^ell is nondegenerate
+    dual_size = (2 * code.k) ** code.length // code.size
+    # json writes an int with str(), which stops at this many digits (0: no limit)
+    limit = sys.get_int_max_str_digits()
+    if limit and dual_size >= 10 ** limit:
+        raise ValueError(f"dual_size has more than {limit} digits")
     results: dict = {
         "k": code.k,
         "length": code.length,
@@ -82,8 +88,7 @@ def cmd_classify(args) -> tuple[dict, int]:
             }
             for g in code.generators
         ],
-        # the standard pairing on (Z_2k)^ell is nondegenerate
-        "dual_size": (2 * code.k) ** code.length // code.size,
+        "dual_size": dual_size,
     }
     if code.classification is Classification.CASE_B:
         # the diagonal class is a character of D onto Z_2
@@ -197,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True, metavar="i,l")
     p.set_defaults(func=cmd_fusion)
 
-    p = sub.add_parser("classify", help="enumerate and classify a code from JSON")
+    p = sub.add_parser("classify", help="classify a code from JSON")
     p.add_argument("--code", required=True, help="code JSON text or a path to a JSON file")
     p.set_defaults(func=cmd_classify)
 

@@ -1,9 +1,14 @@
-"""Additive codes over Z_2k: enumeration, classification, weights, duals.
+"""Additive codes over Z_2k: Hermite forms, classification, weights, duals.
 
-A code D of length ell is an additive subgroup of (Z_2k)^ell.  D is
-Case A when (k-1)(xi.xi)/2k is an even integer for every codeword, Case B
-when every pairing (k-1)(xi.eta)/2k is an integer and some diagonal value
-is odd, and Invalid otherwise (such codes are rejected downstream).
+A code D of length ell is an additive subgroup of (Z_2k)^ell.  Such
+subgroups match one to one the lattices 2k Z^ell <= L <= Z^ell, and a code
+is held as the row Hermite normal form of its lattice (Cohen, GTM 138,
+section 2.4; Howell 1986).  That one form gives |D|, lists each codeword
+exactly once (only when asked), and numbers every subgroup for
+`all_codes`, at any length.  D is Case A when (k-1)(xi.xi)/2k is an even
+integer for every codeword, Case B when every pairing (k-1)(xi.eta)/2k is
+an integer and some diagonal value is odd, and Invalid otherwise (such
+codes are rejected downstream); all three are decided from the generators.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
+from math import prod
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -53,12 +59,23 @@ class Code:
     length: int
     generators: tuple[ResidueVector, ...]
     # both follow from the fields above, so equality and the hash skip them
-    elements: tuple[ResidueVector, ...] = field(compare=False)
+    hermite: tuple[tuple[int, tuple[int, ...]], ...] = field(compare=False)
     classification: Classification = field(compare=False)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return prod(2 * self.k // h[j] for j, h in self.hermite)
+
+    @cached_property
+    def elements(self) -> tuple[ResidueVector, ...]:
+        """Every codeword, sorted: sum_j c_j h_j over 0 <= c_j < 2k/d_j.  That
+        box is a fundamental domain of D, so no codeword is built twice."""
+        n = 2 * self.k
+        words = [(0,) * self.length]
+        for j, h in self.hermite:
+            words = [tuple((u + c * v) % n for u, v in zip(w, h))
+                     for w in words for c in range(n // h[j])]
+        return tuple(ResidueVector(n, w) for w in sorted(words))
 
     def zero(self) -> ResidueVector:
         return ResidueVector.zero(2 * self.k, self.length)
@@ -100,26 +117,54 @@ def _classify(k: int, generators: Sequence[ResidueVector]) -> Classification:
     return Classification.CASE_A
 
 
-def _closure(
-    k: int, length: int, generators: Sequence[ResidueVector], max_size: int
-) -> tuple[ResidueVector, ...]:
-    zero = ResidueVector.zero(2 * k, length)
-    elements = {zero}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for g in generators:
-            for x in frontier:
-                y = x + g
-                if y not in elements:
-                    elements.add(y)
-                    new.append(y)
-                    if len(elements) > max_size:
-                        raise CodeTooLargeError(
-                            f"code closure exceeds max_size={max_size}"
-                        )
-        frontier = new
-    return tuple(sorted(elements))
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a x + b y = g = gcd(a, b), for a, b >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _hermite(
+    n: int, length: int, generators: Iterable[Sequence[int]]
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The rows (j, h) of the row Hermite normal form of span(generators) +
+    nZ^length whose pivot d = h[j] is below n.
+
+    Rows are upper triangular, d divides n, and every entry above a pivot
+    is reduced mod that pivot.  A row with d = n is n e_j, zero mod n, so it
+    is not stored: with few generators the cost stays linear in the length.
+    """
+    rows = [x for x in ([e % n for e in g] for g in generators) if any(x)]
+    form = []
+    for j in range(length):
+        if not rows:
+            break
+        # fold each row with a nonzero entry j into a pivot that starts as
+        # n e_j; a fold is unimodular and leaves the other row zero at j
+        pivot = [0] * length
+        pivot[j] = n
+        rest = []
+        for x in rows:
+            if x[j]:
+                d, a, b = _xgcd(pivot[j], x[j])
+                p, q = pivot[j] // d, x[j] // d
+                pivot, x = ([(a * u + b * v) % n for u, v in zip(pivot, x)],
+                            [(q * u - p * v) % n for u, v in zip(pivot, x)])
+            if any(x):
+                rest.append(x)
+        rows = rest
+        if pivot[j] < n:
+            form.append((j, pivot))
+    # left to right: reducing column j touches only columns >= j
+    for t, (j, h) in enumerate(form):
+        for _, row in form[:t]:
+            c = row[j] // h[j]
+            if c:
+                row[:] = [(u - c * v) % n for u, v in zip(row, h)]
+    return tuple((j, tuple(h)) for j, h in form)
 
 
 def enumerate_code(
@@ -128,7 +173,11 @@ def enumerate_code(
     generators: Iterable[Sequence[int] | ResidueVector],
     max_size: int = DEFAULT_MAX_CODE_SIZE,
 ) -> Code:
-    """Enumerate the additive closure of the generators and classify it."""
+    """The code the generators span, held as its Hermite form, and its class.
+
+    Raises CodeTooLargeError when |D| exceeds max_size, before any codeword
+    is built.
+    """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if length < 1:
@@ -139,8 +188,10 @@ def enumerate_code(
         if vec.modulus != 2 * k or len(vec) != length:
             raise ValueError(f"generator {vec} does not match mod {2 * k}, length {length}")
         gens.append(vec)
-    elements = _closure(k, length, gens, max_size)
-    return Code(k, length, tuple(gens), elements, _classify(k, gens))
+    code = Code(k, length, tuple(gens), _hermite(2 * k, length, gens), _classify(k, gens))
+    if code.size > max_size:
+        raise CodeTooLargeError(f"code of size {code.size} exceeds max_size={max_size}")
+    return code
 
 
 def split_even_odd(code: Code) -> tuple[tuple[ResidueVector, ...], tuple[ResidueVector, ...]]:
@@ -168,7 +219,7 @@ def generating_subset(
     for x in sorted(elements):
         if x not in have:
             gens.append(x)
-            have = frozenset(_closure(k, length, gens, len(elements)))
+            have = frozenset(enumerate_code(k, length, gens).elements)
     return tuple(gens)
 
 
@@ -191,29 +242,30 @@ def dual_code(code: Code, max_size: int = DEFAULT_MAX_CODE_SIZE) -> Code:
             if all(standard_inner(g, vec) == 0 for g in gens)
         )
     )
-    dual_gens = generating_subset(k, length, elements)
-    return Code(k, length, dual_gens, elements, _classify(k, dual_gens))
+    return enumerate_code(k, length, generating_subset(k, length, elements), max_size)
 
 
-def all_codes(
-    k: int, length: int, max_size: int = DEFAULT_MAX_CODE_SIZE
-) -> tuple[Code, ...]:
-    """Every additive subgroup of (Z_2k)^length, for length <= 2.
+def all_codes(k: int, length: int) -> tuple[Code, ...]:
+    """Every additive subgroup of (Z_2k)^length, each exactly once.
 
-    Subgroups of rank <= 2 groups are generated by at most two elements,
-    so closing over all generator pairs and deduplicating is exhaustive.
+    A subgroup is named by its Hermite form.  Each upper triangular matrix
+    with pivots d_j | 2k (a pivot 2k stores no row) and entries above a
+    pivot in [0, d_j) is a candidate, and it is the form of the code it
+    spans exactly when `_hermite` returns it unchanged.
     """
-    if length > 2:
-        raise ValueError("exhaustive subgroup enumeration is supported for length <= 2")
-    ambient = [ResidueVector(2 * k, entries) for entries in product(range(2 * k), repeat=length)]
-    seen: dict[tuple[ResidueVector, ...], Code] = {}
-    empty = enumerate_code(k, length, [], max_size)
-    seen[empty.elements] = empty
-    gen_sets: Iterable = ambient if length == 1 else combinations_with_replacement(ambient, 2)
-    for gens in gen_sets:
-        code = enumerate_code(k, length, [gens] if length == 1 else list(gens), max_size)
-        seen.setdefault(code.elements, code)
-    return tuple(seen.values())
+    n = 2 * k
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    codes = []
+    for diagonal in product(divisors, repeat=length):
+        pivots = [j for j, d in enumerate(diagonal) if d < n]
+        tails = [product(*(range(d) for d in diagonal[j + 1:])) for j in pivots]
+        for fill in product(*tails):
+            form = tuple((j, (0,) * j + (diagonal[j],) + tail)
+                         for j, tail in zip(pivots, fill))
+            if _hermite(n, length, (h for _, h in form)) == form:
+                gens = tuple(ResidueVector(n, h) for _, h in form)
+                codes.append(Code(k, length, gens, form, _classify(k, gens)))
+    return tuple(codes)
 
 
 def random_code(
@@ -221,18 +273,17 @@ def random_code(
     length: int,
     rng: random.Random,
     max_generators: int = 2,
-    max_size: int = DEFAULT_MAX_CODE_SIZE,
 ) -> Code:
-    """A random code: closure of a few uniformly random generators."""
+    """A random code: the span of a few uniformly random generators."""
     count = rng.randint(1, max_generators)
     gens = [
         ResidueVector(2 * k, tuple(rng.randrange(2 * k) for _ in range(length)))
         for _ in range(count)
     ]
-    return enumerate_code(k, length, gens, max_size)
+    return enumerate_code(k, length, gens)
 
 
-def load_code(source, max_size: int = DEFAULT_MAX_CODE_SIZE) -> Code:
+def load_code(source) -> Code:
     """Load a code from a JSON object, JSON text, or a path to a JSON file.
 
     Schema: {"k": int, "length": int, "generators": [[int, ...], ...]}.
@@ -260,4 +311,4 @@ def load_code(source, max_size: int = DEFAULT_MAX_CODE_SIZE) -> Code:
         isinstance(g, list) and all(type(e) is int for e in g) for g in generators
     ):
         raise ValueError("generators must be a list of integer lists")
-    return enumerate_code(k, length, generators, max_size)
+    return enumerate_code(k, length, generators)

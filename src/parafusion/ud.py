@@ -18,8 +18,8 @@ from math import isqrt
 from operator import getitem, mul
 
 from .arith import ResidueVector, mod1, standard_inner
-from .codes import Classification, Code, CodeTooLargeError, split_even_odd, \
-    enumerate_code, generating_subset
+from .codes import Classification, Code, CodeTooLargeError, _diagonal_class, \
+    enumerate_code
 from .u0 import U0Label, all_u0_labels, canonicalize_u0
 
 __all__ = [
@@ -460,7 +460,7 @@ class CaseBInventory:
 UNDETERMINED_FLAG = "irreducible or splits into two irreducibles (undetermined)"
 
 
-def case_b_inventory(code: Code, max_labels: int = DEFAULT_MAX_LABELS) -> CaseBInventory:
+def case_b_inventory(code: Code) -> CaseBInventory:
     """Inventory of irreducible modules of a Case B superalgebra code.
 
     The even-diagonal subgroup D0 is Case A; every irreducible module of
@@ -472,15 +472,18 @@ def case_b_inventory(code: Code, max_labels: int = DEFAULT_MAX_LABELS) -> CaseBI
         raise ValueError(
             f"Case B inventory requires a Case B code, got {code.classification.value}"
         )
-    d0, d1 = split_even_odd(code)
-    gens0 = generating_subset(code.k, code.length, d0)
-    even = enumerate_code(code.k, code.length, gens0)
-    if even.elements != d0 or even.classification is not Classification.CASE_A:
+    # the diagonal class is a character of D onto Z_2, so its kernel D0 is
+    # spanned by the even generators and g + g1 for the odd ones (2 g1 too)
+    k, gens = code.k, code.generators
+    odd = [g for g in gens if _diagonal_class(k, g)]
+    g1 = odd[0]
+    gens0 = [g for g in gens if not _diagonal_class(k, g)] + [g + g1 for g in odd]
+    even = enumerate_code(k, code.length, gens0)
+    if 2 * even.size != code.size or even.classification is not Classification.CASE_A:
         raise RuntimeError("the even part of a Case B code must close to a Case A code")
-    xi1 = d1[0]
+    xi1 = min(x + g1 for x in even.elements)
     entries = []
-    for info in orbits(even, restrict_to_character=trivial_character(even),
-                       max_labels=max_labels):
+    for info in orbits(even, restrict_to_character=trivial_character(even)):
         report = induce_from_orbit(even, info)
         decomp: Counter = Counter()
         for w, mult in report.u0_decomposition:

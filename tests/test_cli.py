@@ -215,6 +215,35 @@ def test_classify_long_code_text(capsys):
     assert results["dual_size"] == 6 ** 30 // 12
 
 
+def test_classify_builds_no_codeword(capsys):
+    # six unit vectors of length 30 at k = 3: |D| = 6^6 = 46 656 codewords
+    units = [[int(r == j) for r in range(30)] for j in range(6)]
+    code = json.dumps({"k": 3, "length": 30, "generators": units})
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, ["classify", "--code", code])
+    assert time.perf_counter() - start < 1.0
+    assert status == 0 and err == ""
+    results = json.loads(out)["results"]
+    assert results["size"] == 6 ** 6 and results["dual_size"] == 6 ** 24
+    assert results["classification"] == "Invalid"
+
+
+def test_classify_oversized_code_fails_fast(capsys):
+    code = json.dumps({"k": 10 ** 9, "length": 1, "generators": [[1]]})
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, ["classify", "--code", code])
+    assert time.perf_counter() - start < 1.0
+    assert status == 2 and out == "" and "exceeds max_size" in err
+
+
+def test_classify_unprintable_dual_size_is_usage_error(capsys):
+    # 6^6000 has 4669 digits, past the default int-to-str limit of 4300
+    code = json.dumps({"k": 3, "length": 6000, "generators": []})
+    status, out, err = run_cli(capsys, ["classify", "--code", code])
+    assert status == 2 and out == ""
+    assert err.count("\n") == 1 and "dual_size has more than" in err
+
+
 def test_modules_chi_on_long_code_fails_fast(capsys):
     # naming a character of a length-30 code would pass over 6^30 eta vectors
     code = json.dumps({"k": 3, "length": 30, "generators": [[3] * 30]})

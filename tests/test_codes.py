@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -7,6 +8,7 @@ from parafusion.arith import ResidueVector, standard_inner
 from parafusion.codes import (
     Classification,
     CodeTooLargeError,
+    _hermite,
     all_codes,
     dual_code,
     enumerate_code,
@@ -35,6 +37,31 @@ def _elementwise_classification(code):
             if (k - 1) * sum(a * b for a, b in zip(gens[i], gens[j])) % (2 * k):
                 return Classification.INVALID
     return Classification.CASE_B
+
+
+def _closure(k, length, generators):
+    """Breadth-first closure of the generators: the reference for the Hermite form."""
+    n = 2 * k
+    zero = (0,) * length
+    elements, frontier = {zero}, [zero]
+    while frontier:
+        new = []
+        for g in generators:
+            for x in frontier:
+                y = tuple((a + b) % n for a, b in zip(x, g))
+                if y not in elements:
+                    elements.add(y)
+                    new.append(y)
+        frontier = new
+    return sorted(elements)
+
+
+def _pair_closure_codes(k, length):
+    """Every subgroup of (Z_2k)^length for length <= 2, as element sets: such
+    a subgroup is generated by at most two elements."""
+    ambient = list(product(range(2 * k), repeat=length))
+    return {frozenset(_closure(k, length, pair))
+            for pair in combinations_with_replacement(ambient, 2)}
 
 
 def test_trivial_code():
@@ -101,6 +128,32 @@ def test_classification_is_presentation_independent():
 def test_enumeration_guard():
     with pytest.raises(CodeTooLargeError):
         enumerate_code(6, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], max_size=100)
+    assert enumerate_code(6, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], max_size=1728).size == 1728
+
+
+def test_hermite_form_matches_closure():
+    rng = random.Random(23)
+    for _ in range(600):
+        k, length = rng.randint(2, 8), rng.randint(1, 4)
+        n = 2 * k
+        gens = [tuple(rng.randrange(n) for _ in range(length))
+                for _ in range(rng.randint(0, 3))]
+        code = enumerate_code(k, length, gens)
+        reference = _closure(k, length, gens)
+        assert [x.entries for x in code.elements] == reference, (k, gens)
+        assert code.size == len(reference)
+        for j, h in code.hermite:
+            assert n % h[j] == 0 and h[j] < n and not any(h[:j])
+            assert all(row[j] < h[j] for i, row in code.hermite if i < j)
+        # another generating set of the same code: shuffled, with a multiple
+        # of one generator and a sum of two
+        more = list(gens)
+        if gens:
+            c = rng.randrange(n)
+            more.append(tuple(c * a for a in rng.choice(gens)))
+            more.append(tuple(a + b for a, b in zip(rng.choice(gens), rng.choice(gens))))
+        rng.shuffle(more)
+        assert _hermite(n, length, more) == code.hermite
 
 
 def test_split_even_odd():
@@ -196,8 +249,18 @@ def test_all_codes_counts():
     assert len(all_codes(3, 1)) == 4
     assert len(all_codes(2, 2)) == 15
     assert len(all_codes(3, 2)) == 30
-    with pytest.raises(ValueError):
-        all_codes(2, 3)
+    # 129 subgroups of Z_4^3, counted by a brute-force closure; for an odd
+    # prime p, |Sub(Z_p^3)| = 2p^2 + 2p + 4 (Gaussian binomials), times
+    # |Sub(Z_2^3)| = 16, since the count is multiplicative over primes
+    assert len(all_codes(2, 3)) == 129
+    assert [len(all_codes(p, 3)) for p in (3, 5, 7)] == \
+        [16 * (2 * p * p + 2 * p + 4) for p in (3, 5, 7)] == [448, 1024, 1856]
+    for k in range(2, 6):
+        for length in (1, 2):
+            found = [frozenset(x.entries for x in code.elements)
+                     for code in all_codes(k, length)]
+            assert len(set(found)) == len(found)
+            assert set(found) == _pair_closure_codes(k, length)
     for k in range(2, 7):
         for length in (1, 2):
             for code in all_codes(k, length):

@@ -311,6 +311,20 @@ def test_case_b_inventory_nontrivial_even_part():
         assert sum(m for _, m in entry.u0_decomposition) == 4
 
 
+def test_case_b_even_part_matches_the_elementwise_split():
+    rng = random.Random(43)
+    found = 0
+    while found < 20:
+        code = random_code(rng.randint(2, 4), rng.randint(1, 3), rng, max_generators=3)
+        if code.classification is not Classification.CASE_B:
+            continue
+        found += 1
+        d0, d1 = split_even_odd(code)
+        inventory = case_b_inventory(code)
+        assert inventory.even_part.elements == d0
+        assert inventory.odd_representative == d1[0]
+
+
 def test_case_b_inventory_requires_case_b():
     with pytest.raises(ValueError):
         case_b_inventory(enumerate_code(3, 2, [(3, 3)]))
@@ -421,6 +435,6 @@ def test_twisted_count_rule():
 
 
 def test_case_b_inventory_checks_its_even_part(monkeypatch):
-    monkeypatch.setattr(ud, "generating_subset", lambda k, length, elements: ())
+    monkeypatch.setattr(ud, "enumerate_code", lambda k, length, gens: enumerate_code(k, length, []))
     with pytest.raises(RuntimeError, match="even part"):
         case_b_inventory(enumerate_code(2, 2, [(2, 0), (0, 2)]))
