@@ -7,6 +7,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import islice
+from math import prod
 
 from .arith import mod1
 from .codes import Classification, euclidean_weight, load_code
@@ -69,10 +70,15 @@ def cmd_fusion(args) -> tuple[dict, int]:
 
 def cmd_classify(args) -> tuple[dict, int]:
     code = load_code(args.code)
-    # the standard pairing on (Z_2k)^ell is nondegenerate
-    dual_size = (2 * code.k) ** code.length // code.size
     # json writes an int with str(), which stops at this many digits (0: no limit)
     limit = sys.get_int_max_str_digits()
+    n, free = 2 * code.k, code.length - len(code.hermite)
+    # n^free >= 2^free, and 2^(4 limit) > 10^limit: decided before n^free is built
+    if limit and free > 4 * limit:
+        raise ValueError(f"dual_size has more than {limit} digits")
+    # the standard pairing on (Z_2k)^ell is nondegenerate, and |D| = prod n/d_j
+    # over the Hermite rows, so |D^perp| = n^free prod d_j
+    dual_size = n ** free * prod(h[j] for j, h in code.hermite)
     if limit and dual_size >= 10 ** limit:
         raise ValueError(f"dual_size has more than {limit} digits")
     results: dict = {

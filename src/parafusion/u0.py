@@ -7,6 +7,10 @@ given by a level-(k-1) parafermion factor tensored with a rank-one lattice
 coset of offset -l/2k + (i-2j)/2(k-1) (in units of a generator of squared
 norm 2(k-1)k).  Weights, the fusion product, simple currents, and the two
 fusion-ring symmetries are computed exactly.
+
+`class_index` numbers the classes 0..k^2-1 once per k, for every layer
+that works on class numbers (the orbit census, the fusion-axioms suite);
+`fusion_table` is the fusion product on those numbers.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ __all__ = [
     "canonicalize_u0",
     "u0_vacuum",
     "all_u0_labels",
+    "class_index",
     "fuse_u0",
+    "fusion_table",
     "simple_currents",
     "summand_weight",
     "top_level",
@@ -95,6 +101,19 @@ def all_u0_labels(k: int) -> tuple[U0Label, ...]:
     return tuple(labels)
 
 
+def class_index(k: int) -> tuple[tuple[U0Label, ...], list[list[int]], list[list[int]]]:
+    """(labels, pair_class, shift): the classes numbered in `all_u0_labels`
+    order, so class 0 is the vacuum and class p < 2k is U(0, p);
+    `pair_class[i][l]` is the class of the raw pair (i, l), 0 <= l < 2k, and
+    `shift[c][d]` the class of (i, l + d) when c is the class of (i, l)."""
+    labels = all_u0_labels(k)
+    n = 2 * k
+    number = {c: j for j, c in enumerate(labels)}
+    pair_class = [[number[canonicalize_u0(k, i, l)] for l in range(n)] for i in range(k)]
+    shift = [[pair_class[c.i][(c.l + d) % n] for d in range(n)] for c in labels]
+    return labels, pair_class, shift
+
+
 @lru_cache(maxsize=None)
 def _fuse_u0_terms(k: int, i1: int, l1: int, i2: int, l2: int) -> tuple[U0Label, ...]:
     lo = abs(i1 - i2)
@@ -113,6 +132,15 @@ def fuse_u0(a: U0Label, b: U0Label) -> FusionSum:
     if a.k != b.k:
         raise ValueError(f"cannot fuse labels at different levels {a.k} and {b.k}")
     return FusionSum(_fuse_u0_terms(a.k, a.i, a.l, b.i, b.l))
+
+
+def fusion_table(k: int) -> list[list[tuple[int, ...]]]:
+    """`table[a][b]`: the class numbers of the terms of the product of the
+    classes a and b, sorted, so equal tuples are equal multisets."""
+    labels, pair_class, _ = class_index(k)
+    return [[tuple(sorted(pair_class[t.i][t.l]
+                          for t in _fuse_u0_terms(k, a.i, a.l, b.i, b.l)))
+             for b in labels] for a in labels]
 
 
 def simple_currents(k: int) -> tuple[U0Label, ...]:

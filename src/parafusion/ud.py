@@ -9,7 +9,9 @@ determine the inventory of irreducible (twisted) U_D-modules.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +22,7 @@ from operator import getitem, mul
 from .arith import ResidueVector, mod1, standard_inner
 from .codes import Classification, Code, CodeTooLargeError, _diagonal_class, \
     enumerate_code
-from .u0 import U0Label, all_u0_labels, canonicalize_u0
+from .u0 import U0Label, all_u0_labels, canonicalize_u0, class_index
 
 __all__ = [
     "IrrU0Label",
@@ -93,11 +95,24 @@ def canonicalize_irr(k: int, mu, nu) -> IrrU0Label:
     return IrrU0Label(k, tuple(c.i for c in comps), tuple(c.l for c in comps))
 
 
+def _power_over(base: int, exponent: int, bound: int) -> str | None:
+    """None if base^exponent <= bound, else that power as text, for base >= 2.
+
+    Decided from the exponent first, so no huge power is built: base^exponent
+    >= 2^exponent, and 2^(4 d) > 10^d.  A power too long for int-to-str
+    conversion (d digits by default) is written as base^exponent."""
+    if exponent < bound.bit_length() and base ** exponent <= bound:
+        return None
+    if exponent <= 4 * sys.int_info.default_max_str_digits:
+        with suppress(ValueError):
+            return str(base ** exponent)
+    return f"{base}^{exponent}"
+
+
 def _check_label_budget(k: int, length: int, max_labels: int) -> None:
-    if k ** (2 * length) > max_labels:
-        raise CodeTooLargeError(
-            f"label space of size {k ** (2 * length)} exceeds max_labels={max_labels}"
-        )
+    size = _power_over(k, 2 * length, max_labels)
+    if size is not None:
+        raise CodeTooLargeError(f"label space of size {size} exceeds max_labels={max_labels}")
 
 
 def all_irr_labels(
@@ -164,8 +179,9 @@ def _character_names(code: Code) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The least eta of each character, by `_eta_key`: the eta with one key
     form one coset of the dual code, and `product` runs in lexicographic order."""
     n = 2 * code.k
-    if n ** code.length > DEFAULT_MAX_LABELS:
-        raise CodeTooLargeError(f"{n ** code.length} eta vectors exceed {DEFAULT_MAX_LABELS}")
+    size = _power_over(n, code.length, DEFAULT_MAX_LABELS)
+    if size is not None:
+        raise CodeTooLargeError(f"{size} eta vectors exceed {DEFAULT_MAX_LABELS}")
     names = {}
     for eta in product(range(n), repeat=code.length):
         names.setdefault(_eta_key(code, eta), eta)
@@ -254,10 +270,9 @@ def _eta_key(code: Code, eta) -> tuple[int, ...]:
 class _LabelKernel:
     """A code's translation action on labels written as class-index tuples.
 
-    The k^2 canonical classes of U(i, l) are numbered 0..k^2-1 in
+    The k^2 classes of U(i, l) are numbered by `class_index`, in
     `all_u0_labels` order, so `product(range(k^2), repeat=ell)` runs over
-    the labels in `all_irr_labels` order.  `shift[c][d]` is the class of
-    (i, l + d) when c is the class of (i, l).  `rank_rows` orders index
+    the labels in `all_irr_labels` order.  `rank_rows` orders index
     tuples as IrrU0Label orders labels: by mu, then by nu.  A character is
     named by its `_eta_key` in `_character_names`, and an isotropic part is
     computed once per stabilizer.
@@ -265,16 +280,8 @@ class _LabelKernel:
 
     def __init__(self, code: Code):
         k, ell, n = code.k, code.length, 2 * code.k
-        classes = all_u0_labels(k)
-        index = {(c.i, c.l): j for j, c in enumerate(classes)}
+        classes, self.pair_class, self.shift = class_index(k)
         self.code = code
-        # the class of the raw pair (i, l), 0 <= i < k, 0 <= l < 2k
-        self.pair_class = [
-            [index[(c.i, c.l)] for c in (canonicalize_u0(k, i, l) for l in range(n))]
-            for i in range(k)
-        ]
-        self.shift = [[self.pair_class[c.i][(c.l + d) % n] for d in range(n)]
-                      for c in classes]
         self.mu = [c.i for c in classes]
         self.nu = [c.l for c in classes]
         eta = [((k - 1) * c.l - k * c.i) % n for c in classes]

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from parafusion.cli import main
+from parafusion.codes import all_codes
 
 
 def run_cli(capsys, args):
@@ -242,6 +243,47 @@ def test_classify_unprintable_dual_size_is_usage_error(capsys):
     status, out, err = run_cli(capsys, ["classify", "--code", code])
     assert status == 2 and out == ""
     assert err.count("\n") == 1 and "dual_size has more than" in err
+
+
+@pytest.mark.parametrize("command, message", [
+    ("modules", "label space of size 3^20000000 exceeds max_labels=1048576"),
+    ("classify", "dual_size has more than 4300 digits"),
+])
+def test_huge_length_fails_fast(capsys, command, message):
+    # 3^(2 length) labels and 6^length dual codewords are decided from the
+    # exponent: neither power is built
+    code = json.dumps({"k": 3, "length": 10 ** 7, "generators": []})
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, [command, "--code", code])
+    assert time.perf_counter() - start < 1.0
+    assert status == 2 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("length, size", [(10, "3486784401"), (6000, "3^12000")])
+def test_modules_label_budget_message(capsys, length, size):
+    # 3^12000 has 5726 digits, past the default int-to-str limit of 4300
+    code = json.dumps({"k": 3, "length": length, "generators": []})
+    status, out, err = run_cli(capsys, ["modules", "--code", code])
+    assert status == 2 and out == ""
+    assert err == f"error: label space of size {size} exceeds max_labels=1048576\n"
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_classify_dual_size_is_the_ambient_quotient(capsys, k):
+    for code in all_codes(k, 2):
+        text = json.dumps({"k": k, "length": 2,
+                           "generators": [list(g.entries) for g in code.generators]})
+        status, out, _ = run_cli(capsys, ["classify", "--code", text])
+        assert status == 0
+        assert json.loads(out)["results"]["dual_size"] == (2 * k) ** 2 // code.size
+
+
+def test_verify_fusion_axioms_over_budget_fails_fast(capsys):
+    # k = 11 has 11^6 triples of classes, past the label budget of 2^20
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, ["verify", "--suite", "fusion-axioms", "--k", "11"])
+    assert time.perf_counter() - start < 1.0
+    assert status == 2 and out == "" and "exceeds max_labels" in err
 
 
 def test_modules_chi_on_long_code_fails_fast(capsys):

@@ -6,8 +6,10 @@ several k, a length-3 code, a character filter, induced-module reports at
 k = 1 and k = 3 (mod 4), including a multiplicity-two orbit under a
 character filter, and two Case B codes.  The `classify` cases cover the
 empty code, Case A, Case B at k = 3, 4 and 8, an Invalid code and a
-length-5 code; the `verify` cases run the counting suite, which classifies
-every code of `all_codes`; the `fusion` cases fuse one pair at k = 3, 4, 5.
+length-5 code; the `verify` cases run every suite: counting, which
+classifies every code of `all_codes`, at k = 2, 3, fusion-axioms at k = 2,
+4, appendix-a and discriminant up to k = 8, and lattice-lemmas at k = 2
+with seed 1; the `fusion` cases fuse one pair at k = 3, 4, 5.
 
 Regenerate the corpus (only when a report is meant to change) with
 
@@ -56,6 +58,12 @@ CASES = {
         "classify", "--code", _code(8, 4, [[4, 4, 0, 0], [0, 4, 4, 4]])],
     "verify-counting-k2": ["verify", "--suite", "counting", "--k", "2"],
     "verify-counting-k3": ["verify", "--suite", "counting", "--k", "3"],
+    "verify-fusion-axioms-k2": ["verify", "--suite", "fusion-axioms", "--k", "2"],
+    "verify-fusion-axioms-k4": ["verify", "--suite", "fusion-axioms", "--k", "4"],
+    "verify-appendix-a-k8": ["verify", "--suite", "appendix-a", "--k", "8"],
+    "verify-lattice-lemmas-k2-seed1": [
+        "verify", "--suite", "lattice-lemmas", "--k", "2", "--seed", "1"],
+    "verify-discriminant-k8": ["verify", "--suite", "discriminant", "--k", "8"],
     "fusion-k3": ["fusion", "--k", "3", "--left", "1,1", "--right", "1,1"],
     "fusion-k4": ["fusion", "--k", "4", "--left", "2,2", "--right", "2,0"],
     "fusion-k5": ["fusion", "--k", "5", "--left", "2,2", "--right", "2,4"],

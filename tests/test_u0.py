@@ -4,7 +4,10 @@ from itertools import product
 
 import pytest
 
+from parafusion import u0
 from parafusion.arith import mod1
+from parafusion.cli import main
+from parafusion.codes import CodeTooLargeError
 from parafusion.fusion import FusionSum
 from parafusion.u0 import (
     SummandLabel,
@@ -13,7 +16,9 @@ from parafusion.u0 import (
     all_u0_labels,
     b_form_u0,
     canonicalize_u0,
+    class_index,
     fuse_u0,
+    fusion_table,
     phi_grade,
     simple_currents,
     stabilizing_currents,
@@ -25,6 +30,8 @@ from parafusion.u0 import (
     verify_weight_difference,
     weight_mod1,
 )
+from parafusion.ud import DEFAULT_MAX_LABELS, _check_label_budget
+from parafusion.verify import suite_fusion_axioms
 
 
 @pytest.mark.parametrize("k, i, l, ci, cl", [
@@ -53,6 +60,80 @@ def test_canonical_class_count(k):
     assert all(lab.is_canonical for lab in labels)
     reached = {canonicalize_u0(k, i, l) for i in range(k) for l in range(2 * k)}
     assert reached == set(labels)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_class_index_numbers_the_canonical_classes(k):
+    labels, pair_class, shift = class_index(k)
+    assert labels == all_u0_labels(k)
+    assert labels[:2 * k] == simple_currents(k) and labels[0] == u0_vacuum(k)
+    for i, l in product(range(k), range(2 * k)):
+        c = pair_class[i][l]
+        assert labels[c] == canonicalize_u0(k, i, l)
+        assert [labels[shift[c][d]] for d in range(2 * k)] == [
+            canonicalize_u0(k, i, l + d) for d in range(2 * k)]
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_fusion_table_matches_fuse_u0(k):
+    labels = class_index(k)[0]
+    table = fusion_table(k)
+    for (a, x), (b, y) in product(enumerate(labels), repeat=2):
+        assert list(table[a][b]) == sorted(table[a][b])
+        assert FusionSum(labels[c] for c in table[a][b]) == fuse_u0(x, y)
+
+
+_terms = u0._fuse_u0_terms.__wrapped__
+
+
+def _drop_last_when_left_is_larger(k, i1, l1, i2, l2):
+    terms = _terms(k, i1, l1, i2, l2)
+    return terms[:-1] if i1 > i2 and len(terms) > 1 else terms
+
+
+def _double_first_on_row_one(k, i1, l1, i2, l2):
+    terms = _terms(k, i1, l1, i2, l2)
+    return terms + terms[:1] if i1 == i2 == 1 else terms
+
+
+def _current_square_shifted(k, i1, l1, i2, l2):
+    shifted = i1 == i2 == 0 and l1 % 2 and l2 % 2
+    return _terms(k, i1, l1, i2, l2 + (k if shifted else 0))
+
+
+@pytest.mark.parametrize("rule, k, name, detail", [
+    (_drop_last_when_left_is_larger, 5, "commutativity",
+     "U(1,0) x U(2,0) is not symmetric"),
+    (_double_first_on_row_one, 5, "associativity", "triple U(1,0), U(1,0), U(2,0)"),
+    (_double_first_on_row_one, 4, "unique-dual",
+     "U(1,0) has dual candidates [U0Label(k=4, i=1, l=0)]"),
+    (_current_square_shifted, 3, "simple-current-group",
+     "simple currents do not realize the cyclic group law"),
+])
+def test_fusion_axioms_suite_fails_on_a_broken_rule(monkeypatch, capsys, rule, k, name,
+                                                    detail):
+    monkeypatch.setattr(u0, "_fuse_u0_terms", rule)
+    checks = {c.name: c for c in suite_fusion_axioms(k)}
+    assert not checks[name].passed and checks[name].detail == detail
+    assert main(["verify", "--suite", "fusion-axioms", "--k", str(k)]) == 1
+    assert '"all_passed": false' in capsys.readouterr().out
+
+
+def _reverse_when_left_is_larger(k, i1, l1, i2, l2):
+    terms = _terms(k, i1, l1, i2, l2)
+    return terms[::-1] if i1 > i2 else terms
+
+
+def test_fusion_axioms_suite_ignores_term_order(monkeypatch):
+    # a x b and b x a list the same terms in opposite orders
+    monkeypatch.setattr(u0, "_fuse_u0_terms", _reverse_when_left_is_larger)
+    assert all(c.passed for c in suite_fusion_axioms(5))
+
+
+def test_fusion_axioms_budget_admits_k10():
+    _check_label_budget(10, 3, DEFAULT_MAX_LABELS)
+    with pytest.raises(CodeTooLargeError):
+        _check_label_budget(11, 3, DEFAULT_MAX_LABELS)
 
 
 def test_fusion_examples():
