@@ -167,6 +167,13 @@ def _hermite(
     return tuple((j, tuple(h)) for j, h in form)
 
 
+def _check_shape(k: int, length: int) -> None:
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if length < 1:
+        raise ValueError(f"length must be >= 1, got {length}")
+
+
 def enumerate_code(
     k: int,
     length: int,
@@ -178,10 +185,7 @@ def enumerate_code(
     Raises CodeTooLargeError when |D| exceeds max_size, before any codeword
     is built.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    _check_shape(k, length)
     gens = []
     for g in generators:
         vec = g if isinstance(g, ResidueVector) else ResidueVector(2 * k, tuple(g))
@@ -253,6 +257,7 @@ def all_codes(k: int, length: int) -> tuple[Code, ...]:
     pivot in [0, d_j) is a candidate, and it is the form of the code it
     spans exactly when `_hermite` returns it unchanged.
     """
+    _check_shape(k, length)
     n = 2 * k
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     codes = []

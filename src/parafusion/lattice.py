@@ -5,6 +5,12 @@ Everything lives in the orthogonal basis alpha_1..alpha_k with Gram matrix
 to gamma_k = alpha_1 + ... + alpha_k.  This module is the coordinate
 oracle: congruence statements proved abstractly elsewhere are re-derived
 here from explicit rational vectors.
+
+The sampled checks move coset representatives by random elements of N.
+`random_n_element` draws one: integer coefficients c_1..c_{k-1} in
+[-bound, bound] on the basis beta_r = alpha_r - alpha_{r+1}, written
+straight into coordinates.  `_translates` is the one loop that draws the
+translate pairs of the pairing checks, from one Random(seed).
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from itertools import combinations_with_replacement
+from typing import Iterator, NamedTuple, Sequence
 
 from .arith import IntegerMatrix, ResidueVector, mod1, smith_normal_form
 from .codes import Code
@@ -87,10 +94,6 @@ class LatticeVector:
         return self.is_integral() and sum(self.coords) == 0
 
 
-def zero_vector(k: int) -> LatticeVector:
-    return LatticeVector(k, (Fraction(0),) * k)
-
-
 def alpha_vector(k: int, r: int) -> LatticeVector:
     """The basis vector alpha_r, 1 <= r <= k."""
     if not (1 <= r <= k):
@@ -129,11 +132,10 @@ def n_basis(k: int) -> tuple[LatticeVector, ...]:
 
 
 def random_n_element(k: int, rng: random.Random, bound: int = 3) -> LatticeVector:
-    """A random element of N: bounded integer combination of the beta basis."""
-    v = zero_vector(k)
-    for beta in n_basis(k):
-        v = v + beta.scaled(rng.randint(-bound, bound))
-    return v
+    """A random element of N: sum c_r beta_r with c_r drawn from [-bound, bound]
+    in the order r = 1..k-1, so its coordinates are c_1, c_2 - c_1, ..., -c_{k-1}."""
+    c = [rng.randint(-bound, bound) for _ in range(k - 1)]
+    return LatticeVector(k, tuple(b - a for a, b in zip([0] + c, c + [0])))
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,22 @@ def _pair_inner(xs: Sequence[LatticeVector], ys: Sequence[LatticeVector]) -> Fra
     return sum((x.inner(y) for x, y in zip(xs, ys)), Fraction(0))
 
 
+def _translates(
+    k: int,
+    reps_x: Sequence[LatticeVector],
+    reps_y: Sequence[LatticeVector],
+    samples: int,
+    seed: int,
+) -> Iterator[tuple[list[LatticeVector], list[LatticeVector]]]:
+    """`samples` pairs (xs, ys) of N-translates of the representatives, the
+    x translates drawn before the y translates from one Random(seed)."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        xs = [r + random_n_element(k, rng) for r in reps_x]
+        ys = [r + random_n_element(k, rng) for r in reps_y]
+        yield xs, ys
+
+
 def verify_coset_inner_congruence(
     k: int, p: int, q: int, samples: int = 20, seed: int = 0
 ) -> bool:
@@ -206,16 +224,13 @@ def verify_coset_inner_congruence_vec(
     if xi.modulus != eta.modulus or len(xi) != len(eta) or xi.modulus % 2:
         raise ValueError("xi and eta must share an even modulus and a length")
     k = xi.modulus // 2
-    rng = random.Random(seed)
     reps_x = [coset_rep(ntilde_coset(k, c)) for c in xi]
     reps_y = [coset_rep(ntilde_coset(k, c)) for c in eta]
     dot_xe = sum(a * b for a, b in zip(xi, eta))
     dot_xx = sum(a * a for a in xi)
     pair_target = Fraction((k - 1) * dot_xe, 2 * k)
     norm_target = Fraction((k - 1) * dot_xx, 2 * k)
-    for _ in range(samples):
-        xs = [r + random_n_element(k, rng) for r in reps_x]
-        ys = [r + random_n_element(k, rng) for r in reps_y]
+    for xs, ys in _translates(k, reps_x, reps_y, samples, seed):
         if mod1(_pair_inner(xs, ys) - pair_target) != 0:
             return False
         diff = _pair_inner(xs, xs) - norm_target
@@ -278,11 +293,6 @@ class GammaParity(Enum):
     NOT_INTEGRAL = "NotIntegral"
 
 
-def _code_coset_rep(code: Code, xi: ResidueVector) -> list[LatticeVector]:
-    d = special_vectors(code.k).d
-    return [d.scaled(Fraction(-c, 2 * code.k)) for c in xi]
-
-
 def gamma_d_parity(code: Code, translate_samples: int = 4, seed: int = 0) -> GammaParity:
     """Parity of the glued lattice over the code, from coordinates alone.
 
@@ -291,7 +301,6 @@ def gamma_d_parity(code: Code, translate_samples: int = 4, seed: int = 0) -> Gam
     integrality and representative norms decide parity.
     """
     k = code.k
-    kk = 2 * k
     d = special_vectors(k).d
     nd = d.norm()
     if nd.denominator != 1:
@@ -300,13 +309,9 @@ def gamma_d_parity(code: Code, translate_samples: int = 4, seed: int = 0) -> Gam
 
     # integrality: fractional pairing is bilinear over the code group,
     # so generator pairs suffice
-    gens = list(code.generators)
-    for gi in range(len(gens)):
-        for gj in range(gi, len(gens)):
-            x = _code_coset_rep(code, gens[gi])
-            y = _code_coset_rep(code, gens[gj])
-            if mod1(_pair_inner(x, y)) != 0:
-                return GammaParity.NOT_INTEGRAL
+    reps = [[coset_rep(ntilde_coset(k, c)) for c in g] for g in code.generators]
+    if any(mod1(_pair_inner(x, y)) != 0 for x, y in combinations_with_replacement(reps, 2)):
+        return GammaParity.NOT_INTEGRAL
 
     # norms of all coset representatives, via the coordinate norm of d
     any_odd = False
@@ -322,7 +327,7 @@ def gamma_d_parity(code: Code, translate_samples: int = 4, seed: int = 0) -> Gam
     pool = list(code.elements)
     for _ in range(min(translate_samples, len(pool))):
         xi = pool[rng.randrange(len(pool))]
-        rep = _code_coset_rep(code, xi)
+        rep = [coset_rep(ntilde_coset(k, c)) for c in xi]
         moved = [r + random_n_element(k, rng) for r in rep]
         diff = _pair_inner(moved, moved) - _pair_inner(rep, rep)
         if diff.denominator != 1 or diff.numerator % 2:
@@ -350,8 +355,6 @@ def verify_pairing_matches_b_form(
     if xi.modulus % 2:
         raise ValueError("modulus must be even")
     k = xi.modulus // 2
-    rng = random.Random(seed)
-
     reps_y = []
     for mu_r, nu_r in zip(mu, nu):
         d1 = mu_r % 2
@@ -362,9 +365,7 @@ def verify_pairing_matches_b_form(
     reps_x = [coset_rep(ntilde_coset(k, c)) for c in xi]
 
     target = b_form_vec(xi, IrrU0Label(k, tuple(mu), tuple(nu)))
-    for _ in range(samples):
-        xs = [r + random_n_element(k, rng) for r in reps_x]
-        ys = [r + random_n_element(k, rng) for r in reps_y]
+    for xs, ys in _translates(k, reps_x, reps_y, samples, seed):
         if mod1(_pair_inner(xs, ys)) != target:
             return False
     return True

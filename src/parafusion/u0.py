@@ -189,18 +189,11 @@ class TopLevel(NamedTuple):
 
 def _coset_min(lam: Fraction) -> tuple[Fraction, int]:
     """min_n (n + lam)^2 over integers n, and how many n attain it."""
-    # the candidates bracket -lam: floor(-lam), ceil(-lam) lie among these
-    n0 = -(lam.numerator // lam.denominator) - 1
-    best = None
-    count = 0
-    for n in (n0, n0 + 1, n0 + 2):
-        v = (n + lam) ** 2
-        if best is None or v < best:
-            best = v
-            count = 1
-        elif v == best:
-            count += 1
-    return best, count
+    # n + lam runs over r + Z with r = lam mod 1 in [0, 1): the values nearest
+    # zero are r and r - 1, so the minimum is min(r, 1-r)^2, attained twice
+    # exactly when they tie at r = 1/2
+    r = mod1(lam)
+    return min(r, 1 - r) ** 2, 2 if 2 * r == 1 else 1
 
 
 def _pf_factor_weight(k: int, i: int, j: int) -> Fraction:

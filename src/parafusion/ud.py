@@ -67,8 +67,7 @@ class IrrU0Label:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"level k must be >= 2, got {self.k}")
-        if len(self.mu) != len(self.nu) or len(self.mu) < 1:
-            raise ValueError("mu and nu must have equal positive length")
+        _check_lengths(self.mu, self.nu)
         if any(not (0 <= m <= self.k - 1) for m in self.mu):
             raise ValueError(f"mu entries must lie in [0, {self.k - 1}]")
         object.__setattr__(self, "mu", tuple(int(m) for m in self.mu))
@@ -89,8 +88,14 @@ class IrrU0Label:
         return " x ".join(str(c) for c in self.components())
 
 
+def _check_lengths(mu, nu) -> None:
+    if len(mu) != len(nu) or len(mu) < 1:
+        raise ValueError("mu and nu must have equal positive length")
+
+
 def canonicalize_irr(k: int, mu, nu) -> IrrU0Label:
     """Canonicalize componentwise."""
+    _check_lengths(mu, nu)
     comps = [canonicalize_u0(k, m, n) for m, n in zip(mu, nu)]
     return IrrU0Label(k, tuple(c.i for c in comps), tuple(c.l for c in comps))
 

@@ -243,6 +243,18 @@ def test_dual_guard():
         dual_code(enumerate_code(6, 4, []), max_size=1000)
 
 
+@pytest.mark.parametrize("k, length, message", [
+    (1, 1, "k must be >= 2, got 1"),
+    (0, 2, "k must be >= 2, got 0"),
+    (3, 0, "length must be >= 1, got 0"),
+])
+def test_all_codes_rejects_what_enumerate_code_rejects(k, length, message):
+    with pytest.raises(ValueError, match=message):
+        enumerate_code(k, length, [])
+    with pytest.raises(ValueError, match=message):
+        all_codes(k, length)
+
+
 def test_all_codes_counts():
     # subgroup counts of Z_n and Z_n x Z_n (sum of gcds of divisor pairs)
     assert len(all_codes(2, 1)) == 3

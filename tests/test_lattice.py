@@ -5,6 +5,7 @@ import pytest
 
 from parafusion import lattice
 from parafusion.arith import ResidueVector
+from parafusion.cli import main
 from parafusion.codes import Classification, enumerate_code, random_code
 from parafusion.lattice import (
     GammaParity,
@@ -24,6 +25,7 @@ from parafusion.lattice import (
     verify_coset_inner_congruence_vec,
     verify_pairing_matches_b_form,
 )
+from parafusion.verify import suite_lattice_lemmas
 
 
 @pytest.mark.parametrize("k", range(2, 13))
@@ -65,6 +67,21 @@ def test_random_n_elements_lie_in_n(k):
         v = random_n_element(k, rng)
         assert v.in_n()
         assert v.inner(gamma_k) == 0
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_random_n_element_is_the_beta_combination_of_its_draws(k):
+    # the same draws, in the same order, as summing c_r beta_r one by one;
+    # the next draw agrees too, so no draw is added or lost
+    for seed in range(4):
+        for bound in (1, 3):
+            rng, twin = random.Random(seed), random.Random(seed)
+            for _ in range(10):
+                expected = LatticeVector(k, (0,) * k)
+                for beta in n_basis(k):
+                    expected = expected + beta.scaled(twin.randint(-bound, bound))
+                assert random_n_element(k, rng, bound) == expected
+            assert rng.random() == twin.random()
 
 
 def test_coset_reps():
@@ -151,6 +168,24 @@ def test_gamma_d_parity_spot_check_fails_on_a_half_integral_translate(monkeypatc
     monkeypatch.setattr(lattice, "random_n_element", lambda k, rng: half)
     with pytest.raises(RuntimeError, match="N-translate"):
         gamma_d_parity(enumerate_code(3, 1, [[3]]))
+
+
+def _half_translate(k, rng):
+    return LatticeVector(k, (Fraction(1, 2), Fraction(-1, 2)) + (0,) * (k - 2))
+
+
+def test_lattice_lemmas_fail_on_a_half_integral_translate(monkeypatch, capsys):
+    # a translate outside N moves the norm of the zero coset by 1: the sampled
+    # congruences must notice, and verify must exit 1
+    monkeypatch.setattr(lattice, "random_n_element", _half_translate)
+    assert not verify_coset_inner_congruence_vec(
+        ResidueVector(4, (0,)), ResidueVector(4, (0,)), samples=1)
+    checks = {c.name: c for c in suite_lattice_lemmas(2, seed=1)}
+    scalar = checks["scalar-coset-congruence"]
+    assert not scalar.passed and scalar.detail == "failed at (p, q) = (0, 0)"
+    assert checks["coset-index"].passed
+    assert main(["verify", "--suite", "lattice-lemmas", "--k", "2", "--seed", "1"]) == 1
+    assert '"all_passed": false' in capsys.readouterr().out
 
 
 def test_gamma_d_parity_matches_classification_on_random_codes():

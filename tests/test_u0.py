@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from parafusion import u0
 from parafusion.arith import mod1
@@ -222,6 +224,22 @@ def test_summand_weight_examples():
     x = SummandLabel(3, 0, 1, 2)
     assert x.lattice_offset == Fraction(-5, 6)
     assert summand_weight(x) == (Fraction(2, 3), 1)
+
+
+_offsets = st.one_of(
+    st.integers(-40, 40).map(Fraction),
+    st.integers(-80, 80).map(lambda n: Fraction(n, 2)),
+    st.fractions(-40, 40, max_denominator=200),
+)
+
+
+@given(_offsets)
+def test_coset_min_matches_a_search(lam):
+    # every minimizer of (n + lam)^2 lies within |lam| + 1 of zero
+    reach = abs(lam.numerator) // lam.denominator + 2
+    values = [(n + lam) ** 2 for n in range(-reach, reach + 1)]
+    best = min(values)
+    assert u0._coset_min(lam) == (best, values.count(best))
 
 
 def test_top_level_examples():

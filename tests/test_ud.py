@@ -3,6 +3,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from parafusion import codes, ud
 from parafusion.arith import ResidueVector, mod1
@@ -86,6 +88,19 @@ def test_b_form_vec_is_componentwise(k, ell):
                 )
             )
             assert b_form_vec(xi, X) == expected
+
+
+def test_canonicalize_irr_rejects_unequal_lengths():
+    # zip would silently drop the unmatched component
+    for mu, nu in (((0, 1), (1,)), ((0,), (1, 2)), ((), ())):
+        with pytest.raises(ValueError, match="mu and nu must have equal positive length"):
+            canonicalize_irr(3, mu, nu)
+
+
+@given(st.integers(2, 50), st.integers(0, 64), st.integers(1, 2**40))
+def test_power_over_decides_the_power(base, exponent, bound):
+    power = base ** exponent
+    assert ud._power_over(base, exponent, bound) == (None if power <= bound else str(power))
 
 
 def test_b_form_vec_constant_on_canonicalization_fiber():
