@@ -119,6 +119,8 @@ def cmd_modules(args) -> tuple[dict, int]:
     if code.classification is Classification.CASE_B:
         if args.chi is not None:
             raise ValueError("--chi restricts a Case A census; a Case B code has none")
+        if args.induce:
+            raise ValueError("--induce induces from a Case A census; a Case B code has none")
         inventory = case_b_inventory(code)
         results = {
             "classification": "CaseB",

@@ -152,6 +152,8 @@ class CosetSpec:
     def __post_init__(self):
         if self.kind not in ("ntilde", "nja"):
             raise ValueError(f"unknown coset kind {self.kind!r}")
+        if self.kind == "nja" and (len(self.a) != self.k or set(self.a) - {0, 1}):
+            raise ValueError(f"a must be a 0/1 vector of length {self.k}")
 
 
 def ntilde_coset(k: int, l: int) -> CosetSpec:
@@ -159,24 +161,21 @@ def ntilde_coset(k: int, l: int) -> CosetSpec:
 
 
 def nja_coset(k: int, j: int, a: Sequence[int]) -> CosetSpec:
-    a = tuple(a)
-    if len(a) != k or any(x not in (0, 1) for x in a):
-        raise ValueError(f"a must be a 0/1 vector of length {k}")
-    return CosetSpec(k, "nja", j=j % k, a=a)
+    return CosetSpec(k, "nja", j=j % k, a=tuple(a))
 
 
 def coset_rep(spec: CosetSpec) -> LatticeVector:
-    """An explicit representative vector of the coset."""
+    """An explicit representative vector of the coset, in closed form:
+    -l*d/2k for Ntilde(l), and for N(j, a) the coordinate a_p/2 + (2j - wt(a))/2k
+    at each p, lowered by j on alpha_k."""
     k = spec.k
-    sv = special_vectors(k, spec.a if spec.kind == "nja" else None)
     if spec.kind == "ntilde":
-        return sv.d.scaled(Fraction(-spec.l, 2 * k))
-    b = sum(spec.a)
-    return (
-        sv.delta
-        - alpha_vector(k, k).scaled(spec.j)
-        + sv.gamma_k.scaled(Fraction(2 * spec.j - b, 2 * k))
-    )
+        c = Fraction(-spec.l, 2 * k)
+        return LatticeVector(k, (c,) * (k - 1) + (c * (1 - k),))
+    shift = Fraction(2 * spec.j - sum(spec.a), 2 * k)
+    coords = [Fraction(x, 2) + shift for x in spec.a]
+    coords[-1] -= spec.j
+    return LatticeVector(k, tuple(coords))
 
 
 def coset_contains(spec: CosetSpec, x: LatticeVector) -> bool:
@@ -294,48 +293,33 @@ class GammaParity(Enum):
 
 
 def gamma_d_parity(code: Code, translate_samples: int = 4, seed: int = 0) -> GammaParity:
-    """Parity of the glued lattice over the code, from coordinates alone.
+    """Parity of the glued lattice over the code, from the coordinates of its
+    generators' coset representatives alone.
 
-    Pairings mod Z and norms mod 2Z are constant on N-translates (spot
-    checked below with random translates), so generator pairings decide
-    integrality and representative norms decide parity.
+    The fractional pairing is bilinear over the code group, so generator
+    pairs, each generator with itself among them, decide integrality.  Once
+    every pairing is integral, |x+y|^2 = |x|^2 + |y|^2 + 2<x,y> makes every
+    norm an integer and norm parity additive over D: some codeword has an
+    odd norm exactly when some generator does.  Pairings mod Z and norms
+    mod 2Z are constant on N-translates (spot checked below with random
+    translates of the generators' representatives).
     """
     k = code.k
-    d = special_vectors(k).d
-    nd = d.norm()
-    if nd.denominator != 1:
-        raise RuntimeError(f"d is not integral: its norm is {nd}")
-    nd = nd.numerator
-
-    # integrality: fractional pairing is bilinear over the code group,
-    # so generator pairs suffice
     reps = [[coset_rep(ntilde_coset(k, c)) for c in g] for g in code.generators]
     if any(mod1(_pair_inner(x, y)) != 0 for x, y in combinations_with_replacement(reps, 2)):
         return GammaParity.NOT_INTEGRAL
 
-    # norms of all coset representatives, via the coordinate norm of d
-    any_odd = False
-    for xi in code.elements:
-        num = nd * sum(c * c for c in xi)
-        if num % (4 * k * k) != 0:
-            return GammaParity.NOT_INTEGRAL
-        if (num // (4 * k * k)) % 2:
-            any_odd = True
-
-    # spot check: parity class is unchanged by N-translates
     rng = random.Random(seed)
-    pool = list(code.elements)
-    for _ in range(min(translate_samples, len(pool))):
-        xi = pool[rng.randrange(len(pool))]
-        rep = [coset_rep(ntilde_coset(k, c)) for c in xi]
-        moved = [r + random_n_element(k, rng) for r in rep]
-        diff = _pair_inner(moved, moved) - _pair_inner(rep, rep)
+    for _ in range(min(translate_samples, len(reps))):
+        i = rng.randrange(len(reps))
+        moved = [r + random_n_element(k, rng) for r in reps[i]]
+        diff = _pair_inner(moved, moved) - _pair_inner(reps[i], reps[i])
         if diff.denominator != 1 or diff.numerator % 2:
-            raise RuntimeError(
-                f"an N-translate of the coset of {xi} moved its norm by {diff}, not by 2Z"
-            )
+            raise RuntimeError(f"an N-translate of the coset of {code.generators[i]} "
+                               f"moved its norm by {diff}, not by 2Z")
 
-    return GammaParity.ODD if any_odd else GammaParity.EVEN
+    odd = any(_pair_inner(x, x) % 2 for x in reps)
+    return GammaParity.ODD if odd else GammaParity.EVEN
 
 
 def verify_pairing_matches_b_form(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .arith import ResidueVector
-from .codes import Classification, all_codes
+from .codes import Classification, CodeTooLargeError, all_codes
 from .lattice import (
     discriminant_group,
     verify_coset_index,
@@ -18,8 +18,8 @@ from .lattice import (
 )
 from .u0 import U0Label, class_index, fusion_table, theta_u0, top_level, \
     top_level_closed_form
-from .ud import DEFAULT_MAX_LABELS, _check_label_budget, count_twisted, induce_from_orbit, \
-    orbits
+from .ud import DEFAULT_MAX_LABELS, _check_label_budget, _power_over, count_twisted, \
+    induce_from_orbit, orbits
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -29,6 +29,16 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+
+
+def _check_suite_budget(k: int, exponent: int) -> None:
+    """Refuse a suite whose work grows like k^exponent past the label budget,
+    decided from the exponent before any work is done.  Against 2^20, k^3
+    admits k <= 101, k^4 k <= 32, k^5 k <= 16 and k^6 k <= 10."""
+    size = _power_over(k, exponent, DEFAULT_MAX_LABELS)
+    if size is not None:
+        raise CodeTooLargeError(
+            f"suite size k^{exponent} = {size} exceeds the budget {DEFAULT_MAX_LABELS}")
 
 
 def suite_fusion_axioms(k: int, seed: int = 0) -> list[CheckResult]:
@@ -82,6 +92,7 @@ def suite_fusion_axioms(k: int, seed: int = 0) -> list[CheckResult]:
 
 
 def suite_appendix_a(k_max: int, seed: int = 0) -> list[CheckResult]:
+    _check_suite_budget(k_max, 3)
     results = []
     for k in range(2, k_max + 1):
         bad = None
@@ -99,6 +110,7 @@ def suite_appendix_a(k_max: int, seed: int = 0) -> list[CheckResult]:
 
 
 def suite_lattice_lemmas(k: int, seed: int = 0, samples: int = 20) -> list[CheckResult]:
+    _check_suite_budget(k, 5)
     results = []
     rng = random.Random(seed)
 
@@ -148,6 +160,7 @@ def suite_lattice_lemmas(k: int, seed: int = 0, samples: int = 20) -> list[Check
 
 
 def suite_discriminant(k_max: int, seed: int = 0) -> list[CheckResult]:
+    _check_suite_budget(k_max, 4)
     results = []
     for k in range(2, k_max + 1):
         divisors = discriminant_group(k)
@@ -160,6 +173,7 @@ def suite_discriminant(k_max: int, seed: int = 0) -> list[CheckResult]:
 
 def suite_counting(k: int, seed: int = 0, length_max: int = 2,
                    size_max: int = 64) -> list[CheckResult]:
+    _check_suite_budget(k, 6)
     results = []
     for ell in range(1, length_max + 1):
         bad = None

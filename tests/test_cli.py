@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from parafusion import verify
 from parafusion.cli import main
 from parafusion.codes import all_codes
 
@@ -203,6 +204,12 @@ def test_modules_chi_on_case_b_is_usage_error(capsys):
     assert status == 2 and out == "" and "--chi" in err
 
 
+def test_modules_induce_on_case_b_is_usage_error(capsys):
+    code = json.dumps({"k": 3, "length": 2, "generators": [[3, 0], [0, 3]]})
+    status, out, err = run_cli(capsys, ["modules", "--code", code, "--induce"])
+    assert status == 2 and out == "" and "--induce" in err
+
+
 def test_classify_long_code_text(capsys):
     # a length-30 code: its JSON text is too long for a file name, and its
     # ambient space (6^30 vectors) is far too large to scan
@@ -284,6 +291,40 @@ def test_verify_fusion_axioms_over_budget_fails_fast(capsys):
     status, out, err = run_cli(capsys, ["verify", "--suite", "fusion-axioms", "--k", "11"])
     assert time.perf_counter() - start < 1.0
     assert status == 2 and out == "" and "exceeds max_labels" in err
+
+
+@pytest.mark.parametrize("suite, k, size", [
+    ("appendix-a", 102, "k^3 = 1061208"),
+    ("discriminant", 33, "k^4 = 1185921"),
+    ("lattice-lemmas", 17, "k^5 = 1419857"),
+    ("counting", 11, "k^6 = 1771561"),
+])
+def test_verify_suite_over_budget_fails_fast(capsys, suite, k, size):
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, ["verify", "--suite", suite, "--k", str(k)])
+    assert time.perf_counter() - start < 1.0
+    assert status == 2 and out == ""
+    assert err == f"error: suite size {size} exceeds the budget 1048576\n"
+
+
+class _Admitted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("suite, k, first_step", [
+    ("appendix-a", 101, "top_level"),
+    ("discriminant", 32, "discriminant_group"),
+    ("lattice-lemmas", 16, "verify_coset_inner_congruence"),
+    ("counting", 10, "all_codes"),
+])
+def test_verify_suite_budget_admits_the_last_k(monkeypatch, suite, k, first_step):
+    # the suite passes its budget and reaches its first step of work
+    def admitted(*args, **kwargs):
+        raise _Admitted
+
+    monkeypatch.setattr(verify, first_step, admitted)
+    with pytest.raises(_Admitted):
+        verify.run_suite(suite, k)
 
 
 def test_modules_chi_on_long_code_fails_fast(capsys):

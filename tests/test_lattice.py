@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -8,6 +10,7 @@ from parafusion.arith import ResidueVector
 from parafusion.cli import main
 from parafusion.codes import Classification, enumerate_code, random_code
 from parafusion.lattice import (
+    CosetSpec,
     GammaParity,
     LatticeVector,
     alpha_vector,
@@ -108,6 +111,34 @@ def test_coset_reps_are_dual_vectors(k):
             assert rep.inner(beta).denominator == 1
 
 
+def _composed_rep(spec):
+    # the representative composed from the special vectors: -l*d/2k, or
+    # delta_a - j*alpha_k + ((2j - wt(a))/2k) gamma_k
+    k = spec.k
+    sv = special_vectors(k, spec.a if spec.kind == "nja" else None)
+    if spec.kind == "ntilde":
+        return sv.d.scaled(Fraction(-spec.l, 2 * k))
+    return (sv.delta - alpha_vector(k, k).scaled(spec.j)
+            + sv.gamma_k.scaled(Fraction(2 * spec.j - sum(spec.a), 2 * k)))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_coset_rep_is_the_special_vector_composition(k):
+    specs = [ntilde_coset(k, l) for l in range(2 * k)]
+    specs += [nja_coset(k, j, a) for j in range(k) for a in product((0, 1), repeat=k)]
+    assert len(specs) == 2 * k + k * 2 ** k
+    for spec in specs:
+        assert coset_rep(spec) == _composed_rep(spec), spec
+
+
+def test_coset_spec_rejects_a_bad_half_vector():
+    for a in ((2, 0, 0), (1, 0), ()):
+        with pytest.raises(ValueError, match="0/1 vector of length 3"):
+            CosetSpec(3, "nja", a=a)
+        with pytest.raises(ValueError, match="0/1 vector of length 3"):
+            nja_coset(3, 0, a)
+
+
 def test_coset_membership():
     rng = random.Random(3)
     spec = ntilde_coset(3, 2)
@@ -168,6 +199,45 @@ def test_gamma_d_parity_spot_check_fails_on_a_half_integral_translate(monkeypatc
     monkeypatch.setattr(lattice, "random_n_element", lambda k, rng: half)
     with pytest.raises(RuntimeError, match="N-translate"):
         gamma_d_parity(enumerate_code(3, 1, [[3]]))
+
+
+def _parity_by_elements(code):
+    # the generator-pair integrality test, then the norm of every codeword's
+    # representative, read as |d|^2 * sum(c^2) / 4k^2
+    k = code.k
+    reps = [[coset_rep(ntilde_coset(k, c)) for c in g] for g in code.generators]
+    if any(sum(x.inner(y) for x, y in zip(xs, ys)).denominator != 1
+           for xs, ys in combinations_with_replacement(reps, 2)):
+        return GammaParity.NOT_INTEGRAL
+    nd = special_vectors(k).d.norm()
+    odd = False
+    for xi in code.elements:
+        norm = nd * sum(c * c for c in xi) / (4 * k * k)
+        if norm.denominator != 1:
+            return GammaParity.NOT_INTEGRAL
+        odd = odd or norm.numerator % 2 == 1
+    return GammaParity.ODD if odd else GammaParity.EVEN
+
+
+def test_gamma_d_parity_matches_the_element_wise_norms():
+    rng = random.Random(1912)
+    seen = {}
+    for _ in range(600):
+        code = random_code(rng.randint(2, 5), rng.randint(1, 3), rng, max_generators=3)
+        parity = gamma_d_parity(code, seed=rng.randrange(10**6))
+        assert parity == _parity_by_elements(code), code
+        seen[parity] = seen.get(parity, 0) + 1
+    assert set(seen) == set(GammaParity) and min(seen.values()) >= 20, seen
+
+
+def test_gamma_d_parity_builds_no_codeword():
+    # 2e_i + 2e_21 for i = 1..20 at k = 2: a Case A code of 2^20 codewords
+    gens = [[2 if p in (i, 20) else 0 for p in range(21)] for i in range(20)]
+    code = enumerate_code(2, 21, gens)
+    assert code.size == 2 ** 20
+    start = time.perf_counter()
+    assert gamma_d_parity(code) == GammaParity.EVEN
+    assert time.perf_counter() - start < 1.0
 
 
 def _half_translate(k, rng):
