@@ -13,7 +13,9 @@ from .arith import mod1
 from .codes import Classification, euclidean_weight, load_code
 from .u0 import U0Label, all_u0_labels, fuse_u0, weight_mod1
 from .ud import (
+    DEFAULT_MAX_LABELS,
     CharacterLabel,
+    _check_label_budget,
     case_b_inventory,
     character_from_eta,
     induce_from_orbit,
@@ -115,12 +117,15 @@ def cmd_modules(args) -> tuple[dict, int]:
     params = {"code": args.code, "chi": args.chi, "induce": args.induce}
     if code.classification is Classification.INVALID:
         raise ValueError("module inventory requires a Case A or Case B code")
+    case_b = code.classification is Classification.CASE_B
+    if case_b and args.chi is not None:
+        raise ValueError("--chi restricts a Case A census; a Case B code has none")
+    if case_b and args.induce:
+        raise ValueError("--induce induces from a Case A census; a Case B code has none")
+    # before a Case B even part or a --chi name is built; k^(2 ell) >= (2k)^ell
+    _check_label_budget(code.k, code.length, DEFAULT_MAX_LABELS)
 
-    if code.classification is Classification.CASE_B:
-        if args.chi is not None:
-            raise ValueError("--chi restricts a Case A census; a Case B code has none")
-        if args.induce:
-            raise ValueError("--induce induces from a Case A census; a Case B code has none")
+    if case_b:
         inventory = case_b_inventory(code)
         results = {
             "classification": "CaseB",

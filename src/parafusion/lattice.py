@@ -292,7 +292,7 @@ class GammaParity(Enum):
     NOT_INTEGRAL = "NotIntegral"
 
 
-def gamma_d_parity(code: Code, translate_samples: int = 4, seed: int = 0) -> GammaParity:
+def gamma_d_parity(code: Code, seed: int = 0) -> GammaParity:
     """Parity of the glued lattice over the code, from the coordinates of its
     generators' coset representatives alone.
 
@@ -301,8 +301,8 @@ def gamma_d_parity(code: Code, translate_samples: int = 4, seed: int = 0) -> Gam
     every pairing is integral, |x+y|^2 = |x|^2 + |y|^2 + 2<x,y> makes every
     norm an integer and norm parity additive over D: some codeword has an
     odd norm exactly when some generator does.  Pairings mod Z and norms
-    mod 2Z are constant on N-translates (spot checked below with random
-    translates of the generators' representatives).
+    mod 2Z are constant on N-translates (spot checked below on up to four
+    random translates of the generators' representatives).
     """
     k = code.k
     reps = [[coset_rep(ntilde_coset(k, c)) for c in g] for g in code.generators]
@@ -310,7 +310,7 @@ def gamma_d_parity(code: Code, translate_samples: int = 4, seed: int = 0) -> Gam
         return GammaParity.NOT_INTEGRAL
 
     rng = random.Random(seed)
-    for _ in range(min(translate_samples, len(reps))):
+    for _ in range(min(4, len(reps))):
         i = rng.randrange(len(reps))
         moved = [r + random_n_element(k, rng) for r in reps[i]]
         diff = _pair_inner(moved, moved) - _pair_inner(reps[i], reps[i])

@@ -47,6 +47,15 @@ __all__ = [
     "verify_weight_difference",
 ]
 
+# Label budget of one census, and term budget of one fusion product.
+# Measured with Python 3.11.7 on a shared 2-vCPU VM: the k=5, length-4
+# census of D = <(5,5,0,0)> (390 625 labels, 203 125 orbits) takes 6.8 s and
+# 170 MB peak RSS in `orbits`, and 21 s and 533 MB as a `modules` report of
+# 57 MB.  At the budget itself, the k=4, length-5 census of D = <(4,4,0,0,0)>
+# (2^20 labels) takes 18 s and 422 MB in `orbits`, its report about three
+# times that.  A `fusion` report of 10^5 terms takes 1.3 s and 67 MB, linearly.
+DEFAULT_MAX_LABELS = 2**20
+
 
 @dataclass(frozen=True, order=True)
 class U0Label:
@@ -131,6 +140,10 @@ def fuse_u0(a: U0Label, b: U0Label) -> FusionSum:
     and i1+i2+r even of the class of (r, l1+l2)."""
     if a.k != b.k:
         raise ValueError(f"cannot fuse labels at different levels {a.k} and {b.k}")
+    # refused before any term is built or cached; r runs over lo, lo+2, ..., hi
+    terms = (min(a.i + b.i, 2 * (a.k - 1) - a.i - b.i) - abs(a.i - b.i)) // 2 + 1
+    if terms > DEFAULT_MAX_LABELS:
+        raise ValueError(f"fusion product of {terms} terms exceeds the budget {DEFAULT_MAX_LABELS}")
     return FusionSum(_fuse_u0_terms(a.k, a.i, a.l, b.i, b.l))
 
 

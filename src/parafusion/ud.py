@@ -22,7 +22,7 @@ from operator import getitem, mul
 from .arith import ResidueVector, mod1, standard_inner
 from .codes import Classification, Code, CodeTooLargeError, _diagonal_class, \
     enumerate_code
-from .u0 import U0Label, all_u0_labels, canonicalize_u0, class_index
+from .u0 import DEFAULT_MAX_LABELS, U0Label, all_u0_labels, canonicalize_u0, class_index
 
 __all__ = [
     "IrrU0Label",
@@ -46,15 +46,6 @@ __all__ = [
     "weight_mod1_uxi",
     "case_b_inventory",
 ]
-
-# Label budget of one census.  Measured with Python 3.11.7 on a shared
-# 2-vCPU VM: the k=5, length-4 census of D = <(5,5,0,0)> (390 625 labels,
-# 203 125 orbits) takes 6.8 s and 170 MB peak RSS in `orbits`, and 21 s and
-# 533 MB as a `modules` report of 57 MB.  At the budget itself, the k=4,
-# length-5 census of D = <(4,4,0,0,0)> (2^20 labels) takes 18 s and 422 MB
-# in `orbits`; its report would take about three times as long and as much.
-DEFAULT_MAX_LABELS = 2**20
-
 
 @dataclass(frozen=True, order=True)
 class IrrU0Label:
@@ -120,11 +111,9 @@ def _check_label_budget(k: int, length: int, max_labels: int) -> None:
         raise CodeTooLargeError(f"label space of size {size} exceeds max_labels={max_labels}")
 
 
-def all_irr_labels(
-    k: int, length: int, max_labels: int = DEFAULT_MAX_LABELS
-) -> tuple[IrrU0Label, ...]:
+def all_irr_labels(k: int, length: int) -> tuple[IrrU0Label, ...]:
     """All k^(2*length) canonical labels, in lexicographic component order."""
-    _check_label_budget(k, length, max_labels)
+    _check_label_budget(k, length, DEFAULT_MAX_LABELS)
     singles = all_u0_labels(k)
     return tuple(
         IrrU0Label(k, tuple(c.i for c in combo), tuple(c.l for c in combo))
@@ -404,21 +393,17 @@ def induce(code: Code, x: IrrU0Label) -> InducedModuleReport:
 
 
 def induce_from_orbit(code: Code, info: OrbitInfo) -> InducedModuleReport:
-    """Induce over an orbit of the census of a Case A code."""
+    """Induce over an orbit of the census of a Case A code, with the summand
+    count `info.twisted_count` (the k mod 4 rule) and multiplicity sqrt(|D_X|/count)."""
     _require_case_a(code, "induction")
     _check_code_label(code, info.representative)
-    if info.stabilizer_order == 1:
-        summands, mult = 1, 1
-    elif code.k % 4 == 1:
-        summands, mult = info.stabilizer_order, 1
-    else:  # k % 4 == 3; even k admits no nontrivial stabilizer
-        summands = info.isotropic_order
-        mult = isqrt(info.stabilizer_order // summands) if summands else 0
-        if mult * mult * summands != info.stabilizer_order:
-            raise ValueError(
-                f"stabilizer order {info.stabilizer_order} is not a square times "
-                f"the isotropic order {summands}"
-            )
+    summands = info.twisted_count
+    mult = isqrt(info.stabilizer_order // summands) if summands else 0
+    if mult * mult * summands != info.stabilizer_order:
+        raise ValueError(
+            f"stabilizer order {info.stabilizer_order} is not a square times "
+            f"the summand count {summands}"
+        )
     # total length over the base algebra matches the code size
     if summands * mult * mult * info.size != code.size:
         raise ValueError(

@@ -3,9 +3,10 @@ import time
 
 import pytest
 
-from parafusion import verify
+from parafusion import ud, verify
 from parafusion.cli import main
 from parafusion.codes import all_codes
+from parafusion.ud import orbits
 
 
 def run_cli(capsys, args):
@@ -346,3 +347,56 @@ def test_classify_rejects_bools(capsys, field, value):
     obj[field] = value
     status, out, err = run_cli(capsys, ["classify", "--code", json.dumps(obj)])
     assert status == 2 and out == "" and "integer" in err
+
+
+# 2e_1, ..., 2e_20 at k=2 span a Case B code of 2^20 codewords and 2^42 labels
+_CASE_B_2E = json.dumps({"k": 2, "length": 21, "generators": [
+    [2 if j == i else 0 for j in range(21)] for i in range(20)]})
+
+
+def test_modules_case_b_over_budget_fails_fast(capsys):
+    # the labels are refused before the even part is built
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, ["modules", "--code", _CASE_B_2E])
+    assert time.perf_counter() - start < 1.0
+    assert status == 2 and out == ""
+    assert err == "error: label space of size 4398046511104 exceeds max_labels=1048576\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--chi", "0"], "--chi restricts"),
+    (["--induce"], "--induce induces"),
+])
+def test_modules_usage_errors_come_before_the_budget(capsys, flags, message):
+    status, out, err = run_cli(capsys, ["modules", "--code", _CASE_B_2E] + flags)
+    assert status == 2 and out == "" and message in err
+
+
+def test_counting_censuses_each_code_once(monkeypatch):
+    calls = []
+
+    def counted(code, *args, **kwargs):
+        calls.append(code)
+        return orbits(code, *args, **kwargs)
+
+    # a census through ud (count_twisted, say) counts too
+    monkeypatch.setattr(verify, "orbits", counted)
+    monkeypatch.setattr(ud, "orbits", counted)
+    checks = verify.suite_counting(3)
+    assert all(c.passed for c in checks)
+    checked = sum(int(c.detail.split()[1]) for c in checks)
+    assert len(calls) == checked == 3
+    assert len(set(calls)) == 3
+
+
+def test_counting_reports_an_orbit_that_fails_induction(monkeypatch, capsys):
+    # with every isotropic part empty, a stabilized orbit at k = 3 counts
+    # no twisted module, and its induction is no square
+    monkeypatch.setattr(ud, "_isotropic_part", lambda code, stab: ())
+    status, out, err = run_cli(capsys, ["verify", "--suite", "counting", "--k", "3"])
+    assert status == 1 and err == ""
+    checks = {c["name"]: c for c in json.loads(out)["results"]["checks"]}
+    length2 = checks["counting-length-2"]
+    assert not length2["passed"]
+    assert "induction fails on the orbit of U(" in length2["detail"]
+    assert "square" in length2["detail"]

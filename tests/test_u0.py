@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -413,3 +414,45 @@ def test_weight_difference_validation():
         verify_weight_difference(3, 0, 2, 0)
     with pytest.raises(ValueError):
         verify_weight_difference(3, 0, 0, 12)
+
+
+def test_fusion_over_term_budget_fails_fast(capsys):
+    # U(4*10^8, 0) x U(4*10^8, 0) at k = 10^9 has 4*10^8 + 1 terms
+    cached = u0._fuse_u0_terms.cache_info().currsize
+    start = time.perf_counter()
+    status = main(["fusion", "--k", "1000000000", "--left", "400000000,0",
+                   "--right", "400000000,0"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert status == 2 and captured.out == ""
+    assert captured.err == ("error: fusion product of 400000001 terms exceeds "
+                            "the budget 1048576\n")
+    assert u0._fuse_u0_terms.cache_info().currsize == cached
+
+
+class _Admitted(Exception):
+    pass
+
+
+def test_fusion_term_budget_admits_the_last_count(monkeypatch):
+    # i1 = i2 = i has terms r = 0, 2, ..., min(2i, 2(k-1) - 2i): 2^20 of them
+    # at k = 2^21 - 1, i = 2^20 - 1, and 2^20 + 1 at k = 2^21 + 1, i = 2^20
+    def admitted(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(u0, "_fuse_u0_terms", admitted)
+    a = U0Label(2**21 - 1, 2**20 - 1, 0)
+    with pytest.raises(_Admitted):
+        fuse_u0(a, a)
+    b = U0Label(2**21 + 1, 2**20, 0)
+    with pytest.raises(ValueError, match="1048577 terms exceeds"):
+        fuse_u0(b, b)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_fusion_term_count_matches_the_rule(k):
+    for a in all_u0_labels(k):
+        for b in all_u0_labels(k):
+            lo, hi = abs(a.i - b.i), min(a.i + b.i, 2 * (k - 1) - a.i - b.i)
+            terms = sum(m for _, m in fuse_u0(a, b).items())
+            assert terms == (hi - lo) // 2 + 1

@@ -453,3 +453,27 @@ def test_case_b_inventory_checks_its_even_part(monkeypatch):
     monkeypatch.setattr(ud, "enumerate_code", lambda k, length, gens: enumerate_code(k, length, []))
     with pytest.raises(RuntimeError, match="even part"):
         case_b_inventory(enumerate_code(2, 2, [(2, 0), (0, 2)]))
+
+
+def _reference_summands(code, o):
+    # the k mod 4 branching that induction used before it read the count
+    # from OrbitInfo.twisted_count
+    if o.stabilizer_order == 1:
+        return 1
+    if code.k % 4 == 1:
+        return o.stabilizer_order
+    return o.isotropic_order
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
+def test_induce_summands_match_the_reference_rule(k):
+    checked = 0
+    for ell in (1, 2):
+        for code in all_codes(k, ell):
+            if code.classification is not Classification.CASE_A:
+                continue
+            for o in orbits(code):
+                assert induce_from_orbit(code, o).summand_count \
+                    == _reference_summands(code, o) == o.twisted_count
+                checked += 1
+    assert checked > 0
