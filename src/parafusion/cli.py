@@ -122,7 +122,7 @@ def cmd_modules(args) -> tuple[dict, int]:
         raise ValueError("--chi restricts a Case A census; a Case B code has none")
     if case_b and args.induce:
         raise ValueError("--induce induces from a Case A census; a Case B code has none")
-    # before a Case B even part or a --chi name is built; k^(2 ell) >= (2k)^ell
+    # decided before a Case B even part is built or a --chi character is named
     _check_label_budget(code.k, code.length, DEFAULT_MAX_LABELS)
 
     if case_b:

@@ -4,11 +4,12 @@ A code D of length ell is an additive subgroup of (Z_2k)^ell.  Such
 subgroups match one to one the lattices 2k Z^ell <= L <= Z^ell, and a code
 is held as the row Hermite normal form of its lattice (Cohen, GTM 138,
 section 2.4; Howell 1986).  That one form gives |D|, lists each codeword
-exactly once (only when asked), and numbers every subgroup for
-`all_codes`, at any length.  D is Case A when (k-1)(xi.xi)/2k is an even
-integer for every codeword, Case B when every pairing (k-1)(xi.eta)/2k is
-an integer and some diagonal value is odd, and Invalid otherwise (such
-codes are rejected downstream); all three are decided from the generators.
+exactly once (only when asked), numbers every subgroup for `all_codes`,
+and gives the dual's form and each coset's least vector, at any length.
+D is Case A when (k-1)(xi.xi)/2k is an even integer for every codeword,
+Case B when every pairing (k-1)(xi.eta)/2k is an integer and some diagonal
+value is odd, and Invalid otherwise (such codes are rejected downstream);
+all three are decided from the generators.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import prod
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .arith import ResidueVector, standard_inner
+from .arith import ResidueVector
 
 __all__ = [
     "Classification",
@@ -167,6 +168,37 @@ def _hermite(
     return tuple((j, tuple(h)) for j, h in form)
 
 
+def _dual_hermite(code: Code) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The dual code's Hermite form: with n = 2k and H the code's form with
+    a row n e_j at each column without a pivot, the columns of n H^-1 span
+    {x : H x in n Z^ell}.  H is upper triangular and n e_c lies in its row
+    lattice, so H x = n e_c is solved from row c up, dividing exactly."""
+    n, ell = 2 * code.k, code.length
+    rows = dict(code.hermite)
+    full = [rows.get(j, (0,) * j + (n,) + (0,) * (ell - j - 1)) for j in range(ell)]
+    columns = []
+    for c in range(ell):
+        x = [0] * ell
+        x[c] = n // full[c][c]
+        for i in range(c - 1, -1, -1):
+            x[i] = -sum(full[i][j] * x[j] for j in range(i + 1, c + 1)) // full[i][i]
+        columns.append(x)
+    return _hermite(n, ell, columns)
+
+
+def _least_in_coset(n: int, form, vec: Iterable[int]) -> tuple[int, ...]:
+    """The lexicographically least vector of vec + D, for D with Hermite form
+    `form` over Z_n.  With the earlier entries fixed, entry j moves only by
+    multiples of its pivot d_j (of n where there is none), so column by
+    column it becomes vec_j mod d_j."""
+    v = [e % n for e in vec]
+    for j, h in form:
+        c = v[j] // h[j]
+        if c:
+            v = [(u - c * w) % n for u, w in zip(v, h)]
+    return tuple(v)
+
+
 def _check_shape(k: int, length: int) -> None:
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -228,25 +260,14 @@ def generating_subset(
 
 
 def dual_code(code: Code, max_size: int = DEFAULT_MAX_CODE_SIZE) -> Code:
-    """The dual code {eta : (xi | eta) = 0 for all xi in D}."""
+    """The dual code {eta : (xi | eta) = 0 for all xi in D}, from its Hermite form."""
     k, length = code.k, code.length
-    ambient = (2 * k) ** length
-    if ambient // code.size > max_size:
-        raise CodeTooLargeError(
-            f"dual code would have {ambient // code.size} elements (max_size={max_size})"
-        )
-    if ambient > max_size * 64:
-        raise CodeTooLargeError(f"ambient space of size {ambient} is too large to scan")
-    gens = code.generators
-    elements = tuple(
-        sorted(
-            vec
-            for entries in product(range(2 * k), repeat=length)
-            for vec in (ResidueVector(2 * k, entries),)
-            if all(standard_inner(g, vec) == 0 for g in gens)
-        )
-    )
-    return enumerate_code(k, length, generating_subset(k, length, elements), max_size)
+    size = (2 * k) ** length // code.size
+    if size > max_size:
+        raise CodeTooLargeError(f"dual code would have {size} elements (max_size={max_size})")
+    form = _dual_hermite(code)
+    gens = tuple(ResidueVector(2 * k, h) for _, h in form)
+    return Code(k, length, gens, form, _classify(k, gens))
 
 
 def all_codes(k: int, length: int) -> tuple[Code, ...]:
@@ -300,7 +321,11 @@ def load_code(source) -> Code:
     elif isinstance(source, (str, Path)) and Path(source).exists():
         obj = json.loads(Path(source).read_text())
     elif isinstance(source, str):
-        obj = json.loads(source)
+        try:
+            obj = json.loads(source)
+        except json.JSONDecodeError as exc:
+            message = f"{source!r} is neither an existing file nor JSON text: {exc.msg}"
+            raise json.JSONDecodeError(message, exc.doc, exc.pos) from None
     else:
         obj = source
     if not isinstance(obj, dict):

@@ -21,7 +21,7 @@ from operator import getitem, mul
 
 from .arith import ResidueVector, mod1, standard_inner
 from .codes import Classification, Code, CodeTooLargeError, _diagonal_class, \
-    enumerate_code
+    _dual_hermite, _least_in_coset, enumerate_code
 from .u0 import DEFAULT_MAX_LABELS, U0Label, all_u0_labels, canonicalize_u0, class_index
 
 __all__ = [
@@ -169,22 +169,9 @@ class CharacterLabel:
 
 
 @lru_cache(maxsize=None)
-def _character_names(code: Code) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The least eta of each character, by `_eta_key`: the eta with one key
-    form one coset of the dual code, and `product` runs in lexicographic order."""
-    n = 2 * code.k
-    size = _power_over(n, code.length, DEFAULT_MAX_LABELS)
-    if size is not None:
-        raise CodeTooLargeError(f"{size} eta vectors exceed {DEFAULT_MAX_LABELS}")
-    names = {}
-    for eta in product(range(n), repeat=code.length):
-        names.setdefault(_eta_key(code, eta), eta)
-    return names
-
-
-@lru_cache(maxsize=None)
 def _canonical_eta(code: Code, eta: tuple[int, ...]) -> tuple[int, ...]:
-    return _character_names(code)[_eta_key(code, eta)]
+    """The least eta of the dual-code coset that names eta's character."""
+    return _least_in_coset(2 * code.k, _dual_hermite(code), eta)
 
 
 def character_of(x: IrrU0Label, code: Code) -> CharacterLabel:
@@ -254,22 +241,15 @@ class OrbitInfo:
         return self.isotropic_order
 
 
-def _eta_key(code: Code, eta) -> tuple[int, ...]:
-    """The values (g | eta) mod 2k on the generators: equal keys name the
-    same coset of the dual code, so the same character."""
-    n = 2 * code.k
-    return tuple(sum(a * b for a, b in zip(g, eta)) % n for g in code.generators)
-
-
 class _LabelKernel:
     """A code's translation action on labels written as class-index tuples.
 
     The k^2 classes of U(i, l) are numbered by `class_index`, in
     `all_u0_labels` order, so `product(range(k^2), repeat=ell)` runs over
     the labels in `all_irr_labels` order.  `rank_rows` orders index
-    tuples as IrrU0Label orders labels: by mu, then by nu.  A character is
-    named by its `_eta_key` in `_character_names`, and an isotropic part is
-    computed once per stabilizer.
+    tuples as IrrU0Label orders labels: by mu, then by nu.  A label's
+    character is named by reducing its eta against the dual code's Hermite
+    form, and an isotropic part is computed once per stabilizer.
     """
 
     def __init__(self, code: Code):
@@ -278,26 +258,21 @@ class _LabelKernel:
         self.code = code
         self.mu = [c.i for c in classes]
         self.nu = [c.l for c in classes]
-        eta = [((k - 1) * c.l - k * c.i) % n for c in classes]
-        # key(x) == _eta_key(code, eta of x), read from per-position tables
-        # because a character restriction keys every label
-        self.key_rows = [[[g[r] * e % n for e in eta] for r in range(ell)]
-                         for g in code.generators]
+        self.eta = [((k - 1) * c.l - k * c.i) % n for c in classes]
+        self.dual = _dual_hermite(code)
         self.rank_rows = [
             [c.i * k ** (ell - 1 - r) * n ** ell + c.l * n ** (ell - 1 - r)
              for c in classes]
             for r in range(ell)
         ]
         self.words = [xi.entries for xi in code.elements]
-        self.names = _character_names(code)
         self._isotropic: dict[tuple[ResidueVector, ...], tuple[ResidueVector, ...]] = {}
 
     def index(self, x: IrrU0Label) -> tuple[int, ...]:
         return tuple(self.pair_class[m][v] for m, v in zip(x.mu, x.nu))
 
-    def key(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        n = 2 * self.code.k
-        return tuple(sum(map(getitem, rows, x)) % n for rows in self.key_rows)
+    def name(self, x: tuple[int, ...]) -> tuple[int, ...]:
+        return _least_in_coset(2 * self.code.k, self.dual, map(self.eta.__getitem__, x))
 
     def orbit(self, x: tuple[int, ...]):
         """The members of the orbit of x, least first, and its stabilizer."""
@@ -314,7 +289,7 @@ class _LabelKernel:
 
     def info(self, members, stab) -> OrbitInfo:
         code, rep = self.code, members[0]
-        character = CharacterLabel(code, self.names[self.key(rep)])
+        character = CharacterLabel(code, self.name(rep))
         isotropic = self._isotropic.get(stab)
         if isotropic is None:
             isotropic = self._isotropic[stab] = _isotropic_part(code, stab)
@@ -351,14 +326,14 @@ def orbits(
         if chi.code != code or len(chi.eta) != code.length \
                 or _canonical_eta(code, chi.eta) != chi.eta:
             return ()
-        target = _eta_key(code, chi.eta)
+        target = chi.eta
     kernel = _LabelKernel(code)
     classes, ell = code.k ** 2, code.length
     weights = [classes ** (ell - 1 - r) for r in range(ell)]
     visited = bytearray(classes ** ell)
     census = []
     for position, x in enumerate(product(range(classes), repeat=ell)):
-        if visited[position] or (target is not None and kernel.key(x) != target):
+        if visited[position] or (target is not None and kernel.name(x) != target):
             continue
         members, stab = kernel.orbit(x)
         for m in members:
@@ -478,7 +453,7 @@ def case_b_inventory(code: Code) -> CaseBInventory:
     even = enumerate_code(k, code.length, gens0)
     if 2 * even.size != code.size or even.classification is not Classification.CASE_A:
         raise RuntimeError("the even part of a Case B code must close to a Case A code")
-    xi1 = min(x + g1 for x in even.elements)
+    xi1 = ResidueVector(2 * k, _least_in_coset(2 * k, even.hermite, g1))
     entries = []
     for info in orbits(even, restrict_to_character=trivial_character(even)):
         report = induce_from_orbit(even, info)

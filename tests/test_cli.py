@@ -89,6 +89,13 @@ def test_classify_malformed_json(tmp_path, capsys):
     assert status == 2 and err
 
 
+def test_code_that_is_neither_a_file_nor_json_is_named(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    status, out, err = run_cli(capsys, ["modules", "--code", missing])
+    assert status == 2 and out == ""
+    assert missing in err and "neither an existing file nor JSON text" in err
+
+
 def test_modules_case_a(tmp_path, capsys):
     path = tmp_path / "code.json"
     path.write_text(json.dumps({"k": 2, "length": 2, "generators": [[2, 2]]}))

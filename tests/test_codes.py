@@ -1,14 +1,20 @@
 import json
 import random
+import time
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scans import SCANNED, scanned_dual
 
 from parafusion.arith import ResidueVector, standard_inner
 from parafusion.codes import (
     Classification,
     CodeTooLargeError,
+    _dual_hermite,
     _hermite,
+    _least_in_coset,
     all_codes,
     dual_code,
     enumerate_code,
@@ -241,6 +247,36 @@ def test_double_dual_is_identity():
 def test_dual_guard():
     with pytest.raises(CodeTooLargeError):
         dual_code(enumerate_code(6, 4, []), max_size=1000)
+
+
+@pytest.mark.parametrize("k, ell", SCANNED)
+def test_dual_code_matches_the_ambient_scan(k, ell):
+    for code in all_codes(k, ell):
+        assert dual_code(code).elements == scanned_dual(code), code
+
+
+def test_dual_code_of_a_long_code_comes_from_its_form():
+    # 2e_1..2e_18 at k = 2 is its own dual; an ambient scan would visit 4^18 vectors
+    code = enumerate_code(2, 18, [[2 * (r == j) for r in range(18)] for j in range(18)])
+    start = time.perf_counter()
+    dual = dual_code(code)
+    assert time.perf_counter() - start < 1.0
+    assert dual == code and dual.hermite == code.hermite
+    assert dual.size == 2 ** 18
+
+
+@given(st.data())
+def test_least_in_coset_is_the_least_vector_of_the_coset(data):
+    k, ell = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 3))
+    n = 2 * k
+    vector = st.tuples(*[st.integers(0, n - 1)] * ell)
+    code = enumerate_code(k, ell, data.draw(st.lists(vector, max_size=3)))
+    vec = data.draw(vector)
+    assert code.size * dual_code(code).size == n ** ell
+    for form, words in ((code.hermite, code.elements),
+                        (_dual_hermite(code), scanned_dual(code))):
+        least = min(tuple((a + b) % n for a, b in zip(vec, w)) for w in words)
+        assert _least_in_coset(n, form, vec) == least
 
 
 @pytest.mark.parametrize("k, length, message", [

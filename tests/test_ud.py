@@ -1,10 +1,12 @@
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scans import SCANNED, ambient_keys, first_hit_names, scanned_dual
 
 from parafusion import codes, ud
 from parafusion.arith import ResidueVector, mod1
@@ -27,6 +29,7 @@ from parafusion.ud import (
     b_form_vec,
     canonicalize_irr,
     case_b_inventory,
+    character_from_eta,
     character_of,
     count_twisted,
     induce,
@@ -350,7 +353,7 @@ def _direct_census(code):
     `_isotropic_part`, independent of the index kernel; each character is
     named by definition, as the least eta of its dual-code coset (computed
     once per coset)."""
-    k, dual = code.k, dual_code(code).elements
+    k, dual = code.k, scanned_dual(code)
     names = {}
     census, seen = [], set()
     for x in all_irr_labels(code.k, code.length):
@@ -397,7 +400,6 @@ def test_orbit_kernel_matches_direct_census(monkeypatch):
     monkeypatch.setattr(codes, "dual_code", counted_dual)
     checked = 0
     for code in _kernel_cases():
-        ud._character_names.cache_clear()
         ud._canonical_eta.cache_clear()
         duals.clear()
         census = orbits(code)
@@ -414,6 +416,24 @@ def test_orbit_kernel_matches_direct_census(monkeypatch):
                 assert induce_from_orbit(code, o) == induce(code, o.representative)
         checked += 1
     assert checked > 40
+
+
+@pytest.mark.parametrize("k, ell", SCANNED)
+def test_canonical_eta_matches_the_first_hit_names(k, ell):
+    for code in all_codes(k, ell):
+        names = first_hit_names(code)
+        for eta, key in ambient_keys(code):
+            assert ud._canonical_eta(code, eta) == names[key], (code, eta)
+        ud._canonical_eta.cache_clear()
+
+
+def test_character_from_eta_on_a_long_code():
+    # 6^12 eta vectors: too many to name a character by an ambient scan
+    code = enumerate_code(3, 12, [(3, 3) + (0,) * 10])
+    start = time.perf_counter()
+    chi = character_from_eta(code, (5,) * 12)
+    assert time.perf_counter() - start < 1.0
+    assert str(chi) == "chi[" + ",".join("0" * 12) + "]"
 
 
 def test_orbits_reject_foreign_or_noncanonical_characters():
