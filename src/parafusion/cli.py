@@ -13,7 +13,6 @@ from .arith import mod1
 from .codes import Classification, euclidean_weight, load_code
 from .u0 import U0Label, all_u0_labels, fuse_u0, weight_mod1
 from .ud import (
-    DEFAULT_MAX_LABELS,
     CharacterLabel,
     _check_label_budget,
     case_b_inventory,
@@ -123,7 +122,7 @@ def cmd_modules(args) -> tuple[dict, int]:
     if case_b and args.induce:
         raise ValueError("--induce induces from a Case A census; a Case B code has none")
     # decided before a Case B even part is built or a --chi character is named
-    _check_label_budget(code.k, code.length, DEFAULT_MAX_LABELS)
+    _check_label_budget(code.k, code.length)
 
     if case_b:
         inventory = case_b_inventory(code)

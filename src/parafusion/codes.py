@@ -24,13 +24,12 @@ from math import prod
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .arith import ResidueVector
+from .arith import CodeTooLargeError, ResidueVector, check_budget
 
 __all__ = [
     "Classification",
     "Code",
     "CodeTooLargeError",
-    "DEFAULT_MAX_CODE_SIZE",
     "enumerate_code",
     "split_even_odd",
     "euclidean_weight",
@@ -41,17 +40,10 @@ __all__ = [
     "load_code",
 ]
 
-DEFAULT_MAX_CODE_SIZE = 2**20
-
-
 class Classification(Enum):
     CASE_A = "CaseA"
     CASE_B = "CaseB"
     INVALID = "Invalid"
-
-
-class CodeTooLargeError(ValueError):
-    """Raised when an enumeration would exceed its size guard."""
 
 
 @dataclass(frozen=True)
@@ -70,13 +62,34 @@ class Code:
     @cached_property
     def elements(self) -> tuple[ResidueVector, ...]:
         """Every codeword, sorted: sum_j c_j h_j over 0 <= c_j < 2k/d_j.  That
-        box is a fundamental domain of D, so no codeword is built twice."""
+        box is a fundamental domain of D, so no codeword is built twice.
+        Past the work budget it raises CodeTooLargeError before building one."""
+        check_budget("code", self.size)
         n = 2 * self.k
         words = [(0,) * self.length]
         for j, h in self.hermite:
             words = [tuple((u + c * v) % n for u, v in zip(w, h))
                      for w in words for c in range(n // h[j])]
         return tuple(ResidueVector(n, w) for w in sorted(words))
+
+    @cached_property
+    def dual_hermite(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The dual code's Hermite form: with n = 2k and H the code's form
+        with a row n e_j at each column without a pivot, the columns of
+        n H^-1 span {x : H x in n Z^ell}.  H is upper triangular and n e_c
+        lies in its row lattice, so H x = n e_c is solved from row c up,
+        dividing exactly."""
+        n, ell = 2 * self.k, self.length
+        rows = dict(self.hermite)
+        full = [rows.get(j, (0,) * j + (n,) + (0,) * (ell - j - 1)) for j in range(ell)]
+        columns = []
+        for c in range(ell):
+            x = [0] * ell
+            x[c] = n // full[c][c]
+            for i in range(c - 1, -1, -1):
+                x[i] = -sum(full[i][j] * x[j] for j in range(i + 1, c + 1)) // full[i][i]
+            columns.append(x)
+        return _hermite(n, ell, columns)
 
     def zero(self) -> ResidueVector:
         return ResidueVector.zero(2 * self.k, self.length)
@@ -168,24 +181,6 @@ def _hermite(
     return tuple((j, tuple(h)) for j, h in form)
 
 
-def _dual_hermite(code: Code) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The dual code's Hermite form: with n = 2k and H the code's form with
-    a row n e_j at each column without a pivot, the columns of n H^-1 span
-    {x : H x in n Z^ell}.  H is upper triangular and n e_c lies in its row
-    lattice, so H x = n e_c is solved from row c up, dividing exactly."""
-    n, ell = 2 * code.k, code.length
-    rows = dict(code.hermite)
-    full = [rows.get(j, (0,) * j + (n,) + (0,) * (ell - j - 1)) for j in range(ell)]
-    columns = []
-    for c in range(ell):
-        x = [0] * ell
-        x[c] = n // full[c][c]
-        for i in range(c - 1, -1, -1):
-            x[i] = -sum(full[i][j] * x[j] for j in range(i + 1, c + 1)) // full[i][i]
-        columns.append(x)
-    return _hermite(n, ell, columns)
-
-
 def _least_in_coset(n: int, form, vec: Iterable[int]) -> tuple[int, ...]:
     """The lexicographically least vector of vec + D, for D with Hermite form
     `form` over Z_n.  With the earlier entries fixed, entry j moves only by
@@ -207,16 +202,9 @@ def _check_shape(k: int, length: int) -> None:
 
 
 def enumerate_code(
-    k: int,
-    length: int,
-    generators: Iterable[Sequence[int] | ResidueVector],
-    max_size: int = DEFAULT_MAX_CODE_SIZE,
+    k: int, length: int, generators: Iterable[Sequence[int] | ResidueVector]
 ) -> Code:
-    """The code the generators span, held as its Hermite form, and its class.
-
-    Raises CodeTooLargeError when |D| exceeds max_size, before any codeword
-    is built.
-    """
+    """The code the generators span, held as its Hermite form, and its class."""
     _check_shape(k, length)
     gens = []
     for g in generators:
@@ -224,10 +212,7 @@ def enumerate_code(
         if vec.modulus != 2 * k or len(vec) != length:
             raise ValueError(f"generator {vec} does not match mod {2 * k}, length {length}")
         gens.append(vec)
-    code = Code(k, length, tuple(gens), _hermite(2 * k, length, gens), _classify(k, gens))
-    if code.size > max_size:
-        raise CodeTooLargeError(f"code of size {code.size} exceeds max_size={max_size}")
-    return code
+    return Code(k, length, tuple(gens), _hermite(2 * k, length, gens), _classify(k, gens))
 
 
 def split_even_odd(code: Code) -> tuple[tuple[ResidueVector, ...], tuple[ResidueVector, ...]]:
@@ -259,15 +244,11 @@ def generating_subset(
     return tuple(gens)
 
 
-def dual_code(code: Code, max_size: int = DEFAULT_MAX_CODE_SIZE) -> Code:
+def dual_code(code: Code) -> Code:
     """The dual code {eta : (xi | eta) = 0 for all xi in D}, from its Hermite form."""
-    k, length = code.k, code.length
-    size = (2 * k) ** length // code.size
-    if size > max_size:
-        raise CodeTooLargeError(f"dual code would have {size} elements (max_size={max_size})")
-    form = _dual_hermite(code)
+    k, form = code.k, code.dual_hermite
     gens = tuple(ResidueVector(2 * k, h) for _, h in form)
-    return Code(k, length, gens, form, _classify(k, gens))
+    return Code(k, code.length, gens, form, _classify(k, gens))
 
 
 def all_codes(k: int, length: int) -> tuple[Code, ...]:
@@ -318,7 +299,7 @@ def load_code(source) -> Code:
     # JSON text never goes through Path: a long code is not a valid file name
     if isinstance(source, str) and source.lstrip().startswith("{"):
         obj = json.loads(source)
-    elif isinstance(source, (str, Path)) and Path(source).exists():
+    elif isinstance(source, Path) or isinstance(source, str) and Path(source).exists():
         obj = json.loads(Path(source).read_text())
     elif isinstance(source, str):
         try:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import mod1
+from .arith import check_budget, mod1
 from .fusion import FusionSum
 from .parafermion import canonicalize_pf, pf_weight
 
@@ -40,22 +40,13 @@ __all__ = [
     "top_level",
     "top_level_closed_form",
     "weight_mod1",
+    "eta_u0",
     "b_form_u0",
     "theta_u0",
     "phi_grade",
     "stabilizing_currents",
     "verify_weight_difference",
 ]
-
-# Label budget of one census, and term budget of one fusion product.
-# Measured with Python 3.11.7 on a shared 2-vCPU VM: the k=5, length-4
-# census of D = <(5,5,0,0)> (390 625 labels, 203 125 orbits) takes 6.8 s and
-# 170 MB peak RSS in `orbits`, and 21 s and 533 MB as a `modules` report of
-# 57 MB.  At the budget itself, the k=4, length-5 census of D = <(4,4,0,0,0)>
-# (2^20 labels) takes 18 s and 422 MB in `orbits`, its report about three
-# times that.  A `fusion` report of 10^5 terms takes 1.3 s and 67 MB, linearly.
-DEFAULT_MAX_LABELS = 2**20
-
 
 @dataclass(frozen=True, order=True)
 class U0Label:
@@ -142,8 +133,7 @@ def fuse_u0(a: U0Label, b: U0Label) -> FusionSum:
         raise ValueError(f"cannot fuse labels at different levels {a.k} and {b.k}")
     # refused before any term is built or cached; r runs over lo, lo+2, ..., hi
     terms = (min(a.i + b.i, 2 * (a.k - 1) - a.i - b.i) - abs(a.i - b.i)) // 2 + 1
-    if terms > DEFAULT_MAX_LABELS:
-        raise ValueError(f"fusion product of {terms} terms exceeds the budget {DEFAULT_MAX_LABELS}")
+    check_budget("fusion product", terms)
     return FusionSum(_fuse_u0_terms(a.k, a.i, a.l, b.i, b.l))
 
 
@@ -264,10 +254,15 @@ def weight_mod1(a: U0Label) -> Fraction:
     return mod1(summand_weight(SummandLabel(a.k, a.i, 0, a.l)).weight)
 
 
+def eta_u0(k: int, i: int, l: int) -> int:
+    """((k-1)l - ki) mod 2k: U(0,p) pairs with U(i,l) as p eta/2k mod 1, so
+    a label's eta, read componentwise, names its character of a code."""
+    return ((k - 1) * l - k * i) % (2 * k)
+
+
 def b_form_u0(p: int, a: U0Label) -> Fraction:
     """b(U(0,p), U(i,l)) = p((k-1)l - ki)/2k mod 1."""
-    k = a.k
-    return mod1(Fraction(p * ((k - 1) * a.l - k * a.i), 2 * k))
+    return mod1(Fraction(p * eta_u0(a.k, a.i, a.l), 2 * a.k))
 
 
 def theta_u0(a: U0Label) -> U0Label:

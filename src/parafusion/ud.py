@@ -9,9 +9,7 @@ determine the inventory of irreducible (twisted) U_D-modules.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,10 +17,9 @@ from itertools import product
 from math import isqrt
 from operator import getitem, mul
 
-from .arith import ResidueVector, mod1, standard_inner
-from .codes import Classification, Code, CodeTooLargeError, _diagonal_class, \
-    _dual_hermite, _least_in_coset, enumerate_code
-from .u0 import DEFAULT_MAX_LABELS, U0Label, all_u0_labels, canonicalize_u0, class_index
+from .arith import ResidueVector, check_budget, mod1, standard_inner
+from .codes import Classification, Code, _diagonal_class, _least_in_coset, enumerate_code
+from .u0 import U0Label, all_u0_labels, canonicalize_u0, class_index, eta_u0
 
 __all__ = [
     "IrrU0Label",
@@ -91,29 +88,13 @@ def canonicalize_irr(k: int, mu, nu) -> IrrU0Label:
     return IrrU0Label(k, tuple(c.i for c in comps), tuple(c.l for c in comps))
 
 
-def _power_over(base: int, exponent: int, bound: int) -> str | None:
-    """None if base^exponent <= bound, else that power as text, for base >= 2.
-
-    Decided from the exponent first, so no huge power is built: base^exponent
-    >= 2^exponent, and 2^(4 d) > 10^d.  A power too long for int-to-str
-    conversion (d digits by default) is written as base^exponent."""
-    if exponent < bound.bit_length() and base ** exponent <= bound:
-        return None
-    if exponent <= 4 * sys.int_info.default_max_str_digits:
-        with suppress(ValueError):
-            return str(base ** exponent)
-    return f"{base}^{exponent}"
-
-
-def _check_label_budget(k: int, length: int, max_labels: int) -> None:
-    size = _power_over(k, 2 * length, max_labels)
-    if size is not None:
-        raise CodeTooLargeError(f"label space of size {size} exceeds max_labels={max_labels}")
+def _check_label_budget(k: int, length: int) -> None:
+    check_budget("label space", k, 2 * length)
 
 
 def all_irr_labels(k: int, length: int) -> tuple[IrrU0Label, ...]:
     """All k^(2*length) canonical labels, in lexicographic component order."""
-    _check_label_budget(k, length, DEFAULT_MAX_LABELS)
+    _check_label_budget(k, length)
     singles = all_u0_labels(k)
     return tuple(
         IrrU0Label(k, tuple(c.i for c in combo), tuple(c.l for c in combo))
@@ -141,9 +122,7 @@ def b_form_vec(xi: ResidueVector, x: IrrU0Label) -> Fraction:
     if xi.modulus != 2 * x.k or len(xi) != x.length:
         raise ValueError("codeword shape does not match the label")
     k = x.k
-    total = sum(
-        c * ((k - 1) * n - k * m) for c, m, n in zip(xi, x.mu, x.nu)
-    )
+    total = sum(c * eta_u0(k, m, n) for c, m, n in zip(xi, x.mu, x.nu))
     return mod1(Fraction(total, 2 * k))
 
 
@@ -171,14 +150,13 @@ class CharacterLabel:
 @lru_cache(maxsize=None)
 def _canonical_eta(code: Code, eta: tuple[int, ...]) -> tuple[int, ...]:
     """The least eta of the dual-code coset that names eta's character."""
-    return _least_in_coset(2 * code.k, _dual_hermite(code), eta)
+    return _least_in_coset(2 * code.k, code.dual_hermite, eta)
 
 
 def character_of(x: IrrU0Label, code: Code) -> CharacterLabel:
     """The character xi -> exp(2 pi i (xi | (k-1)nu - k mu)/2k) of D."""
     _check_code_label(code, x)
-    k = x.k
-    eta = tuple(((k - 1) * n - k * m) % (2 * k) for m, n in zip(x.mu, x.nu))
+    eta = tuple(eta_u0(x.k, m, n) for m, n in zip(x.mu, x.nu))
     return CharacterLabel(code, _canonical_eta(code, eta))
 
 
@@ -258,8 +236,8 @@ class _LabelKernel:
         self.code = code
         self.mu = [c.i for c in classes]
         self.nu = [c.l for c in classes]
-        self.eta = [((k - 1) * c.l - k * c.i) % n for c in classes]
-        self.dual = _dual_hermite(code)
+        self.eta = [eta_u0(k, c.i, c.l) for c in classes]
+        self.dual = code.dual_hermite
         self.rank_rows = [
             [c.i * k ** (ell - 1 - r) * n ** ell + c.l * n ** (ell - 1 - r)
              for c in classes]
@@ -308,7 +286,6 @@ def _orbit_of(code: Code, x: IrrU0Label) -> OrbitInfo:
 def orbits(
     code: Code,
     restrict_to_character: CharacterLabel | None = None,
-    max_labels: int = DEFAULT_MAX_LABELS,
 ) -> tuple[OrbitInfo, ...]:
     """The orbit census of the code action on all canonical labels.
 
@@ -319,7 +296,7 @@ def orbits(
     """
     if code.classification is Classification.INVALID:
         raise ValueError("orbit census requires a Case A or Case B code")
-    _check_label_budget(code.k, code.length, max_labels)
+    _check_label_budget(code.k, code.length)
     target = None
     chi = restrict_to_character
     if chi is not None:

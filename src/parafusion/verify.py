@@ -8,8 +8,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .arith import ResidueVector
-from .codes import Classification, CodeTooLargeError, all_codes
+from .arith import ResidueVector, check_budget
+from .codes import Classification, all_codes
 from .lattice import (
     discriminant_group,
     verify_coset_index,
@@ -19,8 +19,7 @@ from .lattice import (
 )
 from .u0 import U0Label, class_index, fusion_table, theta_u0, top_level, \
     top_level_closed_form
-from .ud import DEFAULT_MAX_LABELS, _check_label_budget, _power_over, induce_from_orbit, \
-    orbits
+from .ud import induce_from_orbit, orbits
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -32,19 +31,14 @@ class CheckResult:
     detail: str = ""
 
 
-def _check_suite_budget(k: int, exponent: int) -> None:
-    """Refuse a suite whose work grows like k^exponent past the label budget,
-    decided from the exponent before any work is done.  Against 2^20, k^3
-    admits k <= 101, k^4 k <= 32, k^5 k <= 16 and k^6 k <= 10."""
-    size = _power_over(k, exponent, DEFAULT_MAX_LABELS)
-    if size is not None:
-        raise CodeTooLargeError(
-            f"suite size k^{exponent} = {size} exceeds the budget {DEFAULT_MAX_LABELS}")
+# Each suite refuses a k whose work grows like k^e past the budget before it
+# starts: against 2^20, k^3 admits k <= 101, k^4 k <= 32, k^5 k <= 16 and
+# k^6 k <= 10.
 
 
 def suite_fusion_axioms(k: int, seed: int = 0) -> list[CheckResult]:
-    # associativity visits every triple of classes, as many as length-3 labels
-    _check_label_budget(k, 3, DEFAULT_MAX_LABELS)
+    # associativity visits every triple of the k^2 classes
+    check_budget("suite k^6", k, 6)
     labels, pair_class, _ = class_index(k)
     table = fusion_table(k)
     classes = range(len(labels))
@@ -93,7 +87,7 @@ def suite_fusion_axioms(k: int, seed: int = 0) -> list[CheckResult]:
 
 
 def suite_appendix_a(k_max: int, seed: int = 0) -> list[CheckResult]:
-    _check_suite_budget(k_max, 3)
+    check_budget("suite k^3", k_max, 3)
     results = []
     for k in range(2, k_max + 1):
         bad = None
@@ -111,7 +105,7 @@ def suite_appendix_a(k_max: int, seed: int = 0) -> list[CheckResult]:
 
 
 def suite_lattice_lemmas(k: int, seed: int = 0) -> list[CheckResult]:
-    _check_suite_budget(k, 5)
+    check_budget("suite k^5", k, 5)
     samples = 20
     results = []
     rng = random.Random(seed)
@@ -162,7 +156,7 @@ def suite_lattice_lemmas(k: int, seed: int = 0) -> list[CheckResult]:
 
 
 def suite_discriminant(k_max: int, seed: int = 0) -> list[CheckResult]:
-    _check_suite_budget(k_max, 4)
+    check_budget("suite k^4", k_max, 4)
     results = []
     for k in range(2, k_max + 1):
         divisors = discriminant_group(k)
@@ -193,7 +187,7 @@ def _counting_fault(code) -> str | None:
 
 
 def suite_counting(k: int, seed: int = 0) -> list[CheckResult]:
-    _check_suite_budget(k, 6)
+    check_budget("suite k^6", k, 6)
     results = []
     for ell in (1, 2):
         codes = [code for code in all_codes(k, ell)

@@ -8,8 +8,8 @@ from parafusion.arith import ResidueVector
 
 # (k, ell) pairs whose every code of all_codes is scanned, eta by eta:
 # (2k)^ell <= 4096 holds for each.  The whole range k <= 8, ell <= 3 would
-# scan 31 million vectors, and k = 3, 4 at ell = 3 alone take 20 s.
-SCANNED = [(k, ell) for ell in (1, 2) for k in range(2, 9)] + [(2, 3)]
+# scan 31 million vectors.
+SCANNED = [(k, ell) for ell in (1, 2) for k in range(2, 9)] + [(2, 3), (3, 3)]
 
 
 def ambient_keys(code):

@@ -5,9 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parafusion.arith import (
+    BUDGET,
+    CodeTooLargeError,
     IntegerMatrix,
     ResidueVector,
     SingularMatrixError,
+    _power_over,
+    check_budget,
     mod1,
     smith_normal_form,
     standard_inner,
@@ -171,3 +175,21 @@ def test_integer_matrix_validation():
         IntegerMatrix(((1, 2), (3,)))
     m = IntegerMatrix(((1, 2, 3), (4, 5, 6)))
     assert m.rows == 2 and m.cols == 3
+
+
+@given(st.integers(2, 50), st.integers(0, 64), st.integers(1, 2**40))
+def test_power_over_decides_the_power(base, exponent, bound):
+    power = base ** exponent
+    assert _power_over(base, exponent, bound) == (None if power <= bound else str(power))
+
+
+def test_check_budget_admits_the_budget_and_refuses_past_it():
+    assert BUDGET == 2**20
+    check_budget("code", 2**20)
+    check_budget("label space", 2, 20)
+    with pytest.raises(CodeTooLargeError) as refused:
+        check_budget("code", 2**20 + 1)
+    assert str(refused.value) == "code of size 1048577 exceeds the budget 1048576"
+    with pytest.raises(CodeTooLargeError) as refused:
+        check_budget("label space", 2, 21)
+    assert str(refused.value) == "label space of size 2097152 exceeds the budget 1048576"

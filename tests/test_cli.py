@@ -245,11 +245,26 @@ def test_classify_builds_no_codeword(capsys):
 
 
 def test_classify_oversized_code_fails_fast(capsys):
+    # 2 * 10^9 codewords: classify reads |D| off the form and builds none
     code = json.dumps({"k": 10 ** 9, "length": 1, "generators": [[1]]})
     start = time.perf_counter()
     status, out, err = run_cli(capsys, ["classify", "--code", code])
     assert time.perf_counter() - start < 1.0
-    assert status == 2 and out == "" and "exceeds max_size" in err
+    assert status == 0 and err == ""
+    results = json.loads(out)["results"]
+    assert results["size"] == 2 * 10 ** 9 and results["dual_size"] == 1
+
+
+def test_classify_past_the_code_budget(capsys):
+    # eight unit vectors of length 30 at k = 3: 6^8 codewords, past 2^20
+    units = [[int(r == j) for r in range(30)] for j in range(8)]
+    code = json.dumps({"k": 3, "length": 30, "generators": units})
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, ["classify", "--code", code])
+    assert time.perf_counter() - start < 1.0
+    assert status == 0 and err == ""
+    results = json.loads(out)["results"]
+    assert results["size"] == 1679616 and results["dual_size"] == 6 ** 22
 
 
 def test_classify_unprintable_dual_size_is_usage_error(capsys):
@@ -261,7 +276,7 @@ def test_classify_unprintable_dual_size_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("command, message", [
-    ("modules", "label space of size 3^20000000 exceeds max_labels=1048576"),
+    ("modules", "label space of size 3^20000000 exceeds the budget 1048576"),
     ("classify", "dual_size has more than 4300 digits"),
 ])
 def test_huge_length_fails_fast(capsys, command, message):
@@ -280,7 +295,7 @@ def test_modules_label_budget_message(capsys, length, size):
     code = json.dumps({"k": 3, "length": length, "generators": []})
     status, out, err = run_cli(capsys, ["modules", "--code", code])
     assert status == 2 and out == ""
-    assert err == f"error: label space of size {size} exceeds max_labels=1048576\n"
+    assert err == f"error: label space of size {size} exceeds the budget 1048576\n"
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -298,7 +313,8 @@ def test_verify_fusion_axioms_over_budget_fails_fast(capsys):
     start = time.perf_counter()
     status, out, err = run_cli(capsys, ["verify", "--suite", "fusion-axioms", "--k", "11"])
     assert time.perf_counter() - start < 1.0
-    assert status == 2 and out == "" and "exceeds max_labels" in err
+    assert status == 2 and out == ""
+    assert err == "error: suite k^6 of size 1771561 exceeds the budget 1048576\n"
 
 
 @pytest.mark.parametrize("suite, k, size", [
@@ -312,7 +328,8 @@ def test_verify_suite_over_budget_fails_fast(capsys, suite, k, size):
     status, out, err = run_cli(capsys, ["verify", "--suite", suite, "--k", str(k)])
     assert time.perf_counter() - start < 1.0
     assert status == 2 and out == ""
-    assert err == f"error: suite size {size} exceeds the budget 1048576\n"
+    power, size = size.split(" = ")
+    assert err == f"error: suite {power} of size {size} exceeds the budget 1048576\n"
 
 
 class _Admitted(Exception):
@@ -367,7 +384,7 @@ def test_modules_case_b_over_budget_fails_fast(capsys):
     status, out, err = run_cli(capsys, ["modules", "--code", _CASE_B_2E])
     assert time.perf_counter() - start < 1.0
     assert status == 2 and out == ""
-    assert err == "error: label space of size 4398046511104 exceeds max_labels=1048576\n"
+    assert err == "error: label space of size 4398046511104 exceeds the budget 1048576\n"
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -12,7 +12,6 @@ from parafusion.arith import ResidueVector, standard_inner
 from parafusion.codes import (
     Classification,
     CodeTooLargeError,
-    _dual_hermite,
     _hermite,
     _least_in_coset,
     all_codes,
@@ -131,10 +130,29 @@ def test_classification_is_presentation_independent():
     assert case_b
 
 
+# k = 3, length 30: eight unit vectors span 6^8 = 1 679 616 codewords (Invalid),
+# and eight disjoint (1,1,1) blocks span as many (Case B), past the 2^20 budget
+_UNITS = [[int(r == j) for r in range(30)] for j in range(8)]
+_TRIPLES = [[int(3 * j <= r < 3 * j + 3) for r in range(30)] for j in range(8)]
+
+
 def test_enumeration_guard():
-    with pytest.raises(CodeTooLargeError):
-        enumerate_code(6, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], max_size=100)
-    assert enumerate_code(6, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], max_size=1728).size == 1728
+    # the Hermite form is built, no codeword is: the refusal comes at once
+    units = enumerate_code(3, 30, _UNITS)
+    triples = enumerate_code(3, 30, _TRIPLES)
+    assert units.size == triples.size == 6 ** 8
+    assert triples.classification is Classification.CASE_B
+    message = "code of size 1679616 exceeds the budget 1048576"
+    start = time.perf_counter()
+    for code in (units, triples):
+        with pytest.raises(CodeTooLargeError, match=message):
+            code.elements
+        with pytest.raises(CodeTooLargeError, match=message):
+            code.zero() in code
+    with pytest.raises(CodeTooLargeError, match=message):
+        split_even_odd(triples)
+    assert time.perf_counter() - start < 1.0
+    assert "elements" not in vars(units) and "elements" not in vars(triples)
 
 
 def test_hermite_form_matches_closure():
@@ -245,8 +263,15 @@ def test_double_dual_is_identity():
 
 
 def test_dual_guard():
-    with pytest.raises(CodeTooLargeError):
-        dual_code(enumerate_code(6, 4, []), max_size=1000)
+    # the dual of <(3,...,3)> at length 30 has 6^30/2 codewords: it is built
+    # from its form at once, and only its codewords are refused
+    start = time.perf_counter()
+    dual = dual_code(enumerate_code(3, 30, [[3] * 30]))
+    assert time.perf_counter() - start < 1.0
+    assert dual.size == 6 ** 30 // 2 and "elements" not in vars(dual)
+    with pytest.raises(CodeTooLargeError,
+                       match=f"code of size {6 ** 30 // 2} exceeds the budget 1048576"):
+        dual.elements
 
 
 @pytest.mark.parametrize("k, ell", SCANNED)
@@ -274,7 +299,7 @@ def test_least_in_coset_is_the_least_vector_of_the_coset(data):
     vec = data.draw(vector)
     assert code.size * dual_code(code).size == n ** ell
     for form, words in ((code.hermite, code.elements),
-                        (_dual_hermite(code), scanned_dual(code))):
+                        (code.dual_hermite, scanned_dual(code))):
         least = min(tuple((a + b) % n for a, b in zip(vec, w)) for w in words)
         assert _least_in_coset(n, form, vec) == least
 
@@ -331,3 +356,9 @@ def test_load_code(tmp_path):
         load_code({"k": 2, "length": 1, "generators": [["x"]]})
     with pytest.raises(json.JSONDecodeError):
         load_code("not json {")
+
+
+def test_load_code_names_a_missing_file(tmp_path):
+    path = tmp_path / "missing.json"
+    with pytest.raises(FileNotFoundError, match="missing.json"):
+        load_code(path)

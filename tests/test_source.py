@@ -17,3 +17,17 @@ def test_program_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_size_refusal_goes_through_one_helper():
+    # one budget constant, and CodeTooLargeError raised only by check_budget
+    paths = sorted(SOURCE.glob("*.py"))
+    raises = [
+        path.name
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "CodeTooLargeError"
+    ]
+    assert raises == ["arith.py"]
+    assert sum(path.read_text().count("2**20") for path in paths) == 1

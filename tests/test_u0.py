@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parafusion import u0
+from parafusion import u0, verify
 from parafusion.arith import mod1
 from parafusion.cli import main
 from parafusion.codes import CodeTooLargeError
@@ -33,7 +33,6 @@ from parafusion.u0 import (
     verify_weight_difference,
     weight_mod1,
 )
-from parafusion.ud import DEFAULT_MAX_LABELS, _check_label_budget
 from parafusion.verify import suite_fusion_axioms
 
 
@@ -133,10 +132,17 @@ def test_fusion_axioms_suite_ignores_term_order(monkeypatch):
     assert all(c.passed for c in suite_fusion_axioms(5))
 
 
-def test_fusion_axioms_budget_admits_k10():
-    _check_label_budget(10, 3, DEFAULT_MAX_LABELS)
-    with pytest.raises(CodeTooLargeError):
-        _check_label_budget(11, 3, DEFAULT_MAX_LABELS)
+def test_fusion_axioms_budget_admits_k10(monkeypatch):
+    # associativity visits k^6 triples of classes: 10^6 fit in 2^20, 11^6 do not
+    def admitted(k):
+        raise _Admitted
+
+    monkeypatch.setattr(verify, "class_index", admitted)
+    with pytest.raises(_Admitted):
+        suite_fusion_axioms(10)
+    with pytest.raises(CodeTooLargeError,
+                       match="suite k\\^6 of size 1771561 exceeds the budget 1048576"):
+        suite_fusion_axioms(11)
 
 
 def test_fusion_examples():
@@ -425,7 +431,7 @@ def test_fusion_over_term_budget_fails_fast(capsys):
     captured = capsys.readouterr()
     assert time.perf_counter() - start < 1.0
     assert status == 2 and captured.out == ""
-    assert captured.err == ("error: fusion product of 400000001 terms exceeds "
+    assert captured.err == ("error: fusion product of size 400000001 exceeds "
                             "the budget 1048576\n")
     assert u0._fuse_u0_terms.cache_info().currsize == cached
 
@@ -445,7 +451,8 @@ def test_fusion_term_budget_admits_the_last_count(monkeypatch):
     with pytest.raises(_Admitted):
         fuse_u0(a, a)
     b = U0Label(2**21 + 1, 2**20, 0)
-    with pytest.raises(ValueError, match="1048577 terms exceeds"):
+    with pytest.raises(CodeTooLargeError,
+                       match="fusion product of size 1048577 exceeds the budget 1048576"):
         fuse_u0(b, b)
 
 

@@ -4,8 +4,6 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scans import SCANNED, ambient_keys, first_hit_names, scanned_dual
 
 from parafusion import codes, ud
@@ -98,12 +96,6 @@ def test_canonicalize_irr_rejects_unequal_lengths():
     for mu, nu in (((0, 1), (1,)), ((0,), (1, 2)), ((), ())):
         with pytest.raises(ValueError, match="mu and nu must have equal positive length"):
             canonicalize_irr(3, mu, nu)
-
-
-@given(st.integers(2, 50), st.integers(0, 64), st.integers(1, 2**40))
-def test_power_over_decides_the_power(base, exponent, bound):
-    power = base ** exponent
-    assert ud._power_over(base, exponent, bound) == (None if power <= bound else str(power))
 
 
 def test_b_form_vec_constant_on_canonicalization_fiber():
@@ -444,8 +436,26 @@ def test_orbits_reject_foreign_or_noncanonical_characters():
 
 
 def test_orbits_label_budget():
-    with pytest.raises(CodeTooLargeError):
-        orbits(enumerate_code(3, 2, [(3, 3)]), max_labels=80)
+    # 3^14 labels at k = 3, length 7, past the 2^20 budget
+    code = enumerate_code(3, 7, [(3,) * 7])
+    start = time.perf_counter()
+    with pytest.raises(CodeTooLargeError,
+                       match="label space of size 4782969 exceeds the budget 1048576"):
+        orbits(code)
+    with pytest.raises(CodeTooLargeError, match="label space of size 4782969"):
+        all_irr_labels(3, 7)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_stabilizer_past_the_code_budget_fails_fast():
+    # eight unit vectors of length 30 at k = 3 span 6^8 codewords
+    code = enumerate_code(3, 30, [[int(r == j) for r in range(30)] for j in range(8)])
+    x = IrrU0Label(3, (0,) * 30, (0,) * 30)
+    start = time.perf_counter()
+    with pytest.raises(CodeTooLargeError,
+                       match="code of size 1679616 exceeds the budget 1048576"):
+        stabilizer(code, x)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_induce_from_inconsistent_orbit_is_an_error():
