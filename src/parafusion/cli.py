@@ -69,23 +69,31 @@ def cmd_fusion(args) -> tuple[dict, int]:
     return _report("fusion", params, results), 0
 
 
-def cmd_classify(args) -> tuple[dict, int]:
-    code = load_code(args.code)
+def _printable_int(what: str, powers) -> int:
+    """prod b^e over the pairs (b, e), b >= 1, refused when json cannot write it."""
     # json writes an int with str(), which stops at this many digits (0: no limit)
     limit = sys.get_int_max_str_digits()
+    # b^e >= 2^(e (bits(b) - 1)), and 2^(4 limit) > 10^limit: decided before a
+    # power is built, and what passes has fewer than 8 limit bits
+    if limit and sum(e * (b.bit_length() - 1) for b, e in powers) > 4 * limit:
+        raise ValueError(f"{what} has more than {limit} digits")
+    value = prod(b ** e for b, e in powers)
+    if limit and value >= 10 ** limit:
+        raise ValueError(f"{what} has more than {limit} digits")
+    return value
+
+
+def cmd_classify(args) -> tuple[dict, int]:
+    code = load_code(args.code)
     n, free = 2 * code.k, code.length - len(code.hermite)
-    # n^free >= 2^free, and 2^(4 limit) > 10^limit: decided before n^free is built
-    if limit and free > 4 * limit:
-        raise ValueError(f"dual_size has more than {limit} digits")
     # the standard pairing on (Z_2k)^ell is nondegenerate, and |D| = prod n/d_j
     # over the Hermite rows, so |D^perp| = n^free prod d_j
-    dual_size = n ** free * prod(h[j] for j, h in code.hermite)
-    if limit and dual_size >= 10 ** limit:
-        raise ValueError(f"dual_size has more than {limit} digits")
+    size = _printable_int("size", [(n // h[j], 1) for j, h in code.hermite])
+    dual_size = _printable_int("dual_size", [(n, free)] + [(h[j], 1) for j, h in code.hermite])
     results: dict = {
         "k": code.k,
         "length": code.length,
-        "size": code.size,
+        "size": size,
         "classification": code.classification.value,
         "generators": [
             {
@@ -99,7 +107,7 @@ def cmd_classify(args) -> tuple[dict, int]:
     }
     if code.classification is Classification.CASE_B:
         # the diagonal class is a character of D onto Z_2
-        results["even_part_size"] = results["odd_part_size"] = code.size // 2
+        results["even_part_size"] = results["odd_part_size"] = size // 2
     return _report("classify", {"code": args.code}, results), 0
 
 

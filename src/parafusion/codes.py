@@ -95,7 +95,10 @@ class Code:
         return ResidueVector.zero(2 * self.k, self.length)
 
     def __contains__(self, vec: ResidueVector) -> bool:
-        return vec in _element_set(self)
+        """Membership by reduction against the form: no codeword is built."""
+        return (isinstance(vec, ResidueVector) and vec.modulus == 2 * self.k
+                and len(vec) == self.length
+                and not any(_least_in_coset(vec.modulus, self.hermite, vec)))
 
     def __str__(self) -> str:
         return (
@@ -104,6 +107,8 @@ class Code:
         )
 
 
+# no program path reads it since `in` reduces against the form; the
+# benchmark's tracer (perfbench/tracing.py) still binds it by name
 @lru_cache(maxsize=None)
 def _element_set(code: Code) -> frozenset[ResidueVector]:
     return frozenset(code.elements)

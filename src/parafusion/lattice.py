@@ -4,13 +4,15 @@ Everything lives in the orthogonal basis alpha_1..alpha_k with Gram matrix
 2*Identity.  The sublattice N consists of the integral vectors orthogonal
 to gamma_k = alpha_1 + ... + alpha_k.  This module is the coordinate
 oracle: congruence statements proved abstractly elsewhere are re-derived
-here from explicit rational vectors.
+here from explicit vectors of (1/2k)Z^k, held as integer numerators over 2k.
+2k^2 <x, y> is the dot product of the numerators, so a pairing mod Z is a
+congruence mod 2k^2, and a norm mod 2Z one mod 4k^2.
 
 The sampled checks move coset representatives by random elements of N.
 `random_n_element` draws one: integer coefficients c_1..c_{k-1} in
 [-bound, bound] on the basis beta_r = alpha_r - alpha_{r+1}, written
-straight into coordinates.  `_translates` is the one loop that draws the
-translate pairs of the pairing checks, from one Random(seed).
+straight into numerators.  `_translates` is the one loop that draws
+N-translates, for every check, from one Random(seed).
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Iterator, NamedTuple, Sequence
 
-from .arith import IntegerMatrix, ResidueVector, mod1, smith_normal_form
+from .arith import IntegerMatrix, ResidueVector, smith_normal_form
 from .codes import Code
+from .u0 import eta_u0
 
 __all__ = [
     "LatticeVector",
@@ -47,58 +50,72 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class LatticeVector:
-    """Exact rational coordinates in the basis alpha_1..alpha_k (Gram = 2*Id)."""
+    """A vector of (1/2k)Z^k in the basis alpha_1..alpha_k (Gram = 2*Id), held
+    as the integer numerators `num` of its coordinates over 2k."""
 
     k: int
-    coords: tuple[Fraction, ...]
+    num: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"rank k must be >= 2, got {self.k}")
-        if len(self.coords) != self.k:
-            raise ValueError(f"expected {self.k} coordinates, got {len(self.coords)}")
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+    def __init__(self, k: int, coords: Sequence) -> None:
+        if k < 2:
+            raise ValueError(f"rank k must be >= 2, got {k}")
+        if len(coords) != k:
+            raise ValueError(f"expected {k} coordinates, got {len(coords)}")
+        num = [Fraction(c) * 2 * k for c in coords]
+        bad = next((c for c, a in zip(coords, num) if a.denominator != 1), None)
+        if bad is not None:
+            raise ValueError(f"coordinate {bad} does not lie in (1/{2 * k})Z")
+        self.__dict__.update(k=k, num=tuple(map(int, num)))
+
+    @classmethod
+    def _of(cls, k: int, num: tuple[int, ...]) -> "LatticeVector":
+        v = object.__new__(cls)  # numerators over 2k, taken as they are
+        v.__dict__.update(k=k, num=num)
+        return v
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, 2 * self.k) for a in self.num)
+
+    def _zip(self, other: "LatticeVector") -> zip:
+        if self.k != other.k:
+            raise ValueError(f"vectors of rank {self.k} and {other.k} do not combine")
+        return zip(self.num, other.num)
+
+    def _dot(self, other: "LatticeVector") -> int:
+        """2k^2 <self, other>: the dot product of the numerators."""
+        return sum(a * b for a, b in self._zip(other))
 
     def inner(self, other: "LatticeVector") -> Fraction:
-        if self.k != other.k:
-            raise ValueError("inner product of vectors of different rank")
-        return 2 * sum(a * b for a, b in zip(self.coords, other.coords))
+        return Fraction(self._dot(other), 2 * self.k * self.k)
 
     def norm(self) -> Fraction:
         return self.inner(self)
 
     def __add__(self, other: "LatticeVector") -> "LatticeVector":
-        if self.k != other.k:
-            raise ValueError("sum of vectors of different rank")
-        return LatticeVector(self.k, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return LatticeVector._of(self.k, tuple(a + b for a, b in self._zip(other)))
 
     def __sub__(self, other: "LatticeVector") -> "LatticeVector":
-        if self.k != other.k:
-            raise ValueError("difference of vectors of different rank")
-        return LatticeVector(self.k, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return LatticeVector._of(self.k, tuple(a - b for a, b in self._zip(other)))
 
     def __neg__(self) -> "LatticeVector":
-        return LatticeVector(self.k, tuple(-a for a in self.coords))
+        return LatticeVector._of(self.k, tuple(-a for a in self.num))
 
     def scaled(self, c) -> "LatticeVector":
-        c = Fraction(c)
-        return LatticeVector(self.k, tuple(c * a for a in self.coords))
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return LatticeVector(self.k, [Fraction(c) * a for a in self.coords])
 
     def in_n(self) -> bool:
         """Membership in N: integral coordinates summing to zero."""
-        return self.is_integral() and sum(self.coords) == 0
+        return sum(self.num) == 0 and all(a % (2 * self.k) == 0 for a in self.num)
 
 
 def alpha_vector(k: int, r: int) -> LatticeVector:
     """The basis vector alpha_r, 1 <= r <= k."""
     if not (1 <= r <= k):
         raise ValueError(f"basis index must lie in [1, {k}], got {r}")
-    return LatticeVector(k, tuple(Fraction(1 if s == r else 0) for s in range(1, k + 1)))
+    return LatticeVector._of(k, tuple(2 * k if s == r else 0 for s in range(1, k + 1)))
 
 
 class SpecialVectors(NamedTuple):
@@ -111,16 +128,16 @@ class SpecialVectors(NamedTuple):
 def special_vectors(k: int, a: Sequence[int] | None = None) -> SpecialVectors:
     """gamma_{k-1}, gamma_k, d = gamma_{k-1} - (k-1)alpha_k, and optionally
     delta_a = (1/2) sum a_p alpha_p for a in {0,1}^k."""
-    gamma_km1 = LatticeVector(k, tuple(Fraction(1) for _ in range(k - 1)) + (Fraction(0),))
-    gamma_k = LatticeVector(k, (Fraction(1),) * k)
-    d = LatticeVector(k, tuple(Fraction(1) for _ in range(k - 1)) + (Fraction(1 - k),))
+    gamma_km1 = LatticeVector(k, (1,) * (k - 1) + (0,))
+    gamma_k = LatticeVector(k, (1,) * k)
+    d = LatticeVector(k, (1,) * (k - 1) + (1 - k,))
     if (gamma_k.norm(), d.norm(), gamma_k.inner(d)) != (2 * k, 2 * (k - 1) * k, 0):
         raise RuntimeError("gamma_k and d fail their norm and orthogonality identities")
     delta = None
     if a is not None:
         if len(a) != k or any(x not in (0, 1) for x in a):
             raise ValueError(f"a must be a 0/1 vector of length {k}")
-        delta = LatticeVector(k, tuple(Fraction(x, 2) for x in a))
+        delta = LatticeVector._of(k, tuple(k * x for x in a))
     return SpecialVectors(gamma_km1, gamma_k, d, delta)
 
 
@@ -134,8 +151,8 @@ def n_basis(k: int) -> tuple[LatticeVector, ...]:
 def random_n_element(k: int, rng: random.Random, bound: int = 3) -> LatticeVector:
     """A random element of N: sum c_r beta_r with c_r drawn from [-bound, bound]
     in the order r = 1..k-1, so its coordinates are c_1, c_2 - c_1, ..., -c_{k-1}."""
-    c = [rng.randint(-bound, bound) for _ in range(k - 1)]
-    return LatticeVector(k, tuple(b - a for a, b in zip([0] + c, c + [0])))
+    c = [2 * k * rng.randint(-bound, bound) for _ in range(k - 1)]
+    return LatticeVector._of(k, tuple(b - a for a, b in zip([0] + c, c + [0])))
 
 
 @dataclass(frozen=True)
@@ -165,27 +182,27 @@ def nja_coset(k: int, j: int, a: Sequence[int]) -> CosetSpec:
 
 
 def coset_rep(spec: CosetSpec) -> LatticeVector:
-    """An explicit representative vector of the coset, in closed form:
-    -l*d/2k for Ntilde(l), and for N(j, a) the coordinate a_p/2 + (2j - wt(a))/2k
-    at each p, lowered by j on alpha_k."""
-    k = spec.k
+    """An explicit representative of the coset, in closed form.  Its numerators
+    over 2k are -l at p < k and l(k-1) at p = k for Ntilde(l) = -l*d/2k, and
+    k a_p + 2j - wt(a), lowered by 2kj at p = k, for N(j, a)."""
+    k, l = spec.k, spec.l
     if spec.kind == "ntilde":
-        c = Fraction(-spec.l, 2 * k)
-        return LatticeVector(k, (c,) * (k - 1) + (c * (1 - k),))
-    shift = Fraction(2 * spec.j - sum(spec.a), 2 * k)
-    coords = [Fraction(x, 2) + shift for x in spec.a]
-    coords[-1] -= spec.j
-    return LatticeVector(k, tuple(coords))
+        return LatticeVector._of(k, (-l,) * (k - 1) + (l * (k - 1),))
+    shift = 2 * spec.j - sum(spec.a)
+    num = [k * x + shift for x in spec.a]
+    num[-1] -= 2 * k * spec.j
+    return LatticeVector._of(k, tuple(num))
 
 
 def coset_contains(spec: CosetSpec, x: LatticeVector) -> bool:
     return (x - coset_rep(spec)).in_n()
 
 
-def _pair_inner(xs: Sequence[LatticeVector], ys: Sequence[LatticeVector]) -> Fraction:
+def _pair_inner(xs: Sequence[LatticeVector], ys: Sequence[LatticeVector]) -> int:
+    """2k^2 times the summed pairing of xs with ys, an integer."""
     if len(xs) != len(ys):
         raise ValueError("component count mismatch")
-    return sum((x.inner(y) for x, y in zip(xs, ys)), Fraction(0))
+    return sum(x._dot(y) for x, y in zip(xs, ys))
 
 
 def _translates(
@@ -225,26 +242,20 @@ def verify_coset_inner_congruence_vec(
     k = xi.modulus // 2
     reps_x = [coset_rep(ntilde_coset(k, c)) for c in xi]
     reps_y = [coset_rep(ntilde_coset(k, c)) for c in eta]
-    dot_xe = sum(a * b for a, b in zip(xi, eta))
-    dot_xx = sum(a * a for a in xi)
-    pair_target = Fraction((k - 1) * dot_xe, 2 * k)
-    norm_target = Fraction((k - 1) * dot_xx, 2 * k)
-    for xs, ys in _translates(k, reps_x, reps_y, samples, seed):
-        if mod1(_pair_inner(xs, ys) - pair_target) != 0:
-            return False
-        diff = _pair_inner(xs, xs) - norm_target
-        if diff.denominator != 1 or diff.numerator % 2 != 0:
-            return False
-    return True
+    # both targets times 2k^2: k(k-1)(xi.eta) mod 2k^2 and k(k-1)(xi.xi) mod 4k^2
+    m = 2 * k * k
+    pair_target = k * (k - 1) * sum(a * b for a, b in zip(xi, eta))
+    norm_target = k * (k - 1) * sum(a * a for a in xi)
+    return not any(
+        (_pair_inner(xs, ys) - pair_target) % m or (_pair_inner(xs, xs) - norm_target) % (2 * m)
+        for xs, ys in _translates(k, reps_x, reps_y, samples, seed)
+    )
 
 
 def _in_span_pair(x: LatticeVector, u: LatticeVector, v: LatticeVector) -> bool:
     """Whether x = a*u + b*v with integer a, b, assuming <u, v> = 0."""
-    a = x.inner(u) / u.norm()
-    b = x.inner(v) / v.norm()
-    if a.denominator != 1 or b.denominator != 1:
-        return False
-    return u.scaled(a) + v.scaled(b) == x
+    (a, r), (b, s) = divmod(x._dot(u), u._dot(u)), divmod(x._dot(v), v._dot(v))
+    return not (r or s) and u.scaled(a) + v.scaled(b) == x
 
 
 def verify_coset_index(k: int) -> bool:
@@ -257,33 +268,23 @@ def verify_coset_index(k: int) -> bool:
     det_small = (
         sv.gamma_km1.norm() * alpha_k.norm() - sv.gamma_km1.inner(alpha_k) ** 2
     )
-    if det_big != det_small * k * k:
-        return False
     reps = [(sv.gamma_k - sv.d).scaled(Fraction(p, k)) for p in range(k)]
-    for rep in reps:
-        if not _in_span_pair(rep, sv.gamma_km1, alpha_k):
-            return False
-    for p in range(k):
-        for q in range(p + 1, k):
-            if _in_span_pair(reps[p] - reps[q], sv.d, sv.gamma_k):
-                return False
-    return True
+    return (det_big == det_small * k * k
+            and all(_in_span_pair(rep, sv.gamma_km1, alpha_k) for rep in reps)
+            and not any(_in_span_pair(x - y, sv.d, sv.gamma_k)
+                        for x, y in combinations(reps, 2)))
 
 
 def discriminant_group(k: int) -> tuple[int, ...]:
     """Elementary divisors of the Gram matrix of N in the beta basis;
     these present the dual quotient of N."""
     basis = n_basis(k)
-    gram = []
-    for u in basis:
-        row = []
-        for v in basis:
-            val = u.inner(v)
-            if val.denominator != 1:
-                raise RuntimeError(f"N is not integral: a Gram entry is {val}")
-            row.append(val.numerator)
-        gram.append(tuple(row))
-    return smith_normal_form(IntegerMatrix(tuple(gram)))
+    m = 2 * k * k
+    gram = [[u._dot(v) for v in basis] for u in basis]
+    bad = next((x for row in gram for x in row if x % m), None)
+    if bad is not None:
+        raise RuntimeError(f"N is not integral: a Gram entry is {bad}/{m}")
+    return smith_normal_form(IntegerMatrix(tuple(tuple(x // m for x in row) for row in gram)))
 
 
 class GammaParity(Enum):
@@ -301,24 +302,24 @@ def gamma_d_parity(code: Code, seed: int = 0) -> GammaParity:
     every pairing is integral, |x+y|^2 = |x|^2 + |y|^2 + 2<x,y> makes every
     norm an integer and norm parity additive over D: some codeword has an
     odd norm exactly when some generator does.  Pairings mod Z and norms
-    mod 2Z are constant on N-translates (spot checked below on up to four
-    random translates of the generators' representatives).
+    mod 2Z are constant on N-translates, spot checked below on one random
+    translate of each generator's representatives: the seed picks the
+    translates, never the result.
     """
     k = code.k
+    m = 2 * k * k
     reps = [[coset_rep(ntilde_coset(k, c)) for c in g] for g in code.generators]
-    if any(mod1(_pair_inner(x, y)) != 0 for x, y in combinations_with_replacement(reps, 2)):
+    if any(_pair_inner(x, y) % m for x, y in combinations_with_replacement(reps, 2)):
         return GammaParity.NOT_INTEGRAL
 
-    rng = random.Random(seed)
-    for _ in range(min(4, len(reps))):
-        i = rng.randrange(len(reps))
-        moved = [r + random_n_element(k, rng) for r in reps[i]]
-        diff = _pair_inner(moved, moved) - _pair_inner(reps[i], reps[i])
-        if diff.denominator != 1 or diff.numerator % 2:
-            raise RuntimeError(f"an N-translate of the coset of {code.generators[i]} "
-                               f"moved its norm by {diff}, not by 2Z")
+    for g, rep in zip(code.generators, reps):
+        for moved, _ in _translates(k, rep, (), 1, seed):
+            shift = _pair_inner(moved, moved) - _pair_inner(rep, rep)
+            if shift % (2 * m):
+                raise RuntimeError(f"an N-translate of the coset of {g} "
+                                   f"moved its norm by {shift}/{m}, not by 2Z")
 
-    odd = any(_pair_inner(x, x) % 2 for x in reps)
+    odd = any(_pair_inner(x, x) % (2 * m) for x in reps)
     return GammaParity.ODD if odd else GammaParity.EVEN
 
 
@@ -330,15 +331,15 @@ def verify_pairing_matches_b_form(
     seed: int = 0,
 ) -> bool:
     """Check that <x, y> for x in Ntilde(xi) and y in the coset housing the
-    irreducible labeled (mu, nu) lands in the abstract pairing
-    (xi | (k-1)nu - k*mu)/2k mod Z."""
-    from .ud import IrrU0Label, b_form_vec
-
+    irreducible labeled (mu, nu) lands in (xi | (k-1)nu - k*mu)/2k mod Z, that
+    is 2k^2 <x, y> = k sum xi_r eta_u0(k, mu_r, nu_r) mod 2k^2."""
     if xi.modulus != nu.modulus or len(xi) != len(nu) or len(mu) != len(nu):
         raise ValueError("xi, mu, nu must have matching shapes")
     if xi.modulus % 2:
         raise ValueError("modulus must be even")
     k = xi.modulus // 2
+    if any(not 0 <= m < k for m in mu):
+        raise ValueError(f"mu entries must lie in [0, {k - 1}]")
     reps_y = []
     for mu_r, nu_r in zip(mu, nu):
         d1 = mu_r % 2
@@ -348,8 +349,6 @@ def verify_pairing_matches_b_form(
         reps_y.append(coset_rep(nja_coset(k, eta, a)))
     reps_x = [coset_rep(ntilde_coset(k, c)) for c in xi]
 
-    target = b_form_vec(xi, IrrU0Label(k, tuple(mu), tuple(nu)))
-    for xs, ys in _translates(k, reps_x, reps_y, samples, seed):
-        if mod1(_pair_inner(xs, ys)) != target:
-            return False
-    return True
+    target = k * sum(c * eta_u0(k, m, n) for c, m, n in zip(xi, mu, nu))
+    return not any((_pair_inner(xs, ys) - target) % (2 * k * k)
+                   for xs, ys in _translates(k, reps_x, reps_y, samples, seed))

@@ -244,7 +244,7 @@ def test_classify_builds_no_codeword(capsys):
     assert results["classification"] == "Invalid"
 
 
-def test_classify_oversized_code_fails_fast(capsys):
+def test_classify_at_huge_k_reads_the_size_off_the_form(capsys):
     # 2 * 10^9 codewords: classify reads |D| off the form and builds none
     code = json.dumps({"k": 10 ** 9, "length": 1, "generators": [[1]]})
     start = time.perf_counter()
@@ -273,6 +273,16 @@ def test_classify_unprintable_dual_size_is_usage_error(capsys):
     status, out, err = run_cli(capsys, ["classify", "--code", code])
     assert status == 2 and out == ""
     assert err.count("\n") == 1 and "dual_size has more than" in err
+
+
+@pytest.mark.parametrize("k, length", [(10 ** 100, 44), (10 ** 9, 470)])
+def test_classify_unprintable_size_is_usage_error(capsys, k, length):
+    # (2k)^length codewords, from length unit vectors: 4414 and 4372 digits
+    units = [[int(r == j) for r in range(length)] for j in range(length)]
+    code = json.dumps({"k": k, "length": length, "generators": units})
+    status, out, err = run_cli(capsys, ["classify", "--code", code])
+    assert status == 2 and out == ""
+    assert err == "error: size has more than 4300 digits\n"
 
 
 @pytest.mark.parametrize("command, message", [
@@ -320,7 +330,7 @@ def test_verify_fusion_axioms_over_budget_fails_fast(capsys):
 @pytest.mark.parametrize("suite, k, size", [
     ("appendix-a", 102, "k^3 = 1061208"),
     ("discriminant", 33, "k^4 = 1185921"),
-    ("lattice-lemmas", 17, "k^5 = 1419857"),
+    ("lattice-lemmas", 33, "k^4 = 1185921"),
     ("counting", 11, "k^6 = 1771561"),
 ])
 def test_verify_suite_over_budget_fails_fast(capsys, suite, k, size):
@@ -339,7 +349,7 @@ class _Admitted(Exception):
 @pytest.mark.parametrize("suite, k, first_step", [
     ("appendix-a", 101, "top_level"),
     ("discriminant", 32, "discriminant_group"),
-    ("lattice-lemmas", 16, "verify_coset_inner_congruence"),
+    ("lattice-lemmas", 32, "verify_coset_inner_congruence"),
     ("counting", 10, "all_codes"),
 ])
 def test_verify_suite_budget_admits_the_last_k(monkeypatch, suite, k, first_step):

@@ -137,7 +137,8 @@ _TRIPLES = [[int(3 * j <= r < 3 * j + 3) for r in range(30)] for j in range(8)]
 
 
 def test_enumeration_guard():
-    # the Hermite form is built, no codeword is: the refusal comes at once
+    # the Hermite form is built, no codeword is: the refusal comes at once,
+    # and membership, a reduction against the form, answers
     units = enumerate_code(3, 30, _UNITS)
     triples = enumerate_code(3, 30, _TRIPLES)
     assert units.size == triples.size == 6 ** 8
@@ -147,8 +148,9 @@ def test_enumeration_guard():
     for code in (units, triples):
         with pytest.raises(CodeTooLargeError, match=message):
             code.elements
-        with pytest.raises(CodeTooLargeError, match=message):
-            code.zero() in code
+        last = code.generators[-1]
+        assert code.zero() in code and last in code and last.scaled(5) in code
+        assert ResidueVector(6, (1,) * 30) not in code
     with pytest.raises(CodeTooLargeError, match=message):
         split_even_odd(triples)
     assert time.perf_counter() - start < 1.0
@@ -157,6 +159,8 @@ def test_enumeration_guard():
 
 def test_hermite_form_matches_closure():
     rng = random.Random(23)
+    # membership probes come from their own generator, so the codes stay the same
+    probe = random.Random(29)
     for _ in range(600):
         k, length = rng.randint(2, 8), rng.randint(1, 4)
         n = 2 * k
@@ -166,6 +170,11 @@ def test_hermite_form_matches_closure():
         reference = _closure(k, length, gens)
         assert [x.entries for x in code.elements] == reference, (k, gens)
         assert code.size == len(reference)
+        # membership by reduction against the form agrees with the codewords
+        members = set(reference)
+        for v in reference[:8] + [tuple(probe.randrange(n) for _ in range(length))
+                                  for _ in range(8)]:
+            assert (ResidueVector(n, v) in code) == (v in members), (k, gens, v)
         for j, h in code.hermite:
             assert n % h[j] == 0 and h[j] < n and not any(h[:j])
             assert all(row[j] < h[j] for i, row in code.hermite if i < j)

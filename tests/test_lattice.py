@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from parafusion import lattice
 from parafusion.arith import ResidueVector
@@ -315,3 +317,42 @@ def test_lattice_vector_validation():
     assert v.inner(w) == 0
     assert not w.in_n()
     assert (v - v).in_n()
+
+
+def test_pairing_matches_b_form_refuses_mu_out_of_range():
+    with pytest.raises(ValueError, match=r"mu entries must lie in \[0, 2\]"):
+        verify_pairing_matches_b_form(ResidueVector(6, (1,)), (3,), ResidueVector(6, (0,)))
+
+
+def test_lattice_vector_refuses_a_coordinate_off_the_grid():
+    with pytest.raises(ValueError, match=r"coordinate 1/3 does not lie in \(1/4\)Z"):
+        LatticeVector(2, (Fraction(1, 3), 0))
+
+
+@st.composite
+def _numerators(draw):
+    # k, two numerator vectors over 2k (some entries integral or half-integral
+    # coordinates), and a half-integral vector of coordinate sum 0
+    k = draw(st.integers(2, 8))
+    entry = st.integers(-60, 60) | st.integers(-6, 6).map(lambda c: k * c)
+    vector = st.lists(entry, min_size=k, max_size=k)
+    halves = draw(st.lists(st.integers(-5, 5), min_size=k - 1, max_size=k - 1))
+    return k, draw(vector), draw(vector), halves + [-sum(halves)]
+
+
+@given(_numerators())
+def test_numerator_arithmetic_matches_fraction_arithmetic(case):
+    k, a, b, n = case
+    x, y = (LatticeVector(k, [Fraction(e, 2 * k) for e in v]) for v in (a, b))
+    cx, cy = x.coords, y.coords
+    assert cx == tuple(Fraction(e, 2 * k) for e in a)
+    assert x.inner(y) == 2 * sum(p * q for p, q in zip(cx, cy))
+    assert x.norm() == 2 * sum(p * p for p in cx)
+    assert (x + y).coords == tuple(p + q for p, q in zip(cx, cy))
+    assert (x - y).coords == tuple(p - q for p, q in zip(cx, cy))
+    assert (-x).coords == tuple(-p for p in cx)
+    z = LatticeVector(k, [Fraction(c, 2) for c in n])
+    for v in (x, y, x - y, z, x + z):
+        c = v.coords
+        assert v.in_n() == (all(p.denominator == 1 for p in c) and sum(c) == 0)
+    assert (z + z).in_n() and (x + z - x).in_n() == z.in_n()
