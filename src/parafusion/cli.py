@@ -9,9 +9,8 @@ from fractions import Fraction
 from itertools import islice
 from math import prod
 
-from .arith import mod1
 from .codes import Classification, euclidean_weight, load_code
-from .u0 import U0Label, all_u0_labels, fuse_u0, weight_mod1
+from .u0 import U0Label, _weight_mod1_table, fuse_u0
 from .ud import (
     CharacterLabel,
     _check_label_budget,
@@ -24,10 +23,6 @@ from .ud import (
 from .verify import SUITES, run_suite
 
 SCHEMA = "parafusion-report/1"
-
-
-def _rat(q) -> str:
-    return str(Fraction(q))
 
 
 def _label_list(x) -> list[str]:
@@ -77,10 +72,28 @@ def _printable_int(what: str, powers) -> int:
     # power is built, and what passes has fewer than 8 limit bits
     if limit and sum(e * (b.bit_length() - 1) for b, e in powers) > 4 * limit:
         raise ValueError(f"{what} has more than {limit} digits")
-    value = prod(b ** e for b, e in powers)
-    if limit and value >= 10 ** limit:
+    return _printable(what, prod(b ** e for b, e in powers))
+
+
+def _printable(what: str, value: int) -> int:
+    """A nonnegative int, refused when json cannot write it."""
+    limit = sys.get_int_max_str_digits()
+    # 2^(3 limit) < 10^limit: most values pass on their bit length alone
+    if limit and value.bit_length() > 3 * limit and value >= 10 ** limit:
         raise ValueError(f"{what} has more than {limit} digits")
     return value
+
+
+def _generator_report(g) -> dict:
+    _printable("word", max(g.entries))
+    weight = weight_mod1_uxi(g)
+    # str() writes the numerator and the denominator, and the numerator is smaller
+    _printable("weight_mod1", weight.denominator)
+    return {
+        "word": list(g.entries),
+        "euclidean_weight": _printable("euclidean_weight", euclidean_weight(g)),
+        "weight_mod1": str(weight),
+    }
 
 
 def cmd_classify(args) -> tuple[dict, int]:
@@ -95,14 +108,7 @@ def cmd_classify(args) -> tuple[dict, int]:
         "length": code.length,
         "size": size,
         "classification": code.classification.value,
-        "generators": [
-            {
-                "word": list(g.entries),
-                "euclidean_weight": euclidean_weight(g),
-                "weight_mod1": _rat(weight_mod1_uxi(g)),
-            }
-            for g in code.generators
-        ],
+        "generators": [_generator_report(g) for g in code.generators],
         "dual_size": dual_size,
     }
     if code.classification is Classification.CASE_B:
@@ -160,19 +166,23 @@ def cmd_modules(args) -> tuple[dict, int]:
     for o in census:
         key = str(o.character)
         counts[key] = counts.get(key, 0) + o.twisted_count
-    class_weight = {c: weight_mod1(c) for c in all_u0_labels(code.k)}
+    # an orbit's weight mod 1 is the sum of its components' numerators mod Q,
+    # and each distinct residue is written once
+    q, table = _weight_mod1_table(code.k)
+    weight_names: dict[int, str] = {}
     orbit_table = []
     for o in census:
+        rep = o.representative
+        r = sum(table[m][n] for m, n in zip(rep.mu, rep.nu)) % q
+        if r not in weight_names:
+            weight_names[r] = str(Fraction(r, q))
         entry = {
-            "representative": _label_list(o.representative),
+            "representative": _label_list(rep),
             "size": o.size,
             "stabilizer_order": o.stabilizer_order,
             "isotropic_order": o.isotropic_order,
             "character": str(o.character),
-            "weight_mod1": _rat(
-                mod1(sum((class_weight[c] for c in o.representative.components()),
-                         Fraction(0)))
-            ),
+            "weight_mod1": weight_names[r],
         }
         if args.induce:
             report = induce_from_orbit(code, o)

@@ -205,6 +205,17 @@ def _pair_inner(xs: Sequence[LatticeVector], ys: Sequence[LatticeVector]) -> int
     return sum(x._dot(y) for x, y in zip(xs, ys))
 
 
+def _in_n_dual(reps: Sequence[LatticeVector]) -> bool:
+    """Whether each representative lies in N*: it pairs integrally with the
+    k-1 basis vectors beta_r of N, 2k^2 <r, beta> = 0 mod 2k^2.  This decides
+    the sampled congruences: <x+n, y+m> = <x,y> + <x,m> + <n,y> + <n,m> and
+    N is even, so pairings mod Z and norms mod 2Z are constant on the
+    N-translates of representatives in N*, and only there."""
+    k = reps[0].k
+    basis = n_basis(k)
+    return all(r._dot(b) % (2 * k * k) == 0 for r in reps for b in basis)
+
+
 def _translates(
     k: int,
     reps_x: Sequence[LatticeVector],
@@ -323,6 +334,16 @@ def gamma_d_parity(code: Code, seed: int = 0) -> GammaParity:
     return GammaParity.ODD if odd else GammaParity.EVEN
 
 
+def _housing_rep(k: int, mu: int, nu: int) -> LatticeVector:
+    """The representative of the coset N(j, a) housing the irreducible U(mu, nu):
+    d1 = mu mod 2, d2 = (nu - d1) mod 2, j = ((d1 + d2 - nu)/2) mod k and
+    a = (0, ..., 0, d1, d2).  Only mu mod 2 enters."""
+    d1 = mu % 2
+    d2 = (nu - d1) % 2
+    a = (0,) * (k - 2) + (d1, d2)
+    return coset_rep(nja_coset(k, ((d1 + d2 - nu) // 2) % k, a))
+
+
 def verify_pairing_matches_b_form(
     xi: ResidueVector,
     mu: Sequence[int],
@@ -340,13 +361,7 @@ def verify_pairing_matches_b_form(
     k = xi.modulus // 2
     if any(not 0 <= m < k for m in mu):
         raise ValueError(f"mu entries must lie in [0, {k - 1}]")
-    reps_y = []
-    for mu_r, nu_r in zip(mu, nu):
-        d1 = mu_r % 2
-        d2 = (nu_r - d1) % 2
-        eta = ((d1 + d2 - nu_r) // 2) % k
-        a = (0,) * (k - 2) + (d1, d2)
-        reps_y.append(coset_rep(nja_coset(k, eta, a)))
+    reps_y = [_housing_rep(k, mu_r, nu_r) for mu_r, nu_r in zip(mu, nu)]
     reps_x = [coset_rep(ntilde_coset(k, c)) for c in xi]
 
     target = k * sum(c * eta_u0(k, m, n) for c, m, n in zip(xi, mu, nu))

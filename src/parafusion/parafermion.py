@@ -82,10 +82,17 @@ def pf_weight(label: ParafermionLabel) -> Fraction:
     requires 0 <= j <= i, so the label is first moved to its canonical
     representative (which satisfies j < i).
     """
-    c = canonicalize_pf(label.k, label.i, label.j)
-    k, i, j = c.k, c.i, c.j
+    return Fraction(_pf_weight_num(label.k, label.i, label.j), 2 * label.k * (label.k + 2))
+
+
+def _pf_weight_num(k: int, i: int, j: int) -> int:
+    """2k(k+2) times the weight of M(k; i, j), 0 <= i <= k, in integers.  At
+    k = 1 it reads 0: the level-one parafermion algebra is trivial."""
+    j %= k
+    if j >= i:  # the partner (k-i, j-i) is canonical
+        i, j = k - i, j - i
     t = i - 2 * j
-    return Fraction(k * t - t * t + 2 * k * (i - j + 1) * j, 2 * k * (k + 2))
+    return k * t - t * t + 2 * k * (i - j + 1) * j
 
 
 def fuse_pf(a: ParafermionLabel, b: ParafermionLabel) -> FusionSum:

@@ -8,6 +8,12 @@ coset of offset -l/2k + (i-2j)/2(k-1) (in units of a generator of squared
 norm 2(k-1)k).  Weights, the fusion product, simple currents, and the two
 fusion-ring symmetries are computed exactly.
 
+Every summand weight times Q = 4k(k-1)(k+1) is an integer: the level-(k-1)
+parafermion weight has denominator 2(k-1)(k+1) and the lattice part
+4k(k-1).  So weights are held as integer numerators over Q, minimized and
+compared as integers (`_summand_num`), and each public weight function
+builds one `Fraction` at its return.
+
 `class_index` numbers the classes 0..k^2-1 once per k, for every layer
 that works on class numbers (the orbit census, the fusion-axioms suite);
 `fusion_table` is the fusion product on those numbers.
@@ -22,7 +28,7 @@ from typing import NamedTuple
 
 from .arith import check_budget, mod1
 from .fusion import FusionSum
-from .parafermion import canonicalize_pf, pf_weight
+from .parafermion import _pf_weight_num
 
 __all__ = [
     "U0Label",
@@ -190,20 +196,49 @@ class TopLevel(NamedTuple):
     dimension: int
 
 
-def _coset_min(lam: Fraction) -> tuple[Fraction, int]:
-    """min_n (n + lam)^2 over integers n, and how many n attain it."""
-    # n + lam runs over r + Z with r = lam mod 1 in [0, 1): the values nearest
-    # zero are r and r - 1, so the minimum is min(r, 1-r)^2, attained twice
-    # exactly when they tie at r = 1/2
-    r = mod1(lam)
-    return min(r, 1 - r) ** 2, 2 if 2 * r == 1 else 1
+def _weight_den(k: int) -> int:
+    """Q = 4k(k-1)(k+1): every summand weight times Q is an integer."""
+    return 4 * k * (k - 1) * (k + 1)
 
 
-def _pf_factor_weight(k: int, i: int, j: int) -> Fraction:
-    # level k-1 parafermion; at k = 2 that factor is the trivial algebra
-    if k == 2:
-        return Fraction(0)
-    return pf_weight(canonicalize_pf(k - 1, i, j))
+def _coset_min(s: int, d: int) -> tuple[int, int]:
+    """d^2 min_n (n + s/d)^2 over integers n, and how many n attain it."""
+    # n d + s runs over r + dZ with r = s mod d in [0, d): the values nearest
+    # zero are r and r - d, so the minimum is min(r, d-r)^2, attained twice
+    # exactly when they tie at 2r = d
+    r = s % d
+    u = min(r, d - r)
+    return u * u, 2 if 2 * r == d else 1
+
+
+def _summand_num(k: int, i: int, j: int, l: int) -> tuple[int, int]:
+    """Q h(X(i, j, l)) and the number of lattice minimizers, in integers: the
+    lattice offset -l/2k + (i-2j)/2(k-1) is (k(i-2j) - (k-1)l)/2k(k-1)."""
+    return _offset_num(k, i, j, k * (i - 2 * j) - (k - 1) * l)
+
+
+def _offset_num(k: int, i: int, j: int, s: int) -> tuple[int, int]:
+    """Q times the weight of the parafermion factor (i, j) at level k-1 on the
+    lattice offset s/D, D = 2k(k-1), and the number of lattice minimizers.
+
+    The lattice part (k-1)k min_n (n + s/D)^2 is (k+1) u^2 / Q with u^2 the
+    `_coset_min` of (s, D); the parafermion weight has denominator
+    2(k-1)(k+1) = Q/2k.
+    """
+    lattice, count = _coset_min(s, 2 * k * (k - 1))
+    return 2 * k * _pf_weight_num(k - 1, i, j) + (k + 1) * lattice, count
+
+
+def _top_level_num(k: int, i: int, l: int) -> tuple[int, int]:
+    """Q times the top-level weight of U(i, l), and its dimension."""
+    best, dim = _summand_num(k, i, 0, l)
+    for j in range(1, k - 1):
+        w, count = _summand_num(k, i, j, l)
+        if w < best:
+            best, dim = w, count
+        elif w == best:
+            dim += count
+    return best, dim
 
 
 def summand_weight(x: SummandLabel) -> SummandWeight:
@@ -213,25 +248,15 @@ def summand_weight(x: SummandLabel) -> SummandWeight:
     lam = -l/2k + (i-2j)/2(k-1); the parafermion part is weight
     pf_weight(k-1; i, j) with a one-dimensional top level.
     """
-    k = x.k
-    lattice_min, count = _coset_min(x.lattice_offset)
-    weight = _pf_factor_weight(k, x.i, x.j) + (k - 1) * k * lattice_min
-    return SummandWeight(weight, count)
+    w, count = _summand_num(x.k, x.i, x.j, x.l)
+    return SummandWeight(Fraction(w, _weight_den(x.k)), count)
 
 
 def top_level(a: U0Label) -> TopLevel:
     """Weight and dimension of the top level, by exact minimization over
     the k-1 summands X(i, j, l)."""
-    k = a.k
-    best: Fraction | None = None
-    dim = 0
-    for j in range(max(k - 1, 1)):
-        w, count = summand_weight(SummandLabel(k, a.i, j, a.l))
-        if best is None or w < best:
-            best, dim = w, count
-        elif w == best:
-            dim += count
-    return TopLevel(best, dim)
+    w, dim = _top_level_num(a.k, a.i, a.l)
+    return TopLevel(Fraction(w, _weight_den(a.k)), dim)
 
 
 def top_level_closed_form(k: int, l: int) -> TopLevel:
@@ -251,7 +276,15 @@ def top_level_closed_form(k: int, l: int) -> TopLevel:
 
 def weight_mod1(a: U0Label) -> Fraction:
     """Conformal weight mod 1, read off the summand X(i, 0, l)."""
-    return mod1(summand_weight(SummandLabel(a.k, a.i, 0, a.l)).weight)
+    q = _weight_den(a.k)
+    return Fraction(_summand_num(a.k, a.i, 0, a.l)[0] % q, q)
+
+
+def _weight_mod1_table(k: int) -> tuple[int, list[list[int]]]:
+    """(Q, table): `table[i][l]` is Q times the weight mod 1 of the raw pair
+    (i, l), 0 <= l < 2k, as a residue mod Q."""
+    q = _weight_den(k)
+    return q, [[_summand_num(k, i, 0, l)[0] % q for l in range(2 * k)] for i in range(k)]
 
 
 def eta_u0(k: int, i: int, l: int) -> int:
@@ -296,10 +329,7 @@ def verify_weight_difference(k: int, i: int, j: int, s: int) -> bool:
     if not (0 <= s < 2 * (k - 1) * k):
         raise ValueError(f"offset s must lie in [0, {2 * (k - 1) * k}), got {s}")
 
-    def weight(p: int) -> Fraction:
-        lam = Fraction(s, 2 * (k - 1) * k) - Fraction(p, k - 1)
-        lattice_min, _ = _coset_min(lam)
-        return _pf_factor_weight(k, i, p) + (k - 1) * k * lattice_min
-
-    expected = mod1(Fraction(j * (i - s), k - 1))
-    return mod1(weight(j) - weight(0)) == expected
+    # the offset s/D - p/(k-1) is (s - 2kp)/D, and Q j(i-s)/(k-1) = 4k(k+1) j(i-s)
+    weight_j, _ = _offset_num(k, i, j, s - 2 * k * j)
+    weight_0, _ = _offset_num(k, i, 0, s)
+    return (weight_j - weight_0 - 4 * k * (k + 1) * j * (i - s)) % _weight_den(k) == 0

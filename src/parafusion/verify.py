@@ -11,7 +11,11 @@ from itertools import chain
 from .arith import ResidueVector, check_budget
 from .codes import Classification, all_codes
 from .lattice import (
+    _housing_rep,
+    _in_n_dual,
+    coset_rep,
     discriminant_group,
+    ntilde_coset,
     verify_coset_index,
     verify_coset_inner_congruence,
     verify_coset_inner_congruence_vec,
@@ -110,10 +114,18 @@ def suite_lattice_lemmas(k: int, seed: int = 0) -> list[CheckResult]:
     samples = 20
     results = []
     rng = random.Random(seed)
+    # decided once per representative, beside the samples: the congruences
+    # hold on every N-translate exactly when the representatives lie in N*.
+    # A check passes only when both parts do; the samples are drawn first.
+    ntilde_dual = [_in_n_dual([coset_rep(ntilde_coset(k, p))]) for p in range(2 * k)]
+    # the coset housing U(mu, nu) depends on mu only through mu mod 2
+    housing_dual = [[_in_n_dual([_housing_rep(k, m, n)]) for n in range(2 * k)]
+                    for m in range(2)]
 
     bad = next(
         ((p, q) for p in range(2 * k) for q in range(2 * k)
-         if not verify_coset_inner_congruence(k, p, q, samples, rng.randrange(2**30))),
+         if not (verify_coset_inner_congruence(k, p, q, samples, rng.randrange(2**30))
+                 and ntilde_dual[p] and ntilde_dual[q])),
         None,
     )
     results.append(CheckResult(
@@ -125,7 +137,8 @@ def suite_lattice_lemmas(k: int, seed: int = 0) -> list[CheckResult]:
         for _ in range(5):
             xi = ResidueVector(2 * k, tuple(rng.randrange(2 * k) for _ in range(ell)))
             eta = ResidueVector(2 * k, tuple(rng.randrange(2 * k) for _ in range(ell)))
-            if not verify_coset_inner_congruence_vec(xi, eta, samples, rng.randrange(2**30)):
+            if not (verify_coset_inner_congruence_vec(xi, eta, samples, rng.randrange(2**30))
+                    and all(ntilde_dual[c] for c in chain(xi, eta))):
                 bad = (xi, eta)
                 break
         if bad:
@@ -140,7 +153,9 @@ def suite_lattice_lemmas(k: int, seed: int = 0) -> list[CheckResult]:
             xi = ResidueVector(2 * k, tuple(rng.randrange(2 * k) for _ in range(ell)))
             mu = tuple(rng.randrange(k) for _ in range(ell))
             nu = ResidueVector(2 * k, tuple(rng.randrange(2 * k) for _ in range(ell)))
-            if not verify_pairing_matches_b_form(xi, mu, nu, samples, rng.randrange(2**30)):
+            if not (verify_pairing_matches_b_form(xi, mu, nu, samples, rng.randrange(2**30))
+                    and all(ntilde_dual[c] for c in xi)
+                    and all(housing_dual[m % 2][n] for m, n in zip(mu, nu))):
                 bad = (xi, mu, nu)
                 break
         if bad:

@@ -285,6 +285,21 @@ def test_classify_unprintable_size_is_usage_error(capsys, k, length):
     assert err == "error: size has more than 4300 digits\n"
 
 
+@pytest.mark.parametrize("k, word, field", [
+    # (10^3000 - 1)^2 has 6000 digits
+    (10 ** 3000, 10 ** 3000 - 1, "euclidean_weight"),
+    # -2 is 2k - 2 mod 2k, a 4301-digit entry; |D| = k still prints
+    (9 * 10 ** 4299, -2, "word"),
+    # (k-1)/4k in lowest terms, over a 4301-digit denominator
+    (3 * 10 ** 4299, 1, "weight_mod1"),
+], ids=["euclidean_weight", "word", "weight_mod1"])
+def test_classify_unprintable_generator_field_is_usage_error(capsys, k, word, field):
+    code = json.dumps({"k": k, "length": 1, "generators": [[word]]})
+    status, out, err = run_cli(capsys, ["classify", "--code", code])
+    assert status == 2 and out == ""
+    assert err == f"error: {field} has more than 4300 digits\n"
+
+
 @pytest.mark.parametrize("command, message", [
     ("modules", "label space of size 3^20000000 exceeds the budget 1048576"),
     ("classify", "dual_size has more than 4300 digits"),

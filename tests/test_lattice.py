@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parafusion import lattice
+from parafusion import lattice, verify
 from parafusion.arith import ResidueVector
 from parafusion.cli import main
 from parafusion.codes import Classification, enumerate_code, random_code
@@ -258,6 +258,51 @@ def test_lattice_lemmas_fail_on_a_half_integral_translate(monkeypatch, capsys):
     assert checks["coset-index"].passed
     assert main(["verify", "--suite", "lattice-lemmas", "--k", "2", "--seed", "1"]) == 1
     assert '"all_passed": false' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_coset_representatives_lie_in_the_dual_of_n(k):
+    # N* is what pairs integrally with N; the basis beta_r decides it
+    reps = [coset_rep(ntilde_coset(k, p)) for p in range(2 * k)]
+    reps += [lattice._housing_rep(k, m, n) for m in range(k) for n in range(2 * k)]
+    assert lattice._in_n_dual(reps)
+    for r in reps:
+        assert all((r.inner(b)).denominator == 1 for b in n_basis(k))
+    off = LatticeVector(k, (Fraction(1, 2 * k),) + (0,) * (k - 1))
+    assert not lattice._in_n_dual([off]) and not lattice._in_n_dual(reps + [off])
+    assert off.inner(n_basis(k)[0]).denominator != 1
+
+
+def _off_n_dual(which):
+    """coset_rep, moved off N* by 1/2k alpha_1 on the cosets `which` picks."""
+    real = lattice.coset_rep
+
+    def rep(spec):
+        r = real(spec)
+        if which(spec):
+            return r + LatticeVector(spec.k, (Fraction(1, 2 * spec.k),) + (0,) * (spec.k - 1))
+        return r
+    return rep
+
+
+@pytest.mark.parametrize("moved, failing, detail", [
+    (None, set(), ""),
+    (lambda spec: spec.kind == "ntilde" and spec.l == 1,
+     {"scalar-coset-congruence", "vector-coset-congruence", "coset-pairing-matches-b-form"},
+     "failed at (p, q) = (0, 1)"),
+    (lambda spec: spec.kind == "nja", {"coset-pairing-matches-b-form"}, ""),
+], ids=["none-moved", "ntilde-1-moved", "housing-moved"])
+def test_lattice_lemmas_decide_representatives_outside_n_dual(monkeypatch, moved, failing,
+                                                              detail):
+    # with no sampled translate the sampled parts pass vacuously, so any
+    # failure comes from the decided part
+    monkeypatch.setattr(lattice, "_translates", lambda *args: iter(()))
+    if moved is not None:
+        for module in (lattice, verify):
+            monkeypatch.setattr(module, "coset_rep", _off_n_dual(moved))
+    checks = {c.name: c for c in suite_lattice_lemmas(3, seed=1)}
+    assert {name for name, c in checks.items() if not c.passed} == failing
+    assert checks["scalar-coset-congruence"].detail == detail
 
 
 def test_gamma_d_parity_matches_classification_on_random_codes():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import weights as ref
 from parafusion import u0, verify
 from parafusion.arith import mod1
 from parafusion.cli import main
@@ -246,7 +247,10 @@ def test_coset_min_matches_a_search(lam):
     reach = abs(lam.numerator) // lam.denominator + 2
     values = [(n + lam) ** 2 for n in range(-reach, reach + 1)]
     best = min(values)
-    assert u0._coset_min(lam) == (best, values.count(best))
+    # the kernel takes lam = s/d and returns d^2 times the minimum
+    d = lam.denominator
+    lattice, count = u0._coset_min(lam.numerator, d)
+    assert (Fraction(lattice, d * d), count) == (best, values.count(best))
 
 
 def test_top_level_examples():
@@ -342,6 +346,81 @@ def test_weight_mod1_lifts_to_top_level():
     for k in range(2, 9):
         for lab in all_u0_labels(k):
             assert mod1(top_level(lab).weight) == weight_mod1(lab)
+
+
+@pytest.mark.parametrize("k", range(2, 41))
+def test_weight_kernel_matches_the_fraction_reference(k):
+    """Every summand X(i, j, l) and every top level at level k, against the
+    Fraction code in tests/weights.py.  That code reads (i, j) in its
+    parafermion part and (i - 2j, l) in its lattice part, so each part is
+    evaluated once per distinct argument, scaled by Q, and summed per summand."""
+    q = 4 * k * (k - 1) * (k + 1)
+
+    def scaled(w: Fraction) -> int:
+        assert (w * q).denominator == 1, (k, w)
+        return int(w * q)
+
+    pf = [[scaled(ref.pf_factor_weight(k, i, j)) for j in range(k - 1)] for i in range(k)]
+    lattice = {}
+    for i in range(k):
+        for l in range(2 * k):
+            best = dim = None
+            for j in range(k - 1):
+                key = (i - 2 * j, l)
+                if key not in lattice:
+                    m, count = ref.coset_min(SummandLabel(k, i, j, l).lattice_offset)
+                    lattice[key] = scaled((k - 1) * k * m), count
+                m, count = lattice[key]
+                w = pf[i][j] + m
+                assert u0._summand_num(k, i, j, l) == (w, count), (k, i, j, l)
+                if best is None or w < best:
+                    best, dim = w, count
+                elif w == best:
+                    dim += count
+            assert u0._top_level_num(k, i, l) == (best, dim), (k, i, l)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_public_weights_match_the_fraction_reference(k):
+    for i in range(k):
+        for l in range(2 * k):
+            a = U0Label(k, i, l)
+            assert top_level(a) == ref.top_level(a), a
+            for j in range(k - 1):
+                x = SummandLabel(k, i, j, l)
+                assert summand_weight(x) == ref.summand_weight(x), x
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_weight_mod1_matches_the_fraction_reference_on_raw_pairs(k):
+    q, table = u0._weight_mod1_table(k)
+    for i in range(k):
+        for l in range(2 * k):
+            a = U0Label(k, i, l)
+            assert weight_mod1(a) == ref.weight_mod1(a) == Fraction(table[i][l], q), a
+
+
+def test_top_level_builds_one_fraction_per_label(monkeypatch):
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    expected = {a: ref.top_level(a) for k in (2, 3, 7, 12) for a in all_u0_labels(k)}
+    monkeypatch.setattr(u0, "Fraction", Counted)
+    for a, level in expected.items():
+        built.clear()
+        assert top_level(a) == level
+        assert len(built) <= 1, (a, built)
+        for weigh in (weight_mod1, lambda a: summand_weight(SummandLabel(a.k, a.i, 0, a.l))):
+            built.clear()
+            weigh(a)
+            assert len(built) <= 1, (a, built)
+        built.clear()
+        assert verify_weight_difference(a.k, a.i, a.k - 2, a.l)
+        assert not built, (a, built)
 
 
 def test_b_form_examples():
