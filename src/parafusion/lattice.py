@@ -8,7 +8,8 @@ here from explicit vectors of (1/2k)Z^k, held as integer numerators over 2k.
 2k^2 <x, y> is the dot product of the numerators, so a pairing mod Z is a
 congruence mod 2k^2, and a norm mod 2Z one mod 4k^2.
 
-The sampled checks move coset representatives by random elements of N.
+Every congruence check decides and samples in one helper, `_congruent`.
+The samples move coset representatives by random elements of N.
 `random_n_element` draws one: integer coefficients c_1..c_{k-1} in
 [-bound, bound] on the basis beta_r = alpha_r - alpha_{r+1}, written
 straight into numerators.  `_translates` is the one loop that draws
@@ -21,7 +22,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Iterator, NamedTuple, Sequence
 
 from .arith import IntegerMatrix, ResidueVector, smith_normal_form
@@ -206,14 +207,10 @@ def _pair_inner(xs: Sequence[LatticeVector], ys: Sequence[LatticeVector]) -> int
 
 
 def _in_n_dual(reps: Sequence[LatticeVector]) -> bool:
-    """Whether each representative lies in N*: it pairs integrally with the
-    k-1 basis vectors beta_r of N, 2k^2 <r, beta> = 0 mod 2k^2.  This decides
-    the sampled congruences: <x+n, y+m> = <x,y> + <x,m> + <n,y> + <n,m> and
-    N is even, so pairings mod Z and norms mod 2Z are constant on the
-    N-translates of representatives in N*, and only there."""
-    k = reps[0].k
-    basis = n_basis(k)
-    return all(r._dot(b) % (2 * k * k) == 0 for r in reps for b in basis)
+    """Whether each representative lies in N*, that is pairs integrally with
+    the basis beta_s of N.  2k^2 <r, beta_s> = 2k (num_s - num_{s+1}), so r
+    lies in N* exactly when all its numerators agree mod k."""
+    return all(len({a % r.k for a in r.num}) == 1 for r in reps)
 
 
 def _translates(
@@ -232,12 +229,28 @@ def _translates(
         yield xs, ys
 
 
+def _congruent(k: int, reps_x: Sequence[LatticeVector], reps_y: Sequence[LatticeVector],
+               pair_target: int, norm_target: int | None, samples: int, seed: int) -> bool:
+    """Whether 2k^2 <x, y> = pair_target mod 2k^2 and, unless norm_target is
+    None, 2k^2 <x, x> = norm_target mod 4k^2, summed over components, on all
+    N-translates x, y of reps_x, reps_y.  Decided: <x+n, y+m> = <x,y> + <x,m>
+    + <n,y> + <n,m> and N is even, so this holds exactly when it holds on the
+    representatives and they lie in N*.  `samples` translates drawn from
+    Random(seed) are checked as well."""
+    m = 2 * k * k
+    cases = chain([(reps_x, reps_y)], _translates(k, reps_x, reps_y, samples, seed))
+    return _in_n_dual([*reps_x, *reps_y]) and not any(
+        (_pair_inner(xs, ys) - pair_target) % m
+        or (norm_target is not None and (_pair_inner(xs, xs) - norm_target) % (2 * m))
+        for xs, ys in cases)
+
+
 def verify_coset_inner_congruence(
     k: int, p: int, q: int, samples: int = 20, seed: int = 0
 ) -> bool:
-    """Sample-check that <x, y> = (k-1)pq/2k mod Z for x in Ntilde(p),
-    y in Ntilde(q), and <x, x> = (k-1)p^2/2k mod 2Z: the length-1 case of
-    `verify_coset_inner_congruence_vec`, with the same samples."""
+    """Decide, and check on `samples` translates, that <x, y> = (k-1)pq/2k
+    mod Z for x in Ntilde(p), y in Ntilde(q), and <x, x> = (k-1)p^2/2k mod 2Z:
+    the length-1 case of `verify_coset_inner_congruence_vec`."""
     return verify_coset_inner_congruence_vec(
         ResidueVector(2 * k, (p,)), ResidueVector(2 * k, (q,)), samples, seed
     )
@@ -254,13 +267,9 @@ def verify_coset_inner_congruence_vec(
     reps_x = [coset_rep(ntilde_coset(k, c)) for c in xi]
     reps_y = [coset_rep(ntilde_coset(k, c)) for c in eta]
     # both targets times 2k^2: k(k-1)(xi.eta) mod 2k^2 and k(k-1)(xi.xi) mod 4k^2
-    m = 2 * k * k
     pair_target = k * (k - 1) * sum(a * b for a, b in zip(xi, eta))
     norm_target = k * (k - 1) * sum(a * a for a in xi)
-    return not any(
-        (_pair_inner(xs, ys) - pair_target) % m or (_pair_inner(xs, xs) - norm_target) % (2 * m)
-        for xs, ys in _translates(k, reps_x, reps_y, samples, seed)
-    )
+    return _congruent(k, reps_x, reps_y, pair_target, norm_target, samples, seed)
 
 
 def _in_span_pair(x: LatticeVector, u: LatticeVector, v: LatticeVector) -> bool:
@@ -312,10 +321,9 @@ def gamma_d_parity(code: Code, seed: int = 0) -> GammaParity:
     pairs, each generator with itself among them, decide integrality.  Once
     every pairing is integral, |x+y|^2 = |x|^2 + |y|^2 + 2<x,y> makes every
     norm an integer and norm parity additive over D: some codeword has an
-    odd norm exactly when some generator does.  Pairings mod Z and norms
-    mod 2Z are constant on N-translates, spot checked below on one random
-    translate of each generator's representatives: the seed picks the
-    translates, never the result.
+    odd norm exactly when some generator does.  That pairings mod Z and
+    norms mod 2Z are constant on N-translates is decided (`_congruent`) and
+    checked on one translate the seed picks; the seed never picks the result.
     """
     k = code.k
     m = 2 * k * k
@@ -324,11 +332,10 @@ def gamma_d_parity(code: Code, seed: int = 0) -> GammaParity:
         return GammaParity.NOT_INTEGRAL
 
     for g, rep in zip(code.generators, reps):
-        for moved, _ in _translates(k, rep, (), 1, seed):
-            shift = _pair_inner(moved, moved) - _pair_inner(rep, rep)
-            if shift % (2 * m):
-                raise RuntimeError(f"an N-translate of the coset of {g} "
-                                   f"moved its norm by {shift}/{m}, not by 2Z")
+        norm = _pair_inner(rep, rep)
+        if not _congruent(k, rep, rep, norm, norm, 1, seed):
+            raise RuntimeError(f"an N-translate of the coset of {g} moves a pairing "
+                               "off Z or a norm off 2Z")
 
     odd = any(_pair_inner(x, x) % (2 * m) for x in reps)
     return GammaParity.ODD if odd else GammaParity.EVEN
@@ -365,5 +372,4 @@ def verify_pairing_matches_b_form(
     reps_x = [coset_rep(ntilde_coset(k, c)) for c in xi]
 
     target = k * sum(c * eta_u0(k, m, n) for c, m, n in zip(xi, mu, nu))
-    return not any((_pair_inner(xs, ys) - target) % (2 * k * k)
-                   for xs, ys in _translates(k, reps_x, reps_y, samples, seed))
+    return _congruent(k, reps_x, reps_y, target, None, samples, seed)

@@ -11,11 +11,7 @@ from itertools import chain
 from .arith import ResidueVector, check_budget
 from .codes import Classification, all_codes
 from .lattice import (
-    _housing_rep,
-    _in_n_dual,
-    coset_rep,
     discriminant_group,
-    ntilde_coset,
     verify_coset_index,
     verify_coset_inner_congruence,
     verify_coset_inner_congruence_vec,
@@ -39,7 +35,7 @@ class CheckResult:
 # starts: against 2^20, k^3 admits k <= 101, k^4 k <= 32 and k^6 k <= 10.
 
 
-def suite_fusion_axioms(k: int, seed: int = 0) -> list[CheckResult]:
+def suite_fusion_axioms(k: int) -> list[CheckResult]:
     # associativity visits every triple of the k^2 classes
     check_budget("suite k^6", k, 6)
     labels, pair_class, _ = class_index(k)
@@ -89,7 +85,7 @@ def suite_fusion_axioms(k: int, seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def suite_appendix_a(k_max: int, seed: int = 0) -> list[CheckResult]:
+def suite_appendix_a(k_max: int) -> list[CheckResult]:
     check_budget("suite k^3", k_max, 3)
     results = []
     for k in range(2, k_max + 1):
@@ -114,52 +110,37 @@ def suite_lattice_lemmas(k: int, seed: int = 0) -> list[CheckResult]:
     samples = 20
     results = []
     rng = random.Random(seed)
-    # decided once per representative, beside the samples: the congruences
-    # hold on every N-translate exactly when the representatives lie in N*.
-    # A check passes only when both parts do; the samples are drawn first.
-    ntilde_dual = [_in_n_dual([coset_rep(ntilde_coset(k, p))]) for p in range(2 * k)]
-    # the coset housing U(mu, nu) depends on mu only through mu mod 2
-    housing_dual = [[_in_n_dual([_housing_rep(k, m, n)]) for n in range(2 * k)]
-                    for m in range(2)]
+
+    def residues(ell: int) -> ResidueVector:
+        return ResidueVector(2 * k, tuple(rng.randrange(2 * k) for _ in range(ell)))
 
     bad = next(
         ((p, q) for p in range(2 * k) for q in range(2 * k)
-         if not (verify_coset_inner_congruence(k, p, q, samples, rng.randrange(2**30))
-                 and ntilde_dual[p] and ntilde_dual[q])),
+         if not verify_coset_inner_congruence(k, p, q, samples, rng.randrange(2**30))),
         None,
     )
     results.append(CheckResult(
         "scalar-coset-congruence", bad is None,
         "" if bad is None else f"failed at (p, q) = {bad}"))
 
-    bad = None
-    for ell in (1, 2, 3):
-        for _ in range(5):
-            xi = ResidueVector(2 * k, tuple(rng.randrange(2 * k) for _ in range(ell)))
-            eta = ResidueVector(2 * k, tuple(rng.randrange(2 * k) for _ in range(ell)))
-            if not (verify_coset_inner_congruence_vec(xi, eta, samples, rng.randrange(2**30))
-                    and all(ntilde_dual[c] for c in chain(xi, eta))):
-                bad = (xi, eta)
-                break
-        if bad:
-            break
+    # drawn lazily, so each case's residues come before its sampling seed
+    pairs = ((residues(ell), residues(ell)) for ell in (1, 2, 3) for _ in range(5))
+    bad = next(
+        ((xi, eta) for xi, eta in pairs
+         if not verify_coset_inner_congruence_vec(xi, eta, samples, rng.randrange(2**30))),
+        None,
+    )
     results.append(CheckResult(
         "vector-coset-congruence", bad is None,
         "" if bad is None else f"failed at xi={bad[0].entries}, eta={bad[1].entries}"))
 
-    bad = None
-    for ell in (1, 2, 3):
-        for _ in range(5):
-            xi = ResidueVector(2 * k, tuple(rng.randrange(2 * k) for _ in range(ell)))
-            mu = tuple(rng.randrange(k) for _ in range(ell))
-            nu = ResidueVector(2 * k, tuple(rng.randrange(2 * k) for _ in range(ell)))
-            if not (verify_pairing_matches_b_form(xi, mu, nu, samples, rng.randrange(2**30))
-                    and all(ntilde_dual[c] for c in xi)
-                    and all(housing_dual[m % 2][n] for m, n in zip(mu, nu))):
-                bad = (xi, mu, nu)
-                break
-        if bad:
-            break
+    triples = ((residues(ell), tuple(rng.randrange(k) for _ in range(ell)), residues(ell))
+               for ell in (1, 2, 3) for _ in range(5))
+    bad = next(
+        ((xi, mu, nu) for xi, mu, nu in triples
+         if not verify_pairing_matches_b_form(xi, mu, nu, samples, rng.randrange(2**30))),
+        None,
+    )
     results.append(CheckResult(
         "coset-pairing-matches-b-form", bad is None,
         "" if bad is None else
@@ -171,7 +152,7 @@ def suite_lattice_lemmas(k: int, seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def suite_discriminant(k_max: int, seed: int = 0) -> list[CheckResult]:
+def suite_discriminant(k_max: int) -> list[CheckResult]:
     check_budget("suite k^4", k_max, 4)
     results = []
     for k in range(2, k_max + 1):
@@ -202,7 +183,7 @@ def _counting_fault(code) -> str | None:
     return None
 
 
-def suite_counting(k: int, seed: int = 0) -> list[CheckResult]:
+def suite_counting(k: int) -> list[CheckResult]:
     check_budget("suite k^6", k, 6)
     results = []
     for ell in (1, 2):
@@ -225,8 +206,13 @@ SUITES = {
 
 
 def run_suite(name: str, k: int, seed: int = 0) -> list[CheckResult]:
+    """Run one suite; only lattice-lemmas samples, so only it takes a seed."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return SUITES[name](k, seed=seed)
+    if name == "lattice-lemmas":
+        return SUITES[name](k, seed)
+    if seed:
+        raise ValueError(f"suite {name} samples nothing and takes no seed, got {seed}")
+    return SUITES[name](k)

@@ -174,6 +174,16 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("suite", ["fusion-axioms", "appendix-a", "discriminant", "counting"])
+def test_verify_seed_on_a_suite_that_samples_nothing_is_usage_error(capsys, suite):
+    status, out, err = run_cli(capsys, ["verify", "--suite", suite, "--k", "3", "--seed", "7"])
+    assert status == 2 and out == ""
+    assert err == f"error: suite {suite} samples nothing and takes no seed, got 7\n"
+    for seed in (["--seed", "0"], []):
+        status, out, _ = run_cli(capsys, ["verify", "--suite", suite, "--k", "3", *seed])
+        assert status == 0 and json.loads(out)["seed"] == 0
+
+
 def test_reports_are_byte_identical(capsys):
     args = ["verify", "--suite", "lattice-lemmas", "--k", "2", "--seed", "5"]
     status1, out1, _ = run_cli(capsys, args)

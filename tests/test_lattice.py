@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parafusion import lattice, verify
+from parafusion import lattice
 from parafusion.arith import ResidueVector
 from parafusion.cli import main
 from parafusion.codes import Classification, enumerate_code, random_code
@@ -273,14 +273,15 @@ def test_coset_representatives_lie_in_the_dual_of_n(k):
     assert off.inner(n_basis(k)[0]).denominator != 1
 
 
-def _off_n_dual(which):
-    """coset_rep, moved off N* by 1/2k alpha_1 on the cosets `which` picks."""
+def _off_n_dual(which, num=(1,)):
+    """coset_rep, moved off N* on the cosets `which` picks by the vector whose
+    leading numerators over 2k are `num` (by default 1/2k alpha_1)."""
     real = lattice.coset_rep
 
     def rep(spec):
         r = real(spec)
         if which(spec):
-            return r + LatticeVector(spec.k, (Fraction(1, 2 * spec.k),) + (0,) * (spec.k - 1))
+            return r + LatticeVector._of(spec.k, num + (0,) * (spec.k - len(num)))
         return r
     return rep
 
@@ -294,15 +295,86 @@ def _off_n_dual(which):
 ], ids=["none-moved", "ntilde-1-moved", "housing-moved"])
 def test_lattice_lemmas_decide_representatives_outside_n_dual(monkeypatch, moved, failing,
                                                               detail):
-    # with no sampled translate the sampled parts pass vacuously, so any
-    # failure comes from the decided part
+    # with no sampled translate any failure comes from the decided part; the
+    # verifiers build every representative in lattice, so one patch moves them
     monkeypatch.setattr(lattice, "_translates", lambda *args: iter(()))
     if moved is not None:
-        for module in (lattice, verify):
-            monkeypatch.setattr(module, "coset_rep", _off_n_dual(moved))
+        monkeypatch.setattr(lattice, "coset_rep", _off_n_dual(moved))
     checks = {c.name: c for c in suite_lattice_lemmas(3, seed=1)}
     assert {name for name, c in checks.items() if not c.passed} == failing
     assert checks["scalar-coset-congruence"].detail == detail
+
+
+def test_verifiers_decide_representatives_outside_n_dual(monkeypatch):
+    # no sample is drawn, so nothing passes vacuously: the decided part fails
+    monkeypatch.setattr(lattice, "coset_rep", _off_n_dual(lambda spec: True))
+    assert not verify_coset_inner_congruence_vec(
+        ResidueVector(6, (1, 2)), ResidueVector(6, (0, 4)), samples=0)
+    assert not verify_pairing_matches_b_form(
+        ResidueVector(6, (1,)), (0,), ResidueVector(6, (2,)), samples=0)
+
+
+def test_congruence_is_checked_on_the_representatives_themselves():
+    # in N*, with no sample drawn, the targets are still compared
+    reps = [coset_rep(ntilde_coset(3, c)) for c in (1, 4)]
+    pair = lattice._pair_inner(reps, reps)
+    assert lattice._congruent(3, reps, reps, pair, pair, 0, 0)
+    assert not lattice._congruent(3, reps, reps, pair + 1, None, 0, 0)
+    assert not lattice._congruent(3, reps, reps, pair, pair + 18, 0, 0)  # 2k^2, not 4k^2
+
+
+def test_gamma_d_parity_decides_representatives_outside_n_dual(monkeypatch):
+    # at k = 5 the vector with numerators (1, 7, 0, 0, 0) over 10 has norm 1
+    # and leaves N*; moving the representative of the coset 0 by it keeps every
+    # generator pairing of D = <(5, 0)> integral, so only the decision can fail
+    code = enumerate_code(5, 2, [[5, 0]])
+    assert gamma_d_parity(code) == GammaParity.EVEN
+    monkeypatch.setattr(lattice, "_translates", lambda *args: iter(()))
+    monkeypatch.setattr(lattice, "coset_rep", _off_n_dual(lambda spec: spec.l == 0, (1, 7)))
+    with pytest.raises(RuntimeError, match="N-translate of the coset of"):
+        gamma_d_parity(code)
+
+
+# the three congruence details with every sampled translate half-integral;
+# they pin the order in which the suite draws its cases and sampling seeds
+HALF_TRANSLATE_DETAILS = {
+    (2, 1): ("failed at (p, q) = (0, 0)", "failed at xi=(0,), eta=(2,)",
+             "failed at xi=(3,), mu=(1,), nu=(0,)"),
+    (2, 2): ("failed at (p, q) = (0, 0)", "failed at xi=(0,), eta=(0,)",
+             "failed at xi=(1,), mu=(1,), nu=(2,)"),
+    (2, 3): ("failed at (p, q) = (0, 0)", "failed at xi=(1,), eta=(2,)",
+             "failed at xi=(0,), mu=(0,), nu=(3,)"),
+    (3, 1): ("failed at (p, q) = (0, 0)", "failed at xi=(4,), eta=(0,)",
+             "failed at xi=(0,), mu=(1,), nu=(3,)"),
+    (3, 2): ("failed at (p, q) = (0, 0)", "failed at xi=(0,), eta=(0,)",
+             "failed at xi=(5,), mu=(1,), nu=(5,)"),
+    (3, 3): ("failed at (p, q) = (0, 0)", "failed at xi=(4,), eta=(4,)",
+             "failed at xi=(4, 0), mu=(1, 0), nu=(2, 3)"),
+}
+
+
+@pytest.mark.parametrize("k, seed", sorted(HALF_TRANSLATE_DETAILS))
+def test_lattice_lemmas_keep_their_draw_order(monkeypatch, k, seed):
+    monkeypatch.setattr(lattice, "random_n_element", _half_translate)
+    details = tuple(c.detail for c in suite_lattice_lemmas(k, seed=seed)[:3])
+    assert details == HALF_TRANSLATE_DETAILS[k, seed]
+
+
+@st.composite
+def _numerator_vectors(draw):
+    # k and numerators over 2k, each entry either arbitrary or congruent to one
+    # residue mod k, so vectors in N* and outside it are both drawn often
+    k = draw(st.integers(2, 12))
+    r = draw(st.integers(0, k - 1))
+    entry = st.integers(-200, 200) | st.integers(-20, 20).map(lambda c: r + k * c)
+    return k, draw(st.lists(entry, min_size=k, max_size=k))
+
+
+@given(_numerator_vectors())
+def test_n_dual_closed_form_matches_the_basis_pairings(case):
+    k, num = case
+    v = LatticeVector._of(k, tuple(num))
+    assert lattice._in_n_dual([v]) == all(v.inner(b).denominator == 1 for b in n_basis(k))
 
 
 def test_gamma_d_parity_matches_classification_on_random_codes():

@@ -31,3 +31,17 @@ def test_every_size_refusal_goes_through_one_helper():
     ]
     assert raises == ["arith.py"]
     assert sum(path.read_text().count("2**20") for path in paths) == 1
+
+
+def test_verify_imports_no_private_name():
+    # each rule lives in the module that owns it; verify only calls its public names
+    tree = ast.parse((SOURCE / "verify.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("parafusion"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
