@@ -10,12 +10,13 @@ from itertools import islice
 from math import prod
 
 from .codes import Classification, euclidean_weight, load_code
-from .u0 import U0Label, _weight_mod1_table, fuse_u0
+from .u0 import U0Label, all_u0_labels, fuse_u0, weight_mod1_table
 from .ud import (
     CharacterLabel,
-    _check_label_budget,
     case_b_inventory,
     character_from_eta,
+    check_label_budget,
+    count_twisted_by_character,
     induce_from_orbit,
     orbits,
     weight_mod1_uxi,
@@ -136,7 +137,7 @@ def cmd_modules(args) -> tuple[dict, int]:
     if case_b and args.induce:
         raise ValueError("--induce induces from a Case A census; a Case B code has none")
     # decided before a Case B even part is built or a --chi character is named
-    _check_label_budget(code.k, code.length)
+    check_label_budget(code.k, code.length)
 
     if case_b:
         inventory = case_b_inventory(code)
@@ -162,22 +163,20 @@ def cmd_modules(args) -> tuple[dict, int]:
 
     chi = _parse_chi(args.chi, code) if args.chi is not None else None
     census = orbits(code, restrict_to_character=chi)
-    counts: dict[str, int] = {}
-    for o in census:
-        key = str(o.character)
-        counts[key] = counts.get(key, 0) + o.twisted_count
-    # an orbit's weight mod 1 is the sum of its components' numerators mod Q,
-    # and each distinct residue is written once
-    q, table = _weight_mod1_table(code.k)
+    counts = {str(c): n for c, n in count_twisted_by_character(census).items()}
+    # each class is named once; an orbit's weight mod 1 is the sum of its
+    # classes' numerators mod Q, and each distinct residue is written once
+    names = [str(c) for c in all_u0_labels(code.k)]
+    q, table = weight_mod1_table(code.k)
     weight_names: dict[int, str] = {}
     orbit_table = []
     for o in census:
-        rep = o.representative
-        r = sum(table[m][n] for m, n in zip(rep.mu, rep.nu)) % q
+        rep = o.classes[0]
+        r = sum(map(table.__getitem__, rep)) % q
         if r not in weight_names:
             weight_names[r] = str(Fraction(r, q))
         entry = {
-            "representative": _label_list(rep),
+            "representative": [names[c] for c in rep],
             "size": o.size,
             "stabilizer_order": o.stabilizer_order,
             "isotropic_order": o.isotropic_order,
@@ -190,8 +189,8 @@ def cmd_modules(args) -> tuple[dict, int]:
                 "summand_count": report.summand_count,
                 "multiplicity": report.multiplicity,
                 "u0_decomposition": [
-                    {"label": _label_list(w), "multiplicity": m}
-                    for w, m in report.u0_decomposition
+                    {"label": [names[c] for c in x], "multiplicity": report.multiplicity}
+                    for x in o.classes
                 ],
             }
         orbit_table.append(entry)

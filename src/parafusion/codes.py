@@ -32,7 +32,9 @@ __all__ = [
     "CodeTooLargeError",
     "enumerate_code",
     "split_even_odd",
+    "even_part",
     "euclidean_weight",
+    "least_in_coset",
     "dual_code",
     "generating_subset",
     "all_codes",
@@ -98,7 +100,7 @@ class Code:
         """Membership by reduction against the form: no codeword is built."""
         return (isinstance(vec, ResidueVector) and vec.modulus == 2 * self.k
                 and len(vec) == self.length
-                and not any(_least_in_coset(vec.modulus, self.hermite, vec)))
+                and not any(least_in_coset(vec.modulus, self.hermite, vec)))
 
     def __str__(self) -> str:
         return (
@@ -186,7 +188,7 @@ def _hermite(
     return tuple((j, tuple(h)) for j, h in form)
 
 
-def _least_in_coset(n: int, form, vec: Iterable[int]) -> tuple[int, ...]:
+def least_in_coset(n: int, form, vec: Iterable[int]) -> tuple[int, ...]:
     """The lexicographically least vector of vec + D, for D with Hermite form
     `form` over Z_n.  With the earlier entries fixed, entry j moves only by
     multiples of its pivot d_j (of n where there is none), so column by
@@ -228,6 +230,22 @@ def split_even_odd(code: Code) -> tuple[tuple[ResidueVector, ...], tuple[Residue
     for xi in code.elements:
         (d0 if _diagonal_class(code.k, xi) == 0 else d1).append(xi)
     return tuple(d0), tuple(d1)
+
+
+def even_part(code: Code) -> tuple[Code, ResidueVector]:
+    """D0 of a Case B code, built from the generators, and the least vector of D1."""
+    if code.classification is not Classification.CASE_B:
+        raise ValueError(f"even part requires a Case B code, got {code.classification.value}")
+    # the diagonal class is a character of D onto Z_2, so its kernel D0 is
+    # spanned by the even generators and g + g1 for the odd ones (2 g1 too)
+    k, gens = code.k, code.generators
+    odd = [g for g in gens if _diagonal_class(k, g)]
+    g1 = odd[0]
+    gens0 = [g for g in gens if not _diagonal_class(k, g)] + [g + g1 for g in odd]
+    even = enumerate_code(k, code.length, gens0)
+    if 2 * even.size != code.size or even.classification is not Classification.CASE_A:
+        raise RuntimeError("the even part of a Case B code must close to a Case A code")
+    return even, ResidueVector(2 * k, least_in_coset(2 * k, even.hermite, g1))
 
 
 def euclidean_weight(xi: ResidueVector) -> int:

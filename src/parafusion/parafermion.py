@@ -21,6 +21,7 @@ __all__ = [
     "pf_vacuum",
     "all_pf_labels",
     "pf_weight",
+    "pf_weight_num",
     "fuse_pf",
     "pf_simple_current_shift",
     "pf_theta",
@@ -82,10 +83,10 @@ def pf_weight(label: ParafermionLabel) -> Fraction:
     requires 0 <= j <= i, so the label is first moved to its canonical
     representative (which satisfies j < i).
     """
-    return Fraction(_pf_weight_num(label.k, label.i, label.j), 2 * label.k * (label.k + 2))
+    return Fraction(pf_weight_num(label.k, label.i, label.j), 2 * label.k * (label.k + 2))
 
 
-def _pf_weight_num(k: int, i: int, j: int) -> int:
+def pf_weight_num(k: int, i: int, j: int) -> int:
     """2k(k+2) times the weight of M(k; i, j), 0 <= i <= k, in integers.  At
     k = 1 it reads 0: the level-one parafermion algebra is trivial."""
     j %= k

@@ -15,8 +15,9 @@ compared as integers (`_summand_num`), and each public weight function
 builds one `Fraction` at its return.
 
 `class_index` numbers the classes 0..k^2-1 once per k, for every layer
-that works on class numbers (the orbit census, the fusion-axioms suite);
-`fusion_table` is the fusion product on those numbers.
+that works on class numbers (the orbit census, the `modules` report, the
+fusion-axioms suite); `fusion_table` is the fusion product on those
+numbers, and `weight_mod1_table` the weight mod 1 of each.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 from .arith import check_budget, mod1
 from .fusion import FusionSum
-from .parafermion import _pf_weight_num
+from .parafermion import pf_weight_num
 
 __all__ = [
     "U0Label",
@@ -46,6 +47,7 @@ __all__ = [
     "top_level",
     "top_level_closed_form",
     "weight_mod1",
+    "weight_mod1_table",
     "eta_u0",
     "b_form_u0",
     "theta_u0",
@@ -226,7 +228,7 @@ def _offset_num(k: int, i: int, j: int, s: int) -> tuple[int, int]:
     2(k-1)(k+1) = Q/2k.
     """
     lattice, count = _coset_min(s, 2 * k * (k - 1))
-    return 2 * k * _pf_weight_num(k - 1, i, j) + (k + 1) * lattice, count
+    return 2 * k * pf_weight_num(k - 1, i, j) + (k + 1) * lattice, count
 
 
 def _top_level_num(k: int, i: int, l: int) -> tuple[int, int]:
@@ -280,11 +282,11 @@ def weight_mod1(a: U0Label) -> Fraction:
     return Fraction(_summand_num(a.k, a.i, 0, a.l)[0] % q, q)
 
 
-def _weight_mod1_table(k: int) -> tuple[int, list[list[int]]]:
-    """(Q, table): `table[i][l]` is Q times the weight mod 1 of the raw pair
-    (i, l), 0 <= l < 2k, as a residue mod Q."""
+def weight_mod1_table(k: int) -> tuple[int, list[int]]:
+    """(Q, table): `table[c]` is Q times the weight mod 1 of the class
+    numbered c by `class_index`, as a residue mod Q."""
     q = _weight_den(k)
-    return q, [[_summand_num(k, i, 0, l)[0] % q for l in range(2 * k)] for i in range(k)]
+    return q, [_summand_num(k, c.i, 0, c.l)[0] % q for c in all_u0_labels(k)]
 
 
 def eta_u0(k: int, i: int, l: int) -> int:

@@ -10,7 +10,7 @@ determine the inventory of irreducible (twisted) U_D-modules.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -18,7 +18,7 @@ from math import isqrt
 from operator import getitem, mul
 
 from .arith import ResidueVector, check_budget, mod1, standard_inner
-from .codes import Classification, Code, _diagonal_class, _least_in_coset, enumerate_code
+from .codes import Classification, Code, even_part, least_in_coset
 from .u0 import U0Label, all_u0_labels, canonicalize_u0, class_index, eta_u0
 
 __all__ = [
@@ -40,6 +40,8 @@ __all__ = [
     "induce",
     "induce_from_orbit",
     "count_twisted",
+    "count_twisted_by_character",
+    "check_label_budget",
     "weight_mod1_uxi",
     "case_b_inventory",
 ]
@@ -88,13 +90,13 @@ def canonicalize_irr(k: int, mu, nu) -> IrrU0Label:
     return IrrU0Label(k, tuple(c.i for c in comps), tuple(c.l for c in comps))
 
 
-def _check_label_budget(k: int, length: int) -> None:
+def check_label_budget(k: int, length: int) -> None:
     check_budget("label space", k, 2 * length)
 
 
 def all_irr_labels(k: int, length: int) -> tuple[IrrU0Label, ...]:
     """All k^(2*length) canonical labels, in lexicographic component order."""
-    _check_label_budget(k, length)
+    check_label_budget(k, length)
     singles = all_u0_labels(k)
     return tuple(
         IrrU0Label(k, tuple(c.i for c in combo), tuple(c.l for c in combo))
@@ -150,7 +152,7 @@ class CharacterLabel:
 @lru_cache(maxsize=None)
 def _canonical_eta(code: Code, eta: tuple[int, ...]) -> tuple[int, ...]:
     """The least eta of the dual-code coset that names eta's character."""
-    return _least_in_coset(2 * code.k, code.dual_hermite, eta)
+    return least_in_coset(2 * code.k, code.dual_hermite, eta)
 
 
 def character_of(x: IrrU0Label, code: Code) -> CharacterLabel:
@@ -188,15 +190,29 @@ def _isotropic_part(code: Code, stab: tuple[ResidueVector, ...]) -> tuple[Residu
 
 @dataclass(frozen=True)
 class OrbitInfo:
-    representative: IrrU0Label  # least member in IrrU0Label order
-    members: tuple[IrrU0Label, ...]
+    """An orbit, each member a tuple of class numbers named by `class_index`."""
+
+    classes: tuple[tuple[int, ...], ...]  # members, least first in IrrU0Label order
     stabilizer: tuple[ResidueVector, ...]
     isotropic: tuple[ResidueVector, ...]
     character: CharacterLabel
+    labels: tuple[U0Label, ...] = field(compare=False, repr=False)
+
+    def _label(self, x: tuple[int, ...]) -> IrrU0Label:
+        mu, nu = zip(*((self.labels[c].i, self.labels[c].l) for c in x))
+        return IrrU0Label(self.character.code.k, mu, nu)
+
+    @property
+    def representative(self) -> IrrU0Label:
+        return self._label(self.classes[0])
+
+    @property
+    def members(self) -> tuple[IrrU0Label, ...]:
+        return tuple(map(self._label, self.classes))
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.classes)
 
     @property
     def stabilizer_order(self) -> int:
@@ -214,7 +230,7 @@ class OrbitInfo:
         admits no nontrivial stabilizer."""
         if self.stabilizer_order == 1:
             return 1
-        if self.representative.k % 4 == 1:
+        if self.character.code.k % 4 == 1:
             return self.stabilizer_order
         return self.isotropic_order
 
@@ -232,15 +248,13 @@ class _LabelKernel:
 
     def __init__(self, code: Code):
         k, ell, n = code.k, code.length, 2 * code.k
-        classes, self.pair_class, self.shift = class_index(k)
+        self.labels, self.pair_class, self.shift = class_index(k)
         self.code = code
-        self.mu = [c.i for c in classes]
-        self.nu = [c.l for c in classes]
-        self.eta = [eta_u0(k, c.i, c.l) for c in classes]
+        self.eta = [eta_u0(k, c.i, c.l) for c in self.labels]
         self.dual = code.dual_hermite
         self.rank_rows = [
             [c.i * k ** (ell - 1 - r) * n ** ell + c.l * n ** (ell - 1 - r)
-             for c in classes]
+             for c in self.labels]
             for r in range(ell)
         ]
         self.words = [xi.entries for xi in code.elements]
@@ -250,7 +264,7 @@ class _LabelKernel:
         return tuple(self.pair_class[m][v] for m, v in zip(x.mu, x.nu))
 
     def name(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        return _least_in_coset(2 * self.code.k, self.dual, map(self.eta.__getitem__, x))
+        return least_in_coset(2 * self.code.k, self.dual, map(self.eta.__getitem__, x))
 
     def orbit(self, x: tuple[int, ...]):
         """The members of the orbit of x, least first, and its stabilizer."""
@@ -263,18 +277,14 @@ class _LabelKernel:
             if m == x:
                 stab.append(xi)
             members[sum(map(getitem, rank_rows, m))] = m
-        return [members[r] for r in sorted(members)], tuple(stab)
+        return tuple(members[r] for r in sorted(members)), tuple(stab)
 
     def info(self, members, stab) -> OrbitInfo:
-        code, rep = self.code, members[0]
-        character = CharacterLabel(code, self.name(rep))
+        character = CharacterLabel(self.code, self.name(members[0]))
         isotropic = self._isotropic.get(stab)
         if isotropic is None:
-            isotropic = self._isotropic[stab] = _isotropic_part(code, stab)
-        mu, nu, k = self.mu.__getitem__, self.nu.__getitem__, code.k
-        labels = tuple(IrrU0Label(k, tuple(map(mu, m)), tuple(map(nu, m)))
-                       for m in members)
-        return OrbitInfo(labels[0], labels, stab, isotropic, character)
+            isotropic = self._isotropic[stab] = _isotropic_part(self.code, stab)
+        return OrbitInfo(members, stab, isotropic, character, self.labels)
 
 
 def _orbit_of(code: Code, x: IrrU0Label) -> OrbitInfo:
@@ -296,7 +306,7 @@ def orbits(
     """
     if code.classification is Classification.INVALID:
         raise ValueError("orbit census requires a Case A or Case B code")
-    _check_label_budget(code.k, code.length)
+    check_label_budget(code.k, code.length)
     target = None
     chi = restrict_to_character
     if chi is not None:
@@ -372,10 +382,18 @@ def induce_from_orbit(code: Code, info: OrbitInfo) -> InducedModuleReport:
     )
 
 
+def count_twisted_by_character(census: tuple[OrbitInfo, ...]) -> Counter:
+    """The sum of `twisted_count` over the orbits of each character of a census."""
+    counts: Counter = Counter()
+    for o in census:
+        counts[o.character] += o.twisted_count
+    return counts
+
+
 def count_twisted(code: Code, chi: CharacterLabel) -> int:
     """Number of inequivalent irreducible chi-twisted modules of U_D."""
     _require_case_a(code, "twisted-module counting")
-    return sum(o.twisted_count for o in orbits(code, restrict_to_character=chi))
+    return sum(count_twisted_by_character(orbits(code, restrict_to_character=chi)).values())
 
 
 def weight_mod1_uxi(xi: ResidueVector) -> Fraction:
@@ -417,20 +435,7 @@ def case_b_inventory(code: Code) -> CaseBInventory:
     induces over U_D an object that is either irreducible or a direct sum
     of two irreducibles (not decided here).
     """
-    if code.classification is not Classification.CASE_B:
-        raise ValueError(
-            f"Case B inventory requires a Case B code, got {code.classification.value}"
-        )
-    # the diagonal class is a character of D onto Z_2, so its kernel D0 is
-    # spanned by the even generators and g + g1 for the odd ones (2 g1 too)
-    k, gens = code.k, code.generators
-    odd = [g for g in gens if _diagonal_class(k, g)]
-    g1 = odd[0]
-    gens0 = [g for g in gens if not _diagonal_class(k, g)] + [g + g1 for g in odd]
-    even = enumerate_code(k, code.length, gens0)
-    if 2 * even.size != code.size or even.classification is not Classification.CASE_A:
-        raise RuntimeError("the even part of a Case B code must close to a Case A code")
-    xi1 = ResidueVector(2 * k, _least_in_coset(2 * k, even.hermite, g1))
+    even, xi1 = even_part(code)
     entries = []
     for info in orbits(even, restrict_to_character=trivial_character(even)):
         report = induce_from_orbit(even, info)

@@ -4,7 +4,6 @@ returns per-check verdicts with a counterexample on failure."""
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -19,7 +18,7 @@ from .lattice import (
 )
 from .u0 import U0Label, class_index, fusion_table, theta_u0, top_level, \
     top_level_closed_form
-from .ud import induce_from_orbit, orbits
+from .ud import count_twisted_by_character, induce_from_orbit, orbits
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -167,9 +166,7 @@ def suite_discriminant(k_max: int) -> list[CheckResult]:
 def _counting_fault(code) -> str | None:
     """What one census of a Case A code, grouped by character, gets wrong, or None."""
     census = orbits(code)
-    counts = Counter()
-    for o in census:
-        counts[o.character] += o.twisted_count
+    counts = count_twisted_by_character(census)
     if len(counts) != code.size:
         return f"character count {len(counts)} != |D| = {code.size}"
     total = sum(counts.values())

@@ -5,7 +5,7 @@ import pytest
 
 from parafusion import ud, verify
 from parafusion.cli import main
-from parafusion.codes import all_codes
+from parafusion.codes import all_codes, enumerate_code
 from parafusion.ud import orbits
 
 
@@ -459,3 +459,28 @@ def test_counting_reports_an_orbit_that_fails_induction(monkeypatch, capsys):
     assert not length2["passed"]
     assert "induction fails on the orbit of U(" in length2["detail"]
     assert "square" in length2["detail"]
+
+
+def test_case_a_census_stays_in_class_numbers(monkeypatch, capsys):
+    # the census and a plain or --chi report name each class once: no orbit
+    # member is built as a label object
+    code = enumerate_code(3, 3, [(3, 3, 0), (0, 3, 3)])
+    built = []
+    validate = ud.IrrU0Label.__post_init__
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(ud.IrrU0Label, "__post_init__", counted)
+    census = orbits(code)
+    assert max(o.size for o in census) == code.size == 4
+    source = json.dumps({"k": 3, "length": 3, "generators": [[3, 3, 0], [0, 3, 3]]})
+    for flags in ([], ["--chi", "0,0,0"]):
+        status, out, _ = run_cli(capsys, ["modules", "--code", source] + flags)
+        assert status == 0
+        assert json.loads(out)["results"]["orbit_count"] > 0
+    assert built == []
+    # the library still builds members on request, and the count sees them
+    assert len(census[-1].members) == census[-1].size
+    assert len(built) == census[-1].size

@@ -13,12 +13,12 @@ from parafusion.codes import (
     Classification,
     CodeTooLargeError,
     _hermite,
-    _least_in_coset,
     all_codes,
     dual_code,
     enumerate_code,
     euclidean_weight,
     generating_subset,
+    least_in_coset,
     load_code,
     random_code,
     split_even_odd,
@@ -310,7 +310,7 @@ def test_least_in_coset_is_the_least_vector_of_the_coset(data):
     for form, words in ((code.hermite, code.elements),
                         (code.dual_hermite, scanned_dual(code))):
         least = min(tuple((a + b) % n for a, b in zip(vec, w)) for w in words)
-        assert _least_in_coset(n, form, vec) == least
+        assert least_in_coset(n, form, vec) == least
 
 
 @pytest.mark.parametrize("k, length, message", [

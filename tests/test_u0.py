@@ -393,11 +393,14 @@ def test_public_weights_match_the_fraction_reference(k):
 
 @pytest.mark.parametrize("k", range(2, 13))
 def test_weight_mod1_matches_the_fraction_reference_on_raw_pairs(k):
-    q, table = u0._weight_mod1_table(k)
+    # the table is per class, so this also checks that a class's raw pairs agree
+    q, table = u0.weight_mod1_table(k)
+    _, pair_class, _ = u0.class_index(k)
     for i in range(k):
         for l in range(2 * k):
             a = U0Label(k, i, l)
-            assert weight_mod1(a) == ref.weight_mod1(a) == Fraction(table[i][l], q), a
+            assert weight_mod1(a) == ref.weight_mod1(a) \
+                == Fraction(table[pair_class[i][l]], q), a
 
 
 def test_top_level_builds_one_fraction_per_label(monkeypatch):

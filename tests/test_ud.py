@@ -463,7 +463,7 @@ def test_induce_from_inconsistent_orbit_is_an_error():
     census = orbits(code)
     free = next(o for o in census if o.stabilizer_order == 1)
     with pytest.raises(ValueError, match="inconsistent"):
-        induce_from_orbit(code, replace(free, members=free.members[:1]))
+        induce_from_orbit(code, replace(free, classes=free.classes[:1]))
     fixed = next(o for o in census if o.stabilizer_order == 2)
     with pytest.raises(ValueError, match="square"):
         induce_from_orbit(code, replace(fixed, isotropic=()))
@@ -480,7 +480,7 @@ def test_twisted_count_rule():
 
 
 def test_case_b_inventory_checks_its_even_part(monkeypatch):
-    monkeypatch.setattr(ud, "enumerate_code", lambda k, length, gens: enumerate_code(k, length, []))
+    monkeypatch.setattr(codes, "enumerate_code", lambda k, length, gens: enumerate_code(k, length, []))
     with pytest.raises(RuntimeError, match="even part"):
         case_b_inventory(enumerate_code(2, 2, [(2, 0), (0, 2)]))
 

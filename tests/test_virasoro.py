@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from parafusion.fusion import FusionSum
+from parafusion.parafermion import all_pf_labels, fuse_pf, pf_weight
 from parafusion.virasoro import (
     VirasoroLabel,
     all_virasoro_labels,
@@ -135,3 +136,19 @@ def test_fusion_is_class_invariant(m):
     for a, b in product(labels, repeat=2):
         assert fuse_virasoro(a.kac_partner(), b) == fuse_virasoro(a, b)
         assert fuse_virasoro(a, b.kac_partner()) == fuse_virasoro(a, b)
+
+
+def test_level_two_parafermions_are_the_ising_model():
+    # the parafermion factor of U_0 at k = 3 has level 2: the Z_2 parafermion
+    # algebra is the Ising model, the m = 1 minimal model, so the Kac table
+    # is an independent oracle for its weights and fusion rules
+    assert central_charge(1) == Fraction(1, 2)
+    ising = {highest_weight(1, x.r, x.s): x for x in all_virasoro_labels(1)}
+    pf = {pf_weight(a): a for a in all_pf_labels(2)}
+    assert set(ising) == set(pf) == {Fraction(0), Fraction(1, 16), Fraction(1, 2)}
+    to_ising = {a: ising[w] for w, a in pf.items()}
+    pairs = list(product(pf.values(), repeat=2))
+    assert len(pairs) == 9
+    for a, b in pairs:
+        assert fuse_pf(a, b).map_labels(to_ising.__getitem__) \
+            == fuse_virasoro(to_ising[a], to_ising[b]), (a, b)
