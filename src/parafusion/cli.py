@@ -26,10 +26,6 @@ from .verify import SUITES, run_suite
 SCHEMA = "parafusion-report/1"
 
 
-def _label_list(x) -> list[str]:
-    return [str(c) for c in x.components()]
-
-
 def _report(command: str, parameters: dict, results: dict, seed=None) -> dict:
     return {
         "schema": SCHEMA,
@@ -138,6 +134,8 @@ def cmd_modules(args) -> tuple[dict, int]:
         raise ValueError("--induce induces from a Case A census; a Case B code has none")
     # decided before a Case B even part is built or a --chi character is named
     check_label_budget(code.k, code.length)
+    # each class is named once, and a label is a tuple of class numbers
+    names = [str(c) for c in all_u0_labels(code.k)]
 
     if case_b:
         inventory = case_b_inventory(code)
@@ -147,12 +145,12 @@ def cmd_modules(args) -> tuple[dict, int]:
             "odd_representative": list(inventory.odd_representative.entries),
             "entries": [
                 {
-                    "orbit_representative": _label_list(e.orbit_representative),
+                    "orbit_representative": [names[c] for c in e.orbit.classes[0]],
                     "summand_index": e.summand_index,
                     "multiplicity": e.multiplicity,
                     "u0_decomposition": [
-                        {"label": _label_list(w), "multiplicity": m}
-                        for w, m in e.u0_decomposition
+                        {"label": [names[c] for c in x], "multiplicity": m}
+                        for x, m in e.u0_decomposition
                     ],
                     "flag": e.flag,
                 }
@@ -164,9 +162,8 @@ def cmd_modules(args) -> tuple[dict, int]:
     chi = _parse_chi(args.chi, code) if args.chi is not None else None
     census = orbits(code, restrict_to_character=chi)
     counts = {str(c): n for c, n in count_twisted_by_character(census).items()}
-    # each class is named once; an orbit's weight mod 1 is the sum of its
-    # classes' numerators mod Q, and each distinct residue is written once
-    names = [str(c) for c in all_u0_labels(code.k)]
+    # an orbit's weight mod 1 is the sum of its classes' numerators mod Q,
+    # and each distinct residue is written once
     q, table = weight_mod1_table(code.k)
     weight_names: dict[int, str] = {}
     orbit_table = []

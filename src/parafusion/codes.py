@@ -15,6 +15,7 @@ all three are decided from the generators.
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -322,7 +323,9 @@ def load_code(source) -> Code:
     # JSON text never goes through Path: a long code is not a valid file name
     if isinstance(source, str) and source.lstrip().startswith("{"):
         obj = json.loads(source)
-    elif isinstance(source, Path) or isinstance(source, str) and Path(source).exists():
+    # isfile, not Path.exists: a text longer than a file name is no file, and
+    # isfile says so where exists() raises OSError on some Pythons
+    elif isinstance(source, Path) or isinstance(source, str) and os.path.isfile(source):
         obj = json.loads(Path(source).read_text())
     elif isinstance(source, str):
         try:

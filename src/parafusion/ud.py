@@ -104,11 +104,11 @@ def all_irr_labels(k: int, length: int) -> tuple[IrrU0Label, ...]:
     )
 
 
-def _check_code_label(code: Code, x: IrrU0Label) -> None:
-    if code.k != x.k or code.length != x.length:
+def _check_code_shape(code: Code, k: int, length: int) -> None:
+    if code.k != k or code.length != length:
         raise ValueError(
             f"code (k={code.k}, length={code.length}) does not match label "
-            f"(k={x.k}, length={x.length})"
+            f"(k={k}, length={length})"
         )
 
 
@@ -157,7 +157,7 @@ def _canonical_eta(code: Code, eta: tuple[int, ...]) -> tuple[int, ...]:
 
 def character_of(x: IrrU0Label, code: Code) -> CharacterLabel:
     """The character xi -> exp(2 pi i (xi | (k-1)nu - k mu)/2k) of D."""
-    _check_code_label(code, x)
+    _check_code_shape(code, x.k, x.length)
     eta = tuple(eta_u0(x.k, m, n) for m, n in zip(x.mu, x.nu))
     return CharacterLabel(code, _canonical_eta(code, eta))
 
@@ -176,7 +176,7 @@ def trivial_character(code: Code) -> CharacterLabel:
 
 def stabilizer(code: Code, x: IrrU0Label) -> tuple[ResidueVector, ...]:
     """The subgroup of codewords fixing the label."""
-    _check_code_label(code, x)
+    _check_code_shape(code, x.k, x.length)
     x = canonicalize_irr(x.k, x.mu, x.nu)
     return tuple(xi for xi in code.elements if act(xi, x) == x)
 
@@ -240,23 +240,19 @@ class _LabelKernel:
 
     The k^2 classes of U(i, l) are numbered by `class_index`, in
     `all_u0_labels` order, so `product(range(k^2), repeat=ell)` runs over
-    the labels in `all_irr_labels` order.  `rank_rows` orders index
-    tuples as IrrU0Label orders labels: by mu, then by nu.  A label's
-    character is named by reducing its eta against the dual code's Hermite
-    form, and an isotropic part is computed once per stabilizer.
+    the labels in `all_irr_labels` order.  A codeword moves only l and a
+    class stays on its row i, so the members of an orbit share mu, and
+    their index tuples sort as IrrU0Label orders labels: by mu, then by nu.
+    A label's character is named by reducing its eta against the dual
+    code's Hermite form, and an isotropic part is computed once per
+    stabilizer.
     """
 
     def __init__(self, code: Code):
-        k, ell, n = code.k, code.length, 2 * code.k
-        self.labels, self.pair_class, self.shift = class_index(k)
+        self.labels, self.pair_class, self.shift = class_index(code.k)
         self.code = code
-        self.eta = [eta_u0(k, c.i, c.l) for c in self.labels]
+        self.eta = [eta_u0(code.k, c.i, c.l) for c in self.labels]
         self.dual = code.dual_hermite
-        self.rank_rows = [
-            [c.i * k ** (ell - 1 - r) * n ** ell + c.l * n ** (ell - 1 - r)
-             for c in self.labels]
-            for r in range(ell)
-        ]
         self.words = [xi.entries for xi in code.elements]
         self._isotropic: dict[tuple[ResidueVector, ...], tuple[ResidueVector, ...]] = {}
 
@@ -269,15 +265,14 @@ class _LabelKernel:
     def orbit(self, x: tuple[int, ...]):
         """The members of the orbit of x, least first, and its stabilizer."""
         rows = [self.shift[c] for c in x]
-        rank_rows = self.rank_rows
-        members = {}
+        members = set()
         stab = []
         for xi, word in zip(self.code.elements, self.words):
             m = tuple(map(getitem, rows, word))
             if m == x:
                 stab.append(xi)
-            members[sum(map(getitem, rank_rows, m))] = m
-        return tuple(members[r] for r in sorted(members)), tuple(stab)
+            members.add(m)
+        return tuple(sorted(members)), tuple(stab)
 
     def info(self, members, stab) -> OrbitInfo:
         character = CharacterLabel(self.code, self.name(members[0]))
@@ -288,7 +283,7 @@ class _LabelKernel:
 
 
 def _orbit_of(code: Code, x: IrrU0Label) -> OrbitInfo:
-    _check_code_label(code, x)
+    _check_code_shape(code, x.k, x.length)
     kernel = _LabelKernel(code)
     return kernel.info(*kernel.orbit(kernel.index(x)))
 
@@ -334,14 +329,12 @@ class InducedModuleReport:
     """Structure of the induced module over one orbit, per the stabilizer
     branching: `summand_count` irreducibles, each appearing with
     multiplicity `multiplicity`, each decomposing over the orbit members
-    with that same multiplicity."""
+    with that same multiplicity.  Its character and stabilizer are the
+    orbit's."""
 
     orbit: OrbitInfo
-    character: CharacterLabel
-    stabilizer_order: int
     summand_count: int
     multiplicity: int
-    u0_decomposition: tuple[tuple[IrrU0Label, int], ...]
 
 
 def _require_case_a(code: Code, what: str) -> None:
@@ -358,7 +351,7 @@ def induce_from_orbit(code: Code, info: OrbitInfo) -> InducedModuleReport:
     """Induce over an orbit of the census of a Case A code, with the summand
     count `info.twisted_count` (the k mod 4 rule) and multiplicity sqrt(|D_X|/count)."""
     _require_case_a(code, "induction")
-    _check_code_label(code, info.representative)
+    _check_code_shape(code, info.character.code.k, len(info.classes[0]))
     summands = info.twisted_count
     mult = isqrt(info.stabilizer_order // summands) if summands else 0
     if mult * mult * summands != info.stabilizer_order:
@@ -372,14 +365,7 @@ def induce_from_orbit(code: Code, info: OrbitInfo) -> InducedModuleReport:
             f"orbit of {info.representative} is inconsistent with |D| = {code.size}: "
             f"{summands} summands x multiplicity {mult}^2 x orbit size {info.size}"
         )
-    return InducedModuleReport(
-        orbit=info,
-        character=info.character,
-        stabilizer_order=info.stabilizer_order,
-        summand_count=summands,
-        multiplicity=mult,
-        u0_decomposition=tuple((w, mult) for w in info.members),
-    )
+    return InducedModuleReport(orbit=info, summand_count=summands, multiplicity=mult)
 
 
 def count_twisted_by_character(census: tuple[OrbitInfo, ...]) -> Counter:
@@ -406,13 +392,14 @@ def weight_mod1_uxi(xi: ResidueVector) -> Fraction:
 
 @dataclass(frozen=True)
 class CaseBEntry:
-    """One irreducible module of the even part, with the decomposition of
-    the object it induces over the whole superalgebra."""
+    """One irreducible module of the even part, over an orbit of the even
+    part's census, with the decomposition of the object it induces over the
+    whole superalgebra: class tuples as in `OrbitInfo.classes`, least first."""
 
-    orbit_representative: IrrU0Label
+    orbit: OrbitInfo
     summand_index: int
     multiplicity: int
-    u0_decomposition: tuple[tuple[IrrU0Label, int], ...]
+    u0_decomposition: tuple[tuple[tuple[int, ...], int], ...]
     flag: str
 
 
@@ -436,18 +423,20 @@ def case_b_inventory(code: Code) -> CaseBInventory:
     of two irreducibles (not decided here).
     """
     even, xi1 = even_part(code)
+    # xi1 moves each class along its row, as a codeword of the even part does
+    shift = class_index(code.k)[2]
     entries = []
     for info in orbits(even, restrict_to_character=trivial_character(even)):
         report = induce_from_orbit(even, info)
         decomp: Counter = Counter()
-        for w, mult in report.u0_decomposition:
-            decomp[w] += mult
-            decomp[act(xi1, w)] += mult
+        for x in info.classes:
+            decomp[x] += report.multiplicity
+            decomp[tuple(shift[c][d] for c, d in zip(x, xi1.entries))] += report.multiplicity
         decomposition = tuple(sorted(decomp.items()))
         for s in range(report.summand_count):
             entries.append(
                 CaseBEntry(
-                    orbit_representative=info.representative,
+                    orbit=info,
                     summand_index=s,
                     multiplicity=report.multiplicity,
                     u0_decomposition=decomposition,

@@ -96,6 +96,16 @@ def test_code_that_is_neither_a_file_nor_json_is_named(tmp_path, capsys):
     assert missing in err and "neither an existing file nor JSON text" in err
 
 
+def test_code_text_longer_than_a_file_name_is_not_an_os_error(capsys):
+    # a file-name lookup of such text fails with ENAMETOOLONG on most systems
+    for text, message in ((json.dumps([1] * 2000), "must be an object"),
+                          ("x" * 6000, "neither an existing file nor JSON text")):
+        assert len(text) == 6000
+        status, out, err = run_cli(capsys, ["classify", "--code", text])
+        assert status == 2 and out == ""
+        assert message in err and "Errno" not in err
+
+
 def test_modules_case_a(tmp_path, capsys):
     path = tmp_path / "code.json"
     path.write_text(json.dumps({"k": 2, "length": 2, "generators": [[2, 2]]}))
@@ -462,8 +472,8 @@ def test_counting_reports_an_orbit_that_fails_induction(monkeypatch, capsys):
 
 
 def test_case_a_census_stays_in_class_numbers(monkeypatch, capsys):
-    # the census and a plain or --chi report name each class once: no orbit
-    # member is built as a label object
+    # the census, every modules report and the counting suite name each class
+    # once: no orbit member is built as a label object
     code = enumerate_code(3, 3, [(3, 3, 0), (0, 3, 3)])
     built = []
     validate = ud.IrrU0Label.__post_init__
@@ -476,10 +486,15 @@ def test_case_a_census_stays_in_class_numbers(monkeypatch, capsys):
     census = orbits(code)
     assert max(o.size for o in census) == code.size == 4
     source = json.dumps({"k": 3, "length": 3, "generators": [[3, 3, 0], [0, 3, 3]]})
-    for flags in ([], ["--chi", "0,0,0"]):
+    for flags in ([], ["--chi", "0,0,0"], ["--induce"]):
         status, out, _ = run_cli(capsys, ["modules", "--code", source] + flags)
         assert status == 0
         assert json.loads(out)["results"]["orbit_count"] > 0
+    case_b = json.dumps({"k": 3, "length": 2, "generators": [[3, 0], [0, 3]]})
+    status, out, _ = run_cli(capsys, ["modules", "--code", case_b])
+    assert status == 0 and json.loads(out)["results"]["entries"]
+    status, out, _ = run_cli(capsys, ["verify", "--suite", "counting", "--k", "3"])
+    assert status == 0 and json.loads(out)["results"]["all_passed"]
     assert built == []
     # the library still builds members on request, and the count sees them
     assert len(census[-1].members) == census[-1].size

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,8 +18,9 @@ from parafusion.codes import (
     random_code,
     split_even_odd,
 )
-from parafusion.u0 import U0Label, b_form_u0
+from parafusion.u0 import U0Label, all_u0_labels, b_form_u0
 from parafusion.ud import (
+    UNDETERMINED_FLAG,
     CharacterLabel,
     IrrU0Label,
     _isotropic_part,
@@ -206,16 +208,16 @@ def test_induce_free_orbit():
     code = enumerate_code(2, 2, [(2, 2)])
     report = induce(code, IrrU0Label(2, (0, 0), (0, 0)))
     assert report.summand_count == 1 and report.multiplicity == 1
-    assert sum(m for _, m in report.u0_decomposition) == 2
+    assert report.orbit.size == 2
 
 
 def test_induce_stabilized_orbit_k3():
     # k = 3 mod 4: two summands, multiplicity one
     code = enumerate_code(3, 2, [(3, 3)])
     report = induce(code, IrrU0Label(3, (1, 1), (0, 0)))
-    assert report.stabilizer_order == 2
+    assert report.orbit.stabilizer_order == 2
     assert report.summand_count == 2 and report.multiplicity == 1
-    assert report.u0_decomposition == ((IrrU0Label(3, (1, 1), (0, 0)), 1),)
+    assert report.orbit.members == (IrrU0Label(3, (1, 1), (0, 0)),)
 
 
 def test_induce_stabilized_orbit_k5():
@@ -223,7 +225,7 @@ def test_induce_stabilized_orbit_k5():
     code = enumerate_code(5, 1, [(5,)])
     assert code.classification is Classification.CASE_A
     report = induce(code, IrrU0Label(5, (2,), (0,)))
-    assert report.stabilizer_order == 2
+    assert report.orbit.stabilizer_order == 2
     assert report.summand_count == 2 and report.multiplicity == 1
 
 
@@ -234,9 +236,9 @@ def test_induce_multiplicity_two():
     assert code.classification is Classification.CASE_A and code.size == 4
     X = IrrU0Label(3, (1, 1, 1, 1), (0, 0, 0, 0))
     report = induce(code, X)
-    assert report.stabilizer_order == 4
+    assert report.orbit.stabilizer_order == 4
     assert report.summand_count == 1 and report.multiplicity == 2
-    assert report.u0_decomposition == ((X, 2),)
+    assert report.orbit.members == (X,)
 
 
 def test_induce_requires_case_a():
@@ -302,7 +304,7 @@ def test_case_b_inventory_trivial_even_part():
     inventory = case_b_inventory(code)
     assert inventory.even_part.size == 1
     assert len(inventory.entries) == 9
-    reps = [e.orbit_representative for e in inventory.entries]
+    reps = [e.orbit.representative for e in inventory.entries]
     assert len(set(reps)) == 9
     for entry in inventory.entries:
         assert entry.multiplicity == 1
@@ -321,18 +323,56 @@ def test_case_b_inventory_nontrivial_even_part():
         assert sum(m for _, m in entry.u0_decomposition) == 4
 
 
-def test_case_b_even_part_matches_the_elementwise_split():
+def _random_case_b_codes():
     rng = random.Random(43)
     found = 0
     while found < 20:
         code = random_code(rng.randint(2, 4), rng.randint(1, 3), rng, max_generators=3)
-        if code.classification is not Classification.CASE_B:
-            continue
-        found += 1
+        if code.classification is Classification.CASE_B:
+            found += 1
+            yield code
+
+
+def test_case_b_even_part_matches_the_elementwise_split():
+    for code in _random_case_b_codes():
         d0, d1 = split_even_odd(code)
         inventory = case_b_inventory(code)
         assert inventory.even_part.elements == d0
         assert inventory.odd_representative == d1[0]
+
+
+def _case_b_reference(code):
+    """Case B entries built from label objects: each orbit member and its
+    translate by the odd representative under `act`, sorted as labels."""
+    even, xi1 = codes.even_part(code)
+    entries = []
+    for info in orbits(even, restrict_to_character=trivial_character(even)):
+        report = induce_from_orbit(even, info)
+        decomp = Counter()
+        for w in info.members:
+            decomp[w] += report.multiplicity
+            decomp[act(xi1, w)] += report.multiplicity
+        decomposition = tuple(sorted(decomp.items()))
+        entries.extend((info.representative, s, report.multiplicity, decomposition,
+                        UNDETERMINED_FLAG) for s in range(report.summand_count))
+    return entries
+
+
+def test_case_b_inventory_matches_the_label_reference():
+    # {0,3}^3 at k=3: its even part <(3,3,0),(0,3,3)> has orbits of multiplicity two
+    cube = enumerate_code(3, 3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
+    assert max(e.multiplicity for e in case_b_inventory(cube).entries) == 2
+    for code in [*_random_case_b_codes(), cube]:
+        labels = all_u0_labels(code.k)
+
+        def label(x):
+            return IrrU0Label(code.k, tuple(labels[c].i for c in x),
+                              tuple(labels[c].l for c in x))
+
+        got = [(e.orbit.representative, e.summand_index, e.multiplicity,
+                tuple((label(x), m) for x, m in e.u0_decomposition), e.flag)
+               for e in case_b_inventory(code).entries]
+        assert got == _case_b_reference(code)
 
 
 def test_case_b_inventory_requires_case_b():
@@ -467,6 +507,13 @@ def test_induce_from_inconsistent_orbit_is_an_error():
     fixed = next(o for o in census if o.stabilizer_order == 2)
     with pytest.raises(ValueError, match="square"):
         induce_from_orbit(code, replace(fixed, isotropic=()))
+
+
+def test_induce_from_orbit_refuses_an_orbit_of_another_shape():
+    code = enumerate_code(3, 2, [(3, 3)])
+    for other in (enumerate_code(3, 1, []), enumerate_code(5, 2, [])):
+        with pytest.raises(ValueError, match="does not match"):
+            induce_from_orbit(code, orbits(other)[0])
 
 
 def test_twisted_count_rule():
