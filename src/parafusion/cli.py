@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -24,6 +25,68 @@ from .ud import (
 from .verify import SUITES, run_suite
 
 SCHEMA = "parafusion-report/1"
+# the report, its results and their lists are written piece by piece, and
+# each element below them as one piece; a write joins this many pieces
+STREAMED_LEVELS = 3
+WRITE_PIECES = 64
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _render(value, indent: str) -> str:
+    """The JSON text of a report value whose first line sits at `indent`,
+    byte for byte as JSONEncoder(indent=2, sort_keys=True) writes it.
+    Reports hold no floats, so a float is refused like any other type, and
+    `_quote` refuses a key that is not a string."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, int):
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:  # most lists hold only strings: one join
+            body = sep.join(map(_quote, value))
+        except TypeError:
+            body = sep.join([_render(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([_quote(k) + ": " + _render(v, inner) for k, v in sorted(value.items())])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _stream(value, indent: str, levels: int):
+    """`_render(value, indent)` in pieces: a nonempty container within the
+    top `levels` levels piece by piece, and each of its entries below them
+    as one piece."""
+    if levels == 0 or not value or not isinstance(value, (dict, list, tuple)):
+        yield _render(value, indent)
+        return
+    inner = indent + "  "
+    if isinstance(value, dict):
+        head, close = "{\n", "}"
+        entries = ((_quote(k) + ": ", v) for k, v in sorted(value.items()))
+    else:
+        head, close = "[\n", "]"
+        entries = (("", v) for v in value)
+    for n, (key, v) in enumerate(entries):
+        prefix = (",\n" if n else head) + inner + key
+        if levels == 1:
+            yield prefix + _render(v, inner)
+        else:
+            yield prefix
+            yield from _stream(v, inner, levels - 1)
+    yield "\n" + indent + close
 
 
 def _report(command: str, parameters: dict, results: dict, seed=None) -> dict:
@@ -161,7 +224,10 @@ def cmd_modules(args) -> tuple[dict, int]:
 
     chi = _parse_chi(args.chi, code) if args.chi is not None else None
     census = orbits(code, restrict_to_character=chi)
-    counts = {str(c): n for c, n in count_twisted_by_character(census).items()}
+    totals = count_twisted_by_character(census)
+    # each character is named once, and an orbit finds its name by eta
+    chi_names = {c.eta: str(c) for c in totals}
+    counts = {chi_names[c.eta]: n for c, n in totals.items()}
     # an orbit's weight mod 1 is the sum of its classes' numerators mod Q,
     # and each distinct residue is written once
     q, table = weight_mod1_table(code.k)
@@ -177,7 +243,7 @@ def cmd_modules(args) -> tuple[dict, int]:
             "size": o.size,
             "stabilizer_order": o.stabilizer_order,
             "isotropic_order": o.isotropic_order,
-            "character": str(o.character),
+            "character": chi_names[o.character.eta],
             "weight_mod1": weight_names[r],
         }
         if args.induce:
@@ -254,12 +320,19 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # streamed in batches of encoder chunks: one write per chunk is one system
-    # call when stdout is unbuffered (python -u, PYTHONUNBUFFERED)
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
-    while text := "".join(islice(chunks, 4096)):
-        sys.stdout.write(text)
-    sys.stdout.write("\n")
+    # batched: one write is one system call when stdout is unbuffered
+    # (python -u, PYTHONUNBUFFERED)
+    pieces = _stream(report, "", STREAMED_LEVELS)
+    try:
+        while text := "".join(islice(pieces, WRITE_PIECES)):
+            sys.stdout.write(text)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes to devnull at exit
+        # instead of raising again, and the status is the shell's for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13
     return status
 
 

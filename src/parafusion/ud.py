@@ -41,6 +41,7 @@ __all__ = [
     "induce_from_orbit",
     "count_twisted",
     "count_twisted_by_character",
+    "twisted_count",
     "check_label_budget",
     "weight_mod1_uxi",
     "case_b_inventory",
@@ -224,15 +225,20 @@ class OrbitInfo:
 
     @property
     def twisted_count(self) -> int:
-        """Inequivalent irreducible twisted modules of its character that
-        the orbit contributes: one over a free orbit, else |D_X| for
-        k = 1 (mod 4) and the isotropic order for k = 3 (mod 4).  Even k
-        admits no nontrivial stabilizer."""
-        if self.stabilizer_order == 1:
-            return 1
-        if self.character.code.k % 4 == 1:
-            return self.stabilizer_order
-        return self.isotropic_order
+        """What the orbit contributes to its character's count: `twisted_count`."""
+        return twisted_count(self.character.code.k, self.stabilizer_order, self.isotropic_order)
+
+
+def twisted_count(k: int, stabilizer_order: int, isotropic_order: int) -> int:
+    """Inequivalent irreducible twisted modules of its character that an
+    orbit with stabilizer D_X contributes: one over a free orbit, else |D_X|
+    for k = 1 (mod 4) and the order of D_X's isotropic part for k = 3
+    (mod 4).  Even k admits no nontrivial stabilizer."""
+    if stabilizer_order == 1:
+        return 1
+    if k % 4 == 1:
+        return stabilizer_order
+    return isotropic_order
 
 
 class _LabelKernel:
@@ -244,8 +250,8 @@ class _LabelKernel:
     class stays on its row i, so the members of an orbit share mu, and
     their index tuples sort as IrrU0Label orders labels: by mu, then by nu.
     A label's character is named by reducing its eta against the dual
-    code's Hermite form, and an isotropic part is computed once per
-    stabilizer.
+    code's Hermite form, once per distinct eta, and each character is one
+    CharacterLabel; an isotropic part is computed once per stabilizer.
     """
 
     def __init__(self, code: Code):
@@ -255,12 +261,23 @@ class _LabelKernel:
         self.dual = code.dual_hermite
         self.words = [xi.entries for xi in code.elements]
         self._isotropic: dict[tuple[ResidueVector, ...], tuple[ResidueVector, ...]] = {}
+        self._by_eta: dict[tuple[int, ...], CharacterLabel] = {}
+        self._characters: dict[tuple[int, ...], CharacterLabel] = {}
 
     def index(self, x: IrrU0Label) -> tuple[int, ...]:
         return tuple(self.pair_class[m][v] for m, v in zip(x.mu, x.nu))
 
-    def name(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        return least_in_coset(2 * self.code.k, self.dual, map(self.eta.__getitem__, x))
+    def named(self, eta: tuple[int, ...]) -> CharacterLabel:
+        """The character that eta names."""
+        chi = self._by_eta.get(eta)
+        if chi is None:
+            least = least_in_coset(2 * self.code.k, self.dual, eta)
+            chi = self._characters.setdefault(least, CharacterLabel(self.code, least))
+            self._by_eta[eta] = chi
+        return chi
+
+    def character(self, x: tuple[int, ...]) -> CharacterLabel:
+        return self.named(tuple(map(self.eta.__getitem__, x)))
 
     def orbit(self, x: tuple[int, ...]):
         """The members of the orbit of x, least first, and its stabilizer."""
@@ -275,7 +292,7 @@ class _LabelKernel:
         return tuple(sorted(members)), tuple(stab)
 
     def info(self, members, stab) -> OrbitInfo:
-        character = CharacterLabel(self.code, self.name(members[0]))
+        character = self.character(members[0])
         isotropic = self._isotropic.get(stab)
         if isotropic is None:
             isotropic = self._isotropic[stab] = _isotropic_part(self.code, stab)
@@ -302,20 +319,21 @@ def orbits(
     if code.classification is Classification.INVALID:
         raise ValueError("orbit census requires a Case A or Case B code")
     check_label_budget(code.k, code.length)
-    target = None
     chi = restrict_to_character
+    if chi is not None and (chi.code != code or len(chi.eta) != code.length):
+        return ()
+    kernel = _LabelKernel(code)
+    target = None
     if chi is not None:
-        if chi.code != code or len(chi.eta) != code.length \
-                or _canonical_eta(code, chi.eta) != chi.eta:
+        if kernel.named(chi.eta) != chi:
             return ()
         target = chi.eta
-    kernel = _LabelKernel(code)
     classes, ell = code.k ** 2, code.length
     weights = [classes ** (ell - 1 - r) for r in range(ell)]
     visited = bytearray(classes ** ell)
     census = []
     for position, x in enumerate(product(range(classes), repeat=ell)):
-        if visited[position] or (target is not None and kernel.name(x) != target):
+        if visited[position] or (target is not None and kernel.character(x).eta != target):
             continue
         members, stab = kernel.orbit(x)
         for m in members:
@@ -369,11 +387,17 @@ def induce_from_orbit(code: Code, info: OrbitInfo) -> InducedModuleReport:
 
 
 def count_twisted_by_character(census: tuple[OrbitInfo, ...]) -> Counter:
-    """The sum of `twisted_count` over the orbits of each character of a census."""
-    counts: Counter = Counter()
+    """The sum of `twisted_count` over the orbits of each character of a
+    census, which is of one code."""
+    # grouped by eta first, so that a CharacterLabel, and with it the Code,
+    # is hashed once per character and not once per orbit
+    totals: dict[tuple[int, ...], list] = {}
     for o in census:
-        counts[o.character] += o.twisted_count
-    return counts
+        total = totals.get(o.character.eta)
+        if total is None:
+            total = totals[o.character.eta] = [o.character, 0]
+        total[1] += o.twisted_count
+    return Counter({chi: n for chi, n in totals.values()})
 
 
 def count_twisted(code: Code, chi: CharacterLabel) -> int:

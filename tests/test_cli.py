@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import parafusion
 from parafusion import ud, verify
 from parafusion.cli import main
 from parafusion.codes import all_codes, enumerate_code
-from parafusion.ud import orbits
+from parafusion.ud import character_from_eta, orbits
 
 
 def run_cli(capsys, args):
@@ -499,3 +505,62 @@ def test_case_a_census_stays_in_class_numbers(monkeypatch, capsys):
     # the library still builds members on request, and the count sees them
     assert len(census[-1].members) == census[-1].size
     assert len(built) == census[-1].size
+
+
+def test_census_reduces_each_distinct_eta_once(monkeypatch, capsys):
+    # a character is named by reducing eta against the dual code: once per
+    # distinct eta of a census, not once per orbit or per label
+    code = enumerate_code(3, 3, [(3, 3, 0), (0, 3, 3)])
+    chi = character_from_eta(code, (1, 2, 0))
+    calls = []
+    reduce = ud.least_in_coset
+
+    def counted(n, form, vec):
+        vec = tuple(vec)
+        calls.append(vec)
+        return reduce(n, form, vec)
+
+    monkeypatch.setattr(ud, "least_in_coset", counted)
+    for restrict in (None, chi):
+        calls.clear()
+        assert orbits(code, restrict_to_character=restrict)
+        assert calls and max(Counter(calls).values()) == 1
+    source = json.dumps({"k": 3, "length": 3, "generators": [[3, 3, 0], [0, 3, 3]]})
+    for flags in ([], ["--chi", "1,2,0"]):
+        ud._canonical_eta.cache_clear()
+        calls.clear()
+        status, out, _ = run_cli(capsys, ["modules", "--code", source] + flags)
+        assert status == 0 and json.loads(out)["results"]["orbit_count"] > 0
+        # --chi names its own eta once more, before the census
+        assert len(calls) - len(set(calls)) <= (1 if flags else 0)
+        assert len(set(calls)) <= 6 ** 3
+
+
+_LONG_REPORT = ["modules", "--code", json.dumps({"k": 5, "length": 2, "generators": [[5, 5]]})]
+_SHORT_REPORT = ["fusion", "--k", "3", "--left", "1,1", "--right", "1,1"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv, read", [(_LONG_REPORT, 64), (_SHORT_REPORT, 0)],
+                         ids=["mid-report", "before-the-report"])
+def test_a_reader_that_stops_early_ends_the_report_with_status_141(argv, read, unbuffered):
+    # 128 + SIGPIPE, as a shell reports a writer killed by the pipe's closing:
+    # no traceback, and not 1, which means a failed verification.  The long
+    # report (78 kB) is more than a pipe holds, so the writer is still
+    # writing; the short one is closed before it starts, so the failed flush
+    # leaves it all buffered for the flush at exit
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(parafusion.__file__).parent.parent), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.Popen([sys.executable, "-m", "parafusion.cli", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = child.stdout.read(read)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 141
+    assert err == b""
+    assert head == b'{\n  "command": "modules",\n  "deterministic": true,\n  "parameters"'[:read]

@@ -37,6 +37,7 @@ from parafusion.ud import (
     orbits,
     stabilizer,
     trivial_character,
+    twisted_count,
     weight_mod1_uxi,
 )
 
@@ -524,6 +525,20 @@ def test_twisted_count_rule():
     mixed = orbits(enumerate_code(3, 3, [(3, 3, 0), (0, 3, 3)]))
     assert {(o.stabilizer_order, o.isotropic_order, o.twisted_count)
             for o in mixed} == {(1, 1, 1), (2, 2, 2), (4, 1, 1)}
+
+
+def test_twisted_count_is_one_rule_of_k_and_two_orders(monkeypatch):
+    # one over a free orbit; else |D_X| at k = 1 (mod 4) and the isotropic
+    # order at k = 3 (mod 4)
+    assert [twisted_count(k, 1, 1) for k in (2, 3, 4, 5, 7, 9)] == [1] * 6
+    assert [twisted_count(k, 4, 2) for k in (5, 9, 13)] == [4, 4, 4]
+    assert [twisted_count(k, 4, 2) for k in (3, 7, 11)] == [2, 2, 2]
+    census = orbits(enumerate_code(3, 3, [(3, 3, 0), (0, 3, 3)]))
+    assert all(o.twisted_count == twisted_count(3, o.stabilizer_order, o.isotropic_order)
+               for o in census)
+    # an orbit reads its count from that one rule
+    monkeypatch.setattr(ud, "twisted_count", lambda k, stab, iso: (k, stab, iso))
+    assert {o.twisted_count for o in census} == {(3, 1, 1), (3, 2, 2), (3, 4, 1)}
 
 
 def test_case_b_inventory_checks_its_even_part(monkeypatch):
