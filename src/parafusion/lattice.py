@@ -11,9 +11,12 @@ congruence mod 2k^2, and a norm mod 2Z one mod 4k^2.
 Every congruence check decides and samples in one helper, `_congruent`.
 The samples move coset representatives by random elements of N.
 `random_n_element` draws one: integer coefficients c_1..c_{k-1} in
-[-bound, bound] on the basis beta_r = alpha_r - alpha_{r+1}, written
-straight into numerators.  `_translates` is the one loop that draws
-N-translates, for every check, from one Random(seed).
+[-bound, bound] on the basis beta_r = alpha_r - alpha_{r+1}, each taken
+from `getrandbits` with the rejection `randint` itself makes, so the
+stream is randint's, and written straight into numerators.  `_translates`
+is the one loop that draws N-translates, for every check, from one
+Random(seed); it hands them on as plain lists of numerators, so each
+sampled pairing is one integer dot product.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .arith import IntegerMatrix, ResidueVector, smith_normal_form
@@ -151,9 +155,25 @@ def n_basis(k: int) -> tuple[LatticeVector, ...]:
 
 def random_n_element(k: int, rng: random.Random, bound: int = 3) -> LatticeVector:
     """A random element of N: sum c_r beta_r with c_r drawn from [-bound, bound]
-    in the order r = 1..k-1, so its coordinates are c_1, c_2 - c_1, ..., -c_{k-1}."""
-    c = [2 * k * rng.randint(-bound, bound) for _ in range(k - 1)]
-    return LatticeVector._of(k, tuple(b - a for a, b in zip([0] + c, c + [0])))
+    in the order r = 1..k-1, so its coordinates are c_1, c_2 - c_1, ..., -c_{k-1}.
+
+    Each c_r + bound is `rng.getrandbits(n)`, n the bit length of the width
+    2*bound + 1, drawn again while it is not below the width.  That is the
+    draw `rng.randint(-bound, bound)` makes on CPython 3.10-3.13, through
+    randrange and `Random._randbelow_with_getrandbits`, so the stream and
+    every c_r are the same; only randint's layers of calls are saved."""
+    width = 2 * bound + 1
+    bits, getrandbits, scale = width.bit_length(), rng.getrandbits, 2 * k
+    num, prev = [], 0
+    for _ in range(k - 1):
+        c = getrandbits(bits)
+        while c >= width:
+            c = getrandbits(bits)
+        c = scale * (c - bound)
+        num.append(c - prev)
+        prev = c
+    num.append(-prev)
+    return LatticeVector._of(k, tuple(num))
 
 
 @dataclass(frozen=True)
@@ -219,14 +239,18 @@ def _translates(
     reps_y: Sequence[LatticeVector],
     samples: int,
     seed: int,
-) -> Iterator[tuple[list[LatticeVector], list[LatticeVector]]]:
-    """`samples` pairs (xs, ys) of N-translates of the representatives, the
-    x translates drawn before the y translates from one Random(seed)."""
+) -> Iterator[tuple[list[int], list[int]]]:
+    """`samples` pairs (xs, ys) of N-translates of the representatives, each
+    the numerators of its components laid end to end, the x translates drawn
+    before the y translates from one Random(seed)."""
     rng = random.Random(seed)
+
+    def moved(reps: Sequence[LatticeVector]) -> list[int]:
+        return [a + b for r in reps
+                for a, b in zip(r.num, random_n_element(k, rng).num, strict=True)]
+
     for _ in range(samples):
-        xs = [r + random_n_element(k, rng) for r in reps_x]
-        ys = [r + random_n_element(k, rng) for r in reps_y]
-        yield xs, ys
+        yield moved(reps_x), moved(reps_y)
 
 
 def _congruent(k: int, reps_x: Sequence[LatticeVector], reps_y: Sequence[LatticeVector],
@@ -236,12 +260,18 @@ def _congruent(k: int, reps_x: Sequence[LatticeVector], reps_y: Sequence[Lattice
     N-translates x, y of reps_x, reps_y.  Decided: <x+n, y+m> = <x,y> + <x,m>
     + <n,y> + <n,m> and N is even, so this holds exactly when it holds on the
     representatives and they lie in N*.  `samples` translates drawn from
-    Random(seed) are checked as well."""
+    Random(seed) are checked as well, each pairing one flat dot product of
+    numerators."""
+    if len(reps_x) != len(reps_y):
+        raise ValueError("component count mismatch")
+    if any(r.k != k for r in chain(reps_x, reps_y)):
+        raise ValueError(f"every representative must have rank {k}")
     m = 2 * k * k
-    cases = chain([(reps_x, reps_y)], _translates(k, reps_x, reps_y, samples, seed))
+    flat = ([a for r in reps_x for a in r.num], [a for r in reps_y for a in r.num])
+    cases = chain([flat], _translates(k, reps_x, reps_y, samples, seed))
     return _in_n_dual([*reps_x, *reps_y]) and not any(
-        (_pair_inner(xs, ys) - pair_target) % m
-        or (norm_target is not None and (_pair_inner(xs, xs) - norm_target) % (2 * m))
+        (sum(map(mul, xs, ys)) - pair_target) % m
+        or (norm_target is not None and (sum(map(mul, xs, xs)) - norm_target) % (2 * m))
         for xs, ys in cases)
 
 

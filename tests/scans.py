@@ -1,8 +1,9 @@
-"""Ambient scans of (Z_2k)^ell, kept as test-only references for the dual
-code and the character names that the program reads off Hermite forms.
-Each costs (2k)^ell steps per code."""
+"""Brute-force scans kept as test-only references.  The ambient scans of
+(Z_2k)^ell check the dual code and the character names that the program
+reads off Hermite forms; each costs (2k)^ell steps per code.  The triple
+scan checks the associativity verdict of the fusion-axioms suite."""
 
-from itertools import product
+from itertools import chain, product
 
 from parafusion.arith import ResidueVector
 
@@ -32,3 +33,16 @@ def first_hit_names(code):
     for eta, key in ambient_keys(code):
         names.setdefault(key, eta)
     return names
+
+
+def first_non_associative(table):
+    """The first triple (a, b, c) of class numbers, in lexicographic order,
+    whose products (a x b) x c and a x (b x c) differ as multisets, or None:
+    both sides summed afresh for each of the n^3 triples of a fusion table."""
+    classes = range(len(table))
+    return next(
+        ((a, b, c) for a in classes for b in classes for c in classes
+         if sorted(chain.from_iterable(table[t][c] for t in table[a][b]))
+         != sorted(chain.from_iterable(table[a][t] for t in table[b][c]))),
+        None,
+    )

@@ -2,9 +2,10 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parafusion import lattice
@@ -79,7 +80,7 @@ def test_random_n_element_is_the_beta_combination_of_its_draws(k):
     # the same draws, in the same order, as summing c_r beta_r one by one;
     # the next draw agrees too, so no draw is added or lost
     for seed in range(4):
-        for bound in (1, 3):
+        for bound in (0, 1, 2, 3, 7):
             rng, twin = random.Random(seed), random.Random(seed)
             for _ in range(10):
                 expected = LatticeVector(k, (0,) * k)
@@ -321,6 +322,92 @@ def test_congruence_is_checked_on_the_representatives_themselves():
     assert lattice._congruent(3, reps, reps, pair, pair, 0, 0)
     assert not lattice._congruent(3, reps, reps, pair + 1, None, 0, 0)
     assert not lattice._congruent(3, reps, reps, pair, pair + 18, 0, 0)  # 2k^2, not 4k^2
+
+
+def test_congruence_checks_shapes_before_deciding():
+    # a representative off N* used to end the check with False before the
+    # component counts were compared; a mismatch now raises in either order
+    rep = coset_rep(ntilde_coset(3, 1))
+    off = LatticeVector(3, (Fraction(1, 6), 0, 0))
+    assert not lattice._in_n_dual([off]) and lattice._in_n_dual([rep])
+    for xs, ys in [([off], [rep, rep]), ([rep, rep], [off]),
+                   ([rep], [rep, rep]), ([rep, rep], [rep]), ([rep], [])]:
+        with pytest.raises(ValueError, match="component count mismatch"):
+            lattice._congruent(3, xs, ys, 0, None, 5, 0)
+    wide = coset_rep(ntilde_coset(4, 1))
+    for xs, ys in [([rep], [wide]), ([wide], [rep]), ([off, wide], [rep, rep])]:
+        with pytest.raises(ValueError, match="rank 3"):
+            lattice._congruent(3, xs, ys, 0, 0, 5, 0)
+
+
+def _congruent_by_vectors(k, reps_x, reps_y, pair_target, norm_target, samples, seed):
+    # the verdict of _congruent recomputed with LatticeVector arithmetic: N*
+    # membership from the basis pairings, then every case as Fractions
+    m = 2 * k * k
+    if any(r.inner(b).denominator != 1 for r in reps_x + reps_y for b in n_basis(k)):
+        return False
+    rng = random.Random(seed)
+    cases = [(reps_x, reps_y)]
+    for _ in range(samples):
+        xs = [r + lattice.random_n_element(k, rng) for r in reps_x]
+        cases.append((xs, [r + lattice.random_n_element(k, rng) for r in reps_y]))
+    for xs, ys in cases:
+        if (sum(x.inner(y) for x, y in zip(xs, ys)) - Fraction(pair_target, m)).denominator != 1:
+            return False
+        if norm_target is not None:
+            norm = sum(x.norm() for x in xs) - Fraction(norm_target, m)
+            if norm.denominator != 1 or norm.numerator % 2:
+                return False
+    return True
+
+
+def _sometimes_half(k, rng):
+    # a real draw, moved off N by (1/2, -1/2, 0, ...) about one time in three
+    n = random_n_element(k, rng)
+    return n + _half_translate(k, rng) if rng.random() < 0.3 else n
+
+
+@st.composite
+def _congruence_cases(draw):
+    k = draw(st.integers(2, 6))
+    ell = draw(st.integers(1, 3))
+
+    def reps():
+        out = []
+        for _ in range(ell):
+            if draw(st.booleans()):
+                r = coset_rep(ntilde_coset(k, draw(st.integers(0, 2 * k - 1))))
+            else:
+                r = lattice._housing_rep(k, draw(st.integers(0, k - 1)),
+                                         draw(st.integers(0, 2 * k - 1)))
+            if draw(st.integers(0, 7)) == 0:  # moved, mostly off N*
+                num = draw(st.lists(st.integers(-2 * k, 2 * k), min_size=k, max_size=k))
+                r = r + LatticeVector._of(k, tuple(num))
+            out.append(r)
+        return out
+
+    reps_x, reps_y = reps(), reps()
+    m = 2 * k * k
+    pair = lattice._pair_inner(reps_x, reps_y)
+    norm = lattice._pair_inner(reps_x, reps_x)
+    # right targets, or off by their modulus, most of the time
+    pair += draw(st.sampled_from([0, 0, 0, 0, m, -m, 1, k, m - 1]))
+    norm_shift = draw(st.sampled_from([None, 0, 0, 0, 0, 2 * m, -2 * m, m, 1, 2]))
+    norm = None if norm_shift is None else norm + norm_shift
+    return (k, reps_x, reps_y, pair, norm, draw(st.integers(0, 4)),
+            draw(st.integers(0, 2**30)), draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_congruence_cases())
+def test_congruence_verdict_matches_lattice_vector_arithmetic(case):
+    # the flat numerator dot products against inner and norm on r + n, with
+    # real translates or some moved off N, targets right or wrong
+    *args, half = case
+    translate = _sometimes_half if half else random_n_element
+    with patch.object(lattice, "random_n_element", translate):
+        expected = _congruent_by_vectors(*args)
+        assert lattice._congruent(*args) == expected
 
 
 def test_gamma_d_parity_decides_representatives_outside_n_dual(monkeypatch):

@@ -4,10 +4,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weights as ref
+from scans import first_non_associative
 from parafusion import u0, verify
 from parafusion.arith import mod1
 from parafusion.cli import main
@@ -144,6 +145,40 @@ def test_fusion_axioms_budget_admits_k10(monkeypatch):
     with pytest.raises(CodeTooLargeError,
                        match="suite k\\^6 of size 1771561 exceeds the budget 1048576"):
         suite_fusion_axioms(11)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_associativity_fault_matches_the_triple_scan(k):
+    table = fusion_table(k)
+    assert verify._associativity_fault(table) is None
+    assert first_non_associative(table) is None
+
+
+@st.composite
+def _perturbed_tables(draw):
+    # the fusion table of a small k with one entry changed: a term dropped,
+    # duplicated or replaced by another class, the entry kept sorted
+    k = draw(st.integers(2, 6))
+    table = [list(row) for row in fusion_table(k)]
+    n = len(table)
+    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    terms = list(table[a][b])
+    i = draw(st.integers(0, len(terms) - 1))
+    change = draw(st.sampled_from(["drop", "duplicate", "replace"]))
+    if change == "drop":
+        del terms[i]
+    elif change == "duplicate":
+        terms.append(terms[i])
+    else:
+        terms[i] = draw(st.integers(0, n - 1))
+    table[a][b] = tuple(sorted(terms))
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(_perturbed_tables())
+def test_associativity_fault_matches_the_triple_scan_on_perturbed_tables(table):
+    assert verify._associativity_fault(table) == first_non_associative(table)
 
 
 def test_fusion_examples():
