@@ -5,107 +5,17 @@ parafermion fusion data, the k^2-class fusion ring of the rank-one
 extended parafermion algebra, codes over Z_2k with their even/odd
 classification, the glue lattice with its discriminant group, and the
 orbit/stabilizer inventory of code-twisted irreducible modules.
+
+The package's names are exactly those in each module's `__all__`.
 """
 
-from .arith import (
-    IntegerMatrix,
-    Rational,
-    ResidueVector,
-    SingularMatrixError,
-    mod1,
-    smith_normal_form,
-    standard_inner,
-)
-from .codes import (
-    Classification,
-    Code,
-    CodeTooLargeError,
-    all_codes,
-    dual_code,
-    enumerate_code,
-    euclidean_weight,
-    load_code,
-    random_code,
-    split_even_odd,
-)
-from .fusion import FusionSum
-from .lattice import (
-    CosetSpec,
-    GammaParity,
-    LatticeVector,
-    coset_contains,
-    coset_rep,
-    discriminant_group,
-    gamma_d_parity,
-    n_basis,
-    nja_coset,
-    ntilde_coset,
-    special_vectors,
-    verify_coset_index,
-    verify_coset_inner_congruence,
-    verify_coset_inner_congruence_vec,
-    verify_pairing_matches_b_form,
-)
-from .parafermion import (
-    ParafermionLabel,
-    TildeLabel,
-    all_pf_labels,
-    canonicalize_pf,
-    from_tilde,
-    fuse_pf,
-    pf_simple_current_shift,
-    pf_theta,
-    pf_vacuum,
-    pf_weight,
-    to_tilde,
-)
-from .u0 import (
-    SummandLabel,
-    TopLevel,
-    U0Label,
-    all_u0_labels,
-    b_form_u0,
-    canonicalize_u0,
-    fuse_u0,
-    phi_grade,
-    simple_currents,
-    stabilizing_currents,
-    summand_weight,
-    theta_u0,
-    top_level,
-    top_level_closed_form,
-    u0_vacuum,
-    verify_weight_difference,
-    weight_mod1,
-)
-from .ud import (
-    CaseBInventory,
-    CharacterLabel,
-    InducedModuleReport,
-    IrrU0Label,
-    OrbitInfo,
-    act,
-    all_irr_labels,
-    b_form_vec,
-    canonicalize_irr,
-    case_b_inventory,
-    character_from_eta,
-    character_of,
-    count_twisted,
-    induce,
-    orbits,
-    stabilizer,
-    trivial_character,
-    weight_mod1_uxi,
-)
-from .virasoro import (
-    VirasoroLabel,
-    all_virasoro_labels,
-    central_charge,
-    fuse_virasoro,
-    highest_weight,
-    kac_canonical,
-    virasoro_vacuum,
-)
+from .arith import *
+from .codes import *
+from .fusion import *
+from .lattice import *
+from .parafermion import *
+from .u0 import *
+from .ud import *
+from .virasoro import *
 
 __version__ = "0.1.0"

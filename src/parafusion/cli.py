@@ -124,20 +124,15 @@ def cmd_fusion(args) -> tuple[dict, int]:
     return _report("fusion", params, results), 0
 
 
-def _printable_int(what: str, powers) -> int:
-    """prod b^e over the pairs (b, e), b >= 1, refused when json cannot write it."""
+def _printable(what: str, powers) -> int:
+    """prod b^e over the pairs (b, e), b >= 0, refused when json cannot write it."""
     # json writes an int with str(), which stops at this many digits (0: no limit)
     limit = sys.get_int_max_str_digits()
     # b^e >= 2^(e (bits(b) - 1)), and 2^(4 limit) > 10^limit: decided before a
     # power is built, and what passes has fewer than 8 limit bits
     if limit and sum(e * (b.bit_length() - 1) for b, e in powers) > 4 * limit:
         raise ValueError(f"{what} has more than {limit} digits")
-    return _printable(what, prod(b ** e for b, e in powers))
-
-
-def _printable(what: str, value: int) -> int:
-    """A nonnegative int, refused when json cannot write it."""
-    limit = sys.get_int_max_str_digits()
+    value = prod(b ** e for b, e in powers)
     # 2^(3 limit) < 10^limit: most values pass on their bit length alone
     if limit and value.bit_length() > 3 * limit and value >= 10 ** limit:
         raise ValueError(f"{what} has more than {limit} digits")
@@ -145,13 +140,13 @@ def _printable(what: str, value: int) -> int:
 
 
 def _generator_report(g) -> dict:
-    _printable("word", max(g.entries))
+    _printable("word", [(max(g.entries), 1)])
     weight = weight_mod1_uxi(g)
     # str() writes the numerator and the denominator, and the numerator is smaller
-    _printable("weight_mod1", weight.denominator)
+    _printable("weight_mod1", [(weight.denominator, 1)])
     return {
         "word": list(g.entries),
-        "euclidean_weight": _printable("euclidean_weight", euclidean_weight(g)),
+        "euclidean_weight": _printable("euclidean_weight", [(euclidean_weight(g), 1)]),
         "weight_mod1": str(weight),
     }
 
@@ -161,8 +156,8 @@ def cmd_classify(args) -> tuple[dict, int]:
     n, free = 2 * code.k, code.length - len(code.hermite)
     # the standard pairing on (Z_2k)^ell is nondegenerate, and |D| = prod n/d_j
     # over the Hermite rows, so |D^perp| = n^free prod d_j
-    size = _printable_int("size", [(n // h[j], 1) for j, h in code.hermite])
-    dual_size = _printable_int("dual_size", [(n, free)] + [(h[j], 1) for j, h in code.hermite])
+    size = _printable("size", [(n // h[j], 1) for j, h in code.hermite])
+    dual_size = _printable("dual_size", [(n, free)] + [(h[j], 1) for j, h in code.hermite])
     results: dict = {
         "k": code.k,
         "length": code.length,

@@ -53,9 +53,11 @@ class Classification(Enum):
 class Code:
     k: int
     length: int
-    generators: tuple[ResidueVector, ...]
-    # both follow from the fields above, so equality and the hash skip them
-    hermite: tuple[tuple[int, tuple[int, ...]], ...] = field(compare=False)
+    # a code is its subgroup, which the Hermite form names; the generators
+    # are one presentation of it, and the classification follows from it,
+    # so equality and the hash skip both
+    generators: tuple[ResidueVector, ...] = field(compare=False)
+    hermite: tuple[tuple[int, tuple[int, ...]], ...]
     classification: Classification = field(compare=False)
 
     @property

@@ -1,10 +1,19 @@
-"""Finite multisets of module labels: the result type of every fusion product."""
+"""Fusion products: the sl2 channel rule they all share, and the finite
+multisets of module labels every product returns."""
 
 from __future__ import annotations
 
 from collections import Counter
 
-__all__ = ["FusionSum"]
+__all__ = ["FusionSum", "sl2_channels"]
+
+
+def sl2_channels(level: int, i1: int, i2: int) -> range:
+    """The r with |i1-i2| <= r <= min{i1+i2, 2 level-i1-i2} and i1+i2+r even:
+    the level-`level` sl2 fusion rule on Dynkin labels 0 <= i1, i2 <= level.
+    Parafermion (level k), U(i, l) (level k-1 on i) and minimal-model fusion
+    (level m on r-1, level m+1 on s-1) are all built on it."""
+    return range(abs(i1 - i2), min(i1 + i2, 2 * level - i1 - i2) + 1, 2)
 
 
 class FusionSum:

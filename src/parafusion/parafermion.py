@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fusion import FusionSum
+from .fusion import FusionSum, sl2_channels
 
 __all__ = [
     "ParafermionLabel",
@@ -99,25 +99,16 @@ def pf_weight_num(k: int, i: int, j: int) -> int:
 def fuse_pf(a: ParafermionLabel, b: ParafermionLabel) -> FusionSum:
     """Parafermion fusion product, as a multiset of canonical labels.
 
-    The sum runs over integers r with |i1-i2| <= r <= min{i1+i2, 2k-i1-i2}
-    and i1+i2+r even; the term for r carries j = (2j1-i1 + 2j2-i2 + r)/2,
-    which the parity constraint makes an exact integer.
+    The sum runs over the level-k `sl2_channels` r of (i1, i2); the term
+    for r carries j = (2j1-i1 + 2j2-i2 + r)/2, an integer since r = i1+i2
+    mod 2.
     """
     if a.k != b.k:
         raise ValueError(f"cannot fuse labels at different levels {a.k} and {b.k}")
     k = a.k
     i1, j1, i2, j2 = a.i, a.j, b.i, b.j
-    lo = abs(i1 - i2)
-    hi = min(i1 + i2, 2 * k - i1 - i2)
-    terms = []
-    for r in range(lo, hi + 1):
-        if (i1 + i2 + r) % 2:
-            continue
-        num = 2 * j1 - i1 + 2 * j2 - i2 + r
-        if num % 2:
-            raise RuntimeError("parity constraint violated in parafermion fusion")
-        terms.append(canonicalize_pf(k, r, num // 2))
-    return FusionSum(terms)
+    return FusionSum([canonicalize_pf(k, r, (2 * j1 - i1 + 2 * j2 - i2 + r) // 2)
+                      for r in sl2_channels(k, i1, i2)])
 
 
 def pf_simple_current_shift(p: int, label: ParafermionLabel) -> ParafermionLabel:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import check_budget, mod1
-from .fusion import FusionSum
+from .fusion import FusionSum, sl2_channels
 from .parafermion import pf_weight_num
 
 __all__ = [
@@ -124,24 +124,16 @@ def class_index(k: int) -> tuple[tuple[U0Label, ...], list[list[int]], list[list
 
 @lru_cache(maxsize=None)
 def _fuse_u0_terms(k: int, i1: int, l1: int, i2: int, l2: int) -> tuple[U0Label, ...]:
-    lo = abs(i1 - i2)
-    hi = min(i1 + i2, 2 * (k - 1) - i1 - i2)
-    l3 = l1 + l2
-    return tuple(
-        canonicalize_u0(k, r, l3)
-        for r in range(lo, hi + 1)
-        if (i1 + i2 + r) % 2 == 0
-    )
+    return tuple(canonicalize_u0(k, r, l1 + l2) for r in sl2_channels(k - 1, i1, i2))
 
 
 def fuse_u0(a: U0Label, b: U0Label) -> FusionSum:
-    """Fusion product: sum over r with |i1-i2| <= r <= min{i1+i2, 2(k-1)-i1-i2}
-    and i1+i2+r even of the class of (r, l1+l2)."""
+    """Fusion product: the sum of the classes of (r, l1+l2) over the
+    level-(k-1) `sl2_channels` r of (i1, i2)."""
     if a.k != b.k:
         raise ValueError(f"cannot fuse labels at different levels {a.k} and {b.k}")
-    # refused before any term is built or cached; r runs over lo, lo+2, ..., hi
-    terms = (min(a.i + b.i, 2 * (a.k - 1) - a.i - b.i) - abs(a.i - b.i)) // 2 + 1
-    check_budget("fusion product", terms)
+    # refused before any term is built or cached
+    check_budget("fusion product", len(sl2_channels(a.k - 1, a.i, b.i)))
     return FusionSum(_fuse_u0_terms(a.k, a.i, a.l, b.i, b.l))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fusion import FusionSum
+from .fusion import FusionSum, sl2_channels
 
 __all__ = [
     "VirasoroLabel",
@@ -82,22 +82,15 @@ def all_virasoro_labels(m: int) -> tuple[VirasoroLabel, ...]:
 
 
 def fuse_virasoro(a: VirasoroLabel, b: VirasoroLabel) -> FusionSum:
-    """Minimal-model fusion product, as a multiset of canonical labels.
-
-    The double sum runs over 1 <= i <= min{r1, r2, m+2-r1, m+2-r2} and
-    1 <= j <= min{s1, s2, m+3-s1, m+3-s2}, contributing the label
-    (|r1-r2| + 2i - 1, |s1-s2| + 2j - 1).  Output terms are canonicalized
-    and merged.
+    """Minimal-model fusion product, as a multiset of canonical labels: the
+    product of two sl2 rules, `sl2_channels` at level m on r-1 and at level
+    m+1 on s-1.  Output terms are canonicalized and merged.
     """
     if a.m != b.m:
         raise ValueError(f"cannot fuse labels at different levels {a.m} and {b.m}")
     m = a.m
-    r1, s1, r2, s2 = a.r, a.s, b.r, b.s
-    i_max = min(r1, r2, m + 2 - r1, m + 2 - r2)
-    j_max = min(s1, s2, m + 3 - s1, m + 3 - s2)
-    terms = [
-        kac_canonical(m, abs(r1 - r2) + 2 * i - 1, abs(s1 - s2) + 2 * j - 1)
-        for i in range(1, i_max + 1)
-        for j in range(1, j_max + 1)
-    ]
-    return FusionSum(terms)
+    return FusionSum([
+        kac_canonical(m, r + 1, s + 1)
+        for r in sl2_channels(m, a.r - 1, b.r - 1)
+        for s in sl2_channels(m + 1, a.s - 1, b.s - 1)
+    ])

@@ -12,7 +12,7 @@ import parafusion
 from parafusion import ud, verify
 from parafusion.cli import main
 from parafusion.codes import all_codes, enumerate_code
-from parafusion.ud import character_from_eta, orbits
+from parafusion.ud import character_from_eta, count_twisted_by_character, orbits
 
 
 def run_cli(capsys, args):
@@ -475,6 +475,32 @@ def test_counting_reports_an_orbit_that_fails_induction(monkeypatch, capsys):
     assert not length2["passed"]
     assert "induction fails on the orbit of U(" in length2["detail"]
     assert "square" in length2["detail"]
+
+
+def _drop_a_character(census):
+    counts = count_twisted_by_character(census)
+    del counts[next(iter(counts))]
+    return counts
+
+
+def _add_a_module(census):
+    counts = count_twisted_by_character(census)
+    counts[next(iter(counts))] += 1
+    return counts
+
+
+@pytest.mark.parametrize("grouping, details", [
+    (_drop_a_character, ["Code(k=2, length=1, size=1, CaseA): character count 0 != |D| = 1",
+                         "Code(k=2, length=2, size=2, CaseA): character count 1 != |D| = 2"]),
+    (_add_a_module, ["Code(k=2, length=1, size=1, CaseA): count sum 5 != free-orbit total",
+                     "Code(k=2, length=2, size=2, CaseA): count sum 9 != free-orbit total"]),
+])
+def test_counting_reports_a_wrong_character_grouping(monkeypatch, grouping, details):
+    monkeypatch.setattr(verify, "count_twisted_by_character", grouping)
+    checks = verify.suite_counting(2)
+    assert [c.name for c in checks] == ["counting-length-1", "counting-length-2"]
+    assert not any(c.passed for c in checks)
+    assert [c.detail for c in checks] == details
 
 
 def test_case_a_census_stays_in_class_numbers(monkeypatch, capsys):

@@ -325,6 +325,16 @@ def test_all_codes_rejects_what_enumerate_code_rejects(k, length, message):
         all_codes(k, length)
 
 
+@pytest.mark.parametrize("generator, shown", [
+    ((3,), "ResidueVector(modulus=6, entries=(3,))"),
+    (ResidueVector(4, (1, 1)), "ResidueVector(modulus=4, entries=(1, 1))"),
+])
+def test_enumerate_code_refuses_a_generator_of_another_shape(generator, shown):
+    with pytest.raises(ValueError) as info:
+        enumerate_code(3, 2, [generator])
+    assert str(info.value) == f"generator {shown} does not match mod 6, length 2"
+
+
 def test_all_codes_counts():
     # subgroup counts of Z_n and Z_n x Z_n (sum of gcds of divisor pairs)
     assert len(all_codes(2, 1)) == 3

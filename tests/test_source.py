@@ -1,7 +1,10 @@
 """Properties of the program's source text."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import parafusion
 
 SOURCE = Path(__file__).parent.parent / "src" / "parafusion"
 
@@ -47,3 +50,13 @@ def test_no_module_imports_a_private_name():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_package_names_are_the_modules_all():
+    # each module's __all__ is the one list of its public names
+    for name in ("arith", "codes", "fusion", "lattice", "parafermion", "u0", "ud",
+                 "virasoro"):
+        module = importlib.import_module(f"parafusion.{name}")
+        missing = [n for n in module.__all__
+                   if getattr(parafusion, n, None) is not getattr(module, n)]
+        assert missing == [], name

@@ -35,7 +35,7 @@ from parafusion.u0 import (
     verify_weight_difference,
     weight_mod1,
 )
-from parafusion.verify import suite_fusion_axioms
+from parafusion.verify import suite_appendix_a, suite_fusion_axioms
 
 
 @pytest.mark.parametrize("k, i, l, ci, cl", [
@@ -121,6 +121,21 @@ def test_fusion_axioms_suite_fails_on_a_broken_rule(monkeypatch, capsys, rule, k
     assert not checks[name].passed and checks[name].detail == detail
     assert main(["verify", "--suite", "fusion-axioms", "--k", str(k)]) == 1
     assert '"all_passed": false' in capsys.readouterr().out
+
+
+def test_appendix_a_suite_reports_the_first_mismatch(monkeypatch):
+    closed_form = u0.top_level_closed_form
+
+    def wrong_at_k3_l2(k, l):
+        return TopLevel(Fraction(1, 3), 1) if (k, l) == (3, 2) else closed_form(k, l)
+
+    monkeypatch.setattr(verify, "top_level_closed_form", wrong_at_k3_l2)
+    checks = suite_appendix_a(3)
+    assert [(c.name, c.passed) for c in checks] == [
+        ("top-level-closed-form-k2", True), ("top-level-closed-form-k3", False)]
+    assert checks[1].detail == (
+        "l=2: oracle TopLevel(weight=Fraction(2, 3), dimension=2) "
+        "vs closed form TopLevel(weight=Fraction(1, 3), dimension=1)")
 
 
 def _reverse_when_left_is_larger(k, i1, l1, i2, l2):

@@ -60,6 +60,15 @@ def test_act_examples():
     assert act(ResidueVector(4, (2, 2)), X) == IrrU0Label(2, (0, 0), (2, 2))
 
 
+@pytest.mark.parametrize("xi", [ResidueVector(6, (3,)), ResidueVector(4, (1, 1))])
+def test_act_and_b_form_vec_refuse_a_codeword_of_another_shape(xi):
+    X = IrrU0Label(3, (0, 1), (0, 2))
+    with pytest.raises(ValueError, match="^codeword shape does not match the label$"):
+        act(xi, X)
+    with pytest.raises(ValueError, match="^codeword shape does not match the label$"):
+        b_form_vec(xi, X)
+
+
 def test_act_is_a_group_action():
     rng = random.Random(5)
     for k, ell in ((2, 2), (3, 1), (3, 2)):
@@ -285,6 +294,11 @@ def test_weight_mod1_uxi_examples():
     assert weight_mod1_uxi(ResidueVector(6, (3,))) == Fraction(1, 2)
 
 
+def test_weight_mod1_uxi_refuses_an_odd_modulus():
+    with pytest.raises(ValueError, match="^codewords live over an even modulus 2k$"):
+        weight_mod1_uxi(ResidueVector(5, (1,)))
+
+
 def test_weight_mod1_uxi_on_codes():
     rng = random.Random(19)
     seen_b = 0
@@ -467,6 +481,23 @@ def test_character_from_eta_on_a_long_code():
     chi = character_from_eta(code, (5,) * 12)
     assert time.perf_counter() - start < 1.0
     assert str(chi) == "chi[" + ",".join("0" * 12) + "]"
+
+
+def test_character_from_eta_refuses_a_wrong_length():
+    with pytest.raises(ValueError, match="^eta must have length 2$"):
+        character_from_eta(enumerate_code(3, 2, [(3, 3)]), (0,))
+
+
+def test_a_character_names_the_subgroup_not_its_presentation():
+    # <(3,3)> and <(3,3),(0,0)> are one code: a character named on either
+    # restricts the census of the other
+    c1 = enumerate_code(3, 2, [(3, 3)])
+    c2 = enumerate_code(3, 2, [(3, 3), (0, 0)])
+    assert c1 == c2 and hash(c1) == hash(c2)
+    assert c1.generators != c2.generators
+    chi = character_from_eta(c1, (0, 0))
+    assert len(orbits(c2, restrict_to_character=chi)) == len(orbits(c1, chi)) == 27
+    assert count_twisted(c2, chi) == count_twisted(c1, chi) == 36
 
 
 def test_orbits_reject_foreign_or_noncanonical_characters():

@@ -98,6 +98,27 @@ def test_level_mismatch_is_an_error():
         fuse_virasoro(virasoro_vacuum(1), virasoro_vacuum(2))
 
 
+def _fuse_virasoro_double_sum(a, b):
+    """The minimal-model rule as a double sum over 1 <= i <= min{r1, r2,
+    m+2-r1, m+2-r2} and 1 <= j <= min{s1, s2, m+3-s1, m+3-s2}, each term
+    the label (|r1-r2| + 2i - 1, |s1-s2| + 2j - 1)."""
+    m, r1, s1, r2, s2 = a.m, a.r, a.s, b.r, b.s
+    i_max = min(r1, r2, m + 2 - r1, m + 2 - r2)
+    j_max = min(s1, s2, m + 3 - s1, m + 3 - s2)
+    return FusionSum([
+        kac_canonical(m, abs(r1 - r2) + 2 * i - 1, abs(s1 - s2) + 2 * j - 1)
+        for i in range(1, i_max + 1)
+        for j in range(1, j_max + 1)
+    ])
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_fusion_matches_the_double_sum_on_raw_labels(m):
+    labels = [VirasoroLabel(m, r, s) for r in range(1, m + 2) for s in range(1, m + 3)]
+    for a, b in product(labels, repeat=2):
+        assert fuse_virasoro(a, b) == _fuse_virasoro_double_sum(a, b), (a, b)
+
+
 def _fuse_sums(s, t):
     """Fuse a FusionSum against a label, collecting multiplicities."""
     from collections import Counter
