@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
 from itertools import islice
 from math import prod
+from types import SimpleNamespace
 
 from .codes import Classification, euclidean_weight, load_code
 from .u0 import U0Label, all_u0_labels, fuse_u0, weight_mod1_table
@@ -275,36 +275,106 @@ def cmd_verify(args) -> tuple[dict, int]:
     return _report("verify", params, results, seed=args.seed), 0 if all_passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="parafusion",
-        description="Exact fusion-ring, code, and lattice computations "
-                    "with deterministic JSON reports.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _suite(name: str) -> str:
+    if name not in SUITES:
+        raise ValueError(f"invalid choice: {name!r} (choose from {', '.join(sorted(SUITES))})")
+    return name
 
-    p = sub.add_parser("fusion", help="fusion product of two U(i,l) classes")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--left", required=True, metavar="i,l")
-    p.add_argument("--right", required=True, metavar="i,l")
-    p.set_defaults(func=cmd_fusion)
 
-    p = sub.add_parser("classify", help="classify a code from JSON")
-    p.add_argument("--code", required=True, help="code JSON text or a path to a JSON file")
-    p.set_defaults(func=cmd_classify)
+# each command: its handler, its help line and its options, each option
+# (flag, dest, convert, default); a convert of None marks a flag without a
+# value, and a default of ... an option that must be given
+HELP = ("-h", "--help")
+COMMANDS = {
+    "fusion": (cmd_fusion, "fusion product of two U(i,l) classes, each given as i,l", (
+        ("--k", "k", int, ...), ("--left", "left", str, ...), ("--right", "right", str, ...))),
+    "classify": (cmd_classify, "classify a code from JSON", (("--code", "code", str, ...),)),
+    "modules": (cmd_modules, "orbit census and module inventory for a code", (
+        ("--code", "code", str, ...), ("--chi", "chi", str, None),
+        ("--induce", "induce", None, False))),
+    "verify": (cmd_verify, "run one verification suite: " + ", ".join(sorted(SUITES)), (
+        ("--suite", "suite", _suite, ...), ("--k", "k", int, ...), ("--seed", "seed", int, 0))),
+}
 
-    p = sub.add_parser("modules", help="orbit census and module inventory for a code")
-    p.add_argument("--code", required=True, help="code JSON text or a path to a JSON file")
-    p.add_argument("--chi", default=None, help="restrict to the character 'a,b,...'")
-    p.add_argument("--induce", action="store_true", help="include induced-module reports")
-    p.set_defaults(func=cmd_modules)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
-    return parser
+class Parser:
+    """argv read against COMMANDS as argparse read it: options exact or by a
+    unique prefix, as '--opt value' or '--opt=value', the last one winning."""
+
+    def parse_args(self, argv=None):
+        tokens = sys.argv[1:] if argv is None else list(argv)
+        command, options, values, stray = None, {}, {}, []
+        kinds, i = self._kinds(None, tokens, HELP), 0
+        while i < len(tokens):
+            kind, token, i = kinds[i], tokens[i], i + 1
+            if kind is None and command is None:  # the first value names the command
+                if token not in COMMANDS:
+                    self._exit(None, f"argument command: invalid choice: {token!r}")
+                command, options = token, {row[0]: row for row in COMMANDS[token][2]}
+                kinds[i:] = self._kinds(command, tokens[i:], [*options, *HELP])
+            elif kind is None or kind[0] is None:
+                stray.append(token)
+            elif kind[0] in HELP and kind[1] is None:
+                self._exit(command)
+            else:
+                flag, explicit = kind
+                _, dest, convert, _ = options.get(flag, (flag, None, None, None))
+                if convert and explicit is None and i < len(tokens) and kinds[i] is None:
+                    explicit, i = tokens[i], i + 1
+                if (convert is None) != (explicit is None):
+                    self._exit(command, f"argument {flag}: expected one argument" if convert
+                               else f"argument {flag}: ignored explicit argument {explicit!r}")
+                try:
+                    values[dest] = convert(explicit) if convert else True
+                except ValueError as exc:
+                    self._exit(command, f"argument {flag}: {exc}")
+        missing = [row[0] for row in options.values()
+                   if row[3] is ... and row[1] not in values] if command else ["command"]
+        if missing or stray:
+            self._exit(command, f"the following arguments are required: {', '.join(missing)}"
+                       if missing else "unrecognized arguments: " + " ".join(stray))
+        return SimpleNamespace(command=command, func=COMMANDS[command][0], **{
+            dest: values.get(dest, default) for _, dest, _, default in options.values()})
+
+    def _kinds(self, command, tokens: list, flags) -> list:
+        """Each token as argparse read it: None for a value, else (flag, text after '=' or None),
+        flag None for an unknown option; no token from '--' on is an option or its value."""
+        cut = tokens.index("--") if "--" in tokens else len(tokens)
+        kinds = [self._kind(command, token, flags) for token in tokens[:cut]]
+        return kinds + [(None, None)] * (len(tokens) - cut)
+
+    def _kind(self, command, token: str, flags):
+        whole, dot, tail = token[1:].removesuffix("\n").partition(".")
+        if token[:1] != "-" or token == "-" or (whole + tail).isdecimal() and (tail or not dot):
+            return None  # a value: -5 and -.5 are numbers, not options
+        name, explicit = token.split("=", 1) if "=" in token else (token, None)
+        if token[1] == "-":  # an option, or a unique prefix of one
+            hits = [name] if name in flags else [flag for flag in flags if flag.startswith(name)]
+        else:  # -h with text run on after it: -hh is -h
+            hits, explicit = ["-h"] * (token[1] == "h"), token[2:].lstrip("h") or None
+        if len(hits) > 1:
+            self._exit(command, f"ambiguous option: {token} could match {', '.join(hits)}")
+        # a token with a space that names no option is a value
+        return (hits[0], explicit) if hits else None if " " in token else (None, None)
+
+    def _exit(self, command, error=None):
+        """Exit 2 on a usage error, else print the commands' or one command's help."""
+        usage = f"usage: parafusion {command or '<command>'} [options]\n"
+        if error:
+            sys.stderr.write(f"{usage}parafusion: error: {error}\n")
+            raise SystemExit(2)
+        rows = [(name, row[1]) for name, row in COMMANDS.items()] if command is None else [
+            (f"{flag} {dest.upper()}" if convert else flag,
+             "required" if default is ... else f"default: {default}")
+            for flag, dest, convert, default in COMMANDS[command][2]]
+        head = (COMMANDS[command][1] + "\n\noptions:" if command
+                else "commands (<command> -h lists its options):")
+        rows.append(("-h, --help", "print this help"))
+        sys.stdout.write(f"{usage}\n{head}\n" + "".join(f"  {w:<16}{line}\n" for w, line in rows))
+        raise SystemExit(0)
+
+
+build_parser = Parser
 
 
 def main(argv=None) -> int:

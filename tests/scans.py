@@ -1,11 +1,15 @@
 """Brute-force scans kept as test-only references.  The ambient scans of
 (Z_2k)^ell check the dual code and the character names that the program
 reads off Hermite forms; each costs (2k)^ell steps per code.  The triple
-scan checks the associativity verdict of the fusion-axioms suite."""
+scan checks the associativity verdict of the fusion-axioms suite, and the
+argparse parser checks the command line that cli.COMMANDS reads."""
 
+import argparse
 from itertools import chain, product
 
+from parafusion import cli
 from parafusion.arith import ResidueVector
+from parafusion.verify import SUITES
 
 # (k, ell) pairs whose every code of all_codes is scanned, eta by eta:
 # (2k)^ell <= 4096 holds for each.  The whole range k <= 8, ell <= 3 would
@@ -46,3 +50,37 @@ def first_non_associative(table):
          != sorted(chain.from_iterable(table[a][t] for t in table[b][c]))),
         None,
     )
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The command line as argparse read it before cli.COMMANDS: the same
+    commands, options, defaults and handlers."""
+    parser = argparse.ArgumentParser(
+        prog="parafusion",
+        description="Exact fusion-ring, code, and lattice computations "
+                    "with deterministic JSON reports.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("fusion", help="fusion product of two U(i,l) classes")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--left", required=True, metavar="i,l")
+    p.add_argument("--right", required=True, metavar="i,l")
+    p.set_defaults(func=cli.cmd_fusion)
+
+    p = sub.add_parser("classify", help="classify a code from JSON")
+    p.add_argument("--code", required=True, help="code JSON text or a path to a JSON file")
+    p.set_defaults(func=cli.cmd_classify)
+
+    p = sub.add_parser("modules", help="orbit census and module inventory for a code")
+    p.add_argument("--code", required=True, help="code JSON text or a path to a JSON file")
+    p.add_argument("--chi", default=None, help="restrict to the character 'a,b,...'")
+    p.add_argument("--induce", action="store_true", help="include induced-module reports")
+    p.set_defaults(func=cli.cmd_modules)
+
+    p = sub.add_parser("verify", help="run a named verification suite")
+    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cli.cmd_verify)
+    return parser
