@@ -29,13 +29,13 @@ Rational = Fraction
 
 
 # The work budget: the most codewords, labels, suite steps or fusion terms
-# one computation may build.  Measured with Python 3.11.7 on a shared
-# 2-vCPU VM: the k=5, length-4 census of D = <(5,5,0,0)> (390 625 labels,
-# 203 125 orbits) takes 6.8 s and 170 MB peak RSS in `orbits`, and 21 s and
-# 533 MB as a `modules` report of 57 MB.  At the budget itself, the k=4,
-# length-5 census of D = <(4,4,0,0,0)> (2^20 labels) takes 18 s and 422 MB
-# in `orbits`, its report about three times that.  A `fusion` report of
-# 10^5 terms takes 1.3 s and 67 MB, linearly.
+# one computation may build.  Python 3.11.7, shared 2-vCPU Xeon VM, process
+# peak RSS: the census of D = <(5,5,0,0)> (k=5, 203 125 orbits) takes
+# 0.6-1.0 s, 64 MB in `orbits`; `modules` 2.7-4.6 s, 136 MB (--induce
+# 8.0-13.7 s, 338 MB).  At the budget, D = <(4,4,0,0,0)> (k=4, 2^20 labels,
+# 524 288 orbits): 1.6-2.6 s, 142 MB in `orbits`; `modules` 7.9-11.7 s,
+# 341 MB (--induce 30-36 s, 909 MB).  The README's Budgets has report sizes.
+# A `fusion` report of 10^5 terms takes 1.3 s and 67 MB, linearly.
 BUDGET = 2**20
 
 

@@ -203,7 +203,7 @@ def cmd_modules(args) -> tuple[dict, int]:
             "odd_representative": list(inventory.odd_representative.entries),
             "entries": [
                 {
-                    "orbit_representative": [names[c] for c in e.orbit.classes[0]],
+                    "orbit_representative": [names[c] for c in e.orbit.least],
                     "summand_index": e.summand_index,
                     "multiplicity": e.multiplicity,
                     "u0_decomposition": [
@@ -229,7 +229,7 @@ def cmd_modules(args) -> tuple[dict, int]:
     weight_names: dict[int, str] = {}
     orbit_table = []
     for o in census:
-        rep = o.classes[0]
+        rep = o.least
         r = sum(map(table.__getitem__, rep)) % q
         if r not in weight_names:
             weight_names[r] = str(Fraction(r, q))

@@ -12,13 +12,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import isqrt
-from operator import getitem, mul
+from operator import attrgetter, getitem
 
 from .arith import ResidueVector, check_budget, mod1, standard_inner
-from .codes import Classification, Code, even_part, least_in_coset
+from .codes import Classification, Code, enumerate_code, even_part, least_in_coset
 from .u0 import U0Label, all_u0_labels, canonicalize_u0, class_index, eta_u0
 
 __all__ = [
@@ -175,11 +175,19 @@ def trivial_character(code: Code) -> CharacterLabel:
     return CharacterLabel(code, (0,) * code.length)
 
 
+def _fixed_subgroup(code: Code, mu) -> tuple[ResidueVector, ...]:
+    """D_T, the codewords in K_T = <k e_r : r in T>, T the positions of mu on
+    the self-paired row 2i = k-1: they fix each label with rows mu, as a
+    codeword moves only l, and (i, l) to its own class only by 0 or k there."""
+    k = code.k
+    return tuple(xi for xi in code.elements
+                 if all(c == 0 or c == k and 2 * m == k - 1 for c, m in zip(xi, mu)))
+
+
 def stabilizer(code: Code, x: IrrU0Label) -> tuple[ResidueVector, ...]:
-    """The subgroup of codewords fixing the label."""
+    """The subgroup of codewords fixing the label: D_T of `_fixed_subgroup`."""
     _check_code_shape(code, x.k, x.length)
-    x = canonicalize_irr(x.k, x.mu, x.nu)
-    return tuple(xi for xi in code.elements if act(xi, x) == x)
+    return _fixed_subgroup(code, x.mu)
 
 
 def _isotropic_part(code: Code, stab: tuple[ResidueVector, ...]) -> tuple[ResidueVector, ...]:
@@ -191,21 +199,29 @@ def _isotropic_part(code: Code, stab: tuple[ResidueVector, ...]) -> tuple[Residu
 
 @dataclass(frozen=True)
 class OrbitInfo:
-    """An orbit, each member a tuple of class numbers named by `class_index`."""
+    """An orbit, named by its least member, a tuple of `class_index` numbers."""
 
-    classes: tuple[tuple[int, ...], ...]  # members, least first in IrrU0Label order
+    least: tuple[int, ...]
     stabilizer: tuple[ResidueVector, ...]
     isotropic: tuple[ResidueVector, ...]
     character: CharacterLabel
     labels: tuple[U0Label, ...] = field(compare=False, repr=False)
+    shift: list[list[int]] = field(compare=False, repr=False)
 
     def _label(self, x: tuple[int, ...]) -> IrrU0Label:
         mu, nu = zip(*((self.labels[c].i, self.labels[c].l) for c in x))
         return IrrU0Label(self.character.code.k, mu, nu)
 
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The members, least first: the least one moved by every codeword."""
+        rows = [self.shift[c] for c in self.least]
+        moved = {tuple(map(getitem, rows, xi.entries)) for xi in self.character.code.elements}
+        return (self.least, *sorted(moved - {self.least}))
+
     @property
     def representative(self) -> IrrU0Label:
-        return self._label(self.classes[0])
+        return self._label(self.least)
 
     @property
     def members(self) -> tuple[IrrU0Label, ...]:
@@ -213,7 +229,7 @@ class OrbitInfo:
 
     @property
     def size(self) -> int:
-        return len(self.classes)
+        return self.character.code.size // self.stabilizer_order
 
     @property
     def stabilizer_order(self) -> int:
@@ -242,36 +258,30 @@ def twisted_count(k: int, stabilizer_order: int, isotropic_order: int) -> int:
 
 
 class _LabelKernel:
-    """A code's translation action on labels written as class-index tuples.
+    """A code's orbits on labels written as class-index tuples.
 
-    The k^2 classes of U(i, l) are numbered by `class_index`, in
-    `all_u0_labels` order, so `product(range(k^2), repeat=ell)` runs over
-    the labels in `all_irr_labels` order.  A codeword moves only l and a
-    class stays on its row i, so the members of an orbit share mu, and
-    their index tuples sort as IrrU0Label orders labels: by mu, then by nu.
-    A label's character is named by reducing its eta against the dual
-    code's Hermite form, once per distinct eta, and each character is one
-    CharacterLabel; an isotropic part is computed once per stabilizer.
+    Classes are numbered by `class_index`, so class tuples sort as the
+    census lists labels: position by position, by row and then by l.  The
+    orbits of the labels with rows mu are the cosets of D + K_T (T, K_T as
+    in `_fixed_subgroup`), each led by its nu reduced against the Hermite
+    form of D + K_T: entry j in [0, d_j) at a pivot, free in [0, 2k) elsewhere.
+    That form, D_T and its isotropic part are computed once per T, and a
+    character once per distinct eta, reduced against the dual code's form.
     """
 
     def __init__(self, code: Code):
         self.labels, self.pair_class, self.shift = class_index(code.k)
         self.code = code
         self.eta = [eta_u0(code.k, c.i, c.l) for c in self.labels]
-        self.dual = code.dual_hermite
-        self.words = [xi.entries for xi in code.elements]
-        self._isotropic: dict[tuple[ResidueVector, ...], tuple[ResidueVector, ...]] = {}
         self._by_eta: dict[tuple[int, ...], CharacterLabel] = {}
         self._characters: dict[tuple[int, ...], CharacterLabel] = {}
-
-    def index(self, x: IrrU0Label) -> tuple[int, ...]:
-        return tuple(self.pair_class[m][v] for m, v in zip(x.mu, x.nu))
+        self._cosets: dict[tuple[bool, ...], tuple] = {}
 
     def named(self, eta: tuple[int, ...]) -> CharacterLabel:
         """The character that eta names."""
         chi = self._by_eta.get(eta)
         if chi is None:
-            least = least_in_coset(2 * self.code.k, self.dual, eta)
+            least = least_in_coset(2 * self.code.k, self.code.dual_hermite, eta)
             chi = self._characters.setdefault(least, CharacterLabel(self.code, least))
             self._by_eta[eta] = chi
         return chi
@@ -279,30 +289,27 @@ class _LabelKernel:
     def character(self, x: tuple[int, ...]) -> CharacterLabel:
         return self.named(tuple(map(self.eta.__getitem__, x)))
 
-    def orbit(self, x: tuple[int, ...]):
-        """The members of the orbit of x, least first, and its stabilizer."""
-        rows = [self.shift[c] for c in x]
-        members = set()
-        stab = []
-        for xi, word in zip(self.code.elements, self.words):
-            m = tuple(map(getitem, rows, word))
-            if m == x:
-                stab.append(xi)
-            members.add(m)
-        return tuple(sorted(members)), tuple(stab)
-
-    def info(self, members, stab) -> OrbitInfo:
-        character = self.character(members[0])
-        isotropic = self._isotropic.get(stab)
-        if isotropic is None:
-            isotropic = self._isotropic[stab] = _isotropic_part(self.code, stab)
-        return OrbitInfo(members, stab, isotropic, character, self.labels)
+    def cosets(self, mu):
+        """(the Hermite form of D + K_T, D_T, the isotropic part of D_T)."""
+        k, ell = self.code.k, self.code.length
+        paired = tuple(2 * m == k - 1 for m in mu)
+        if paired not in self._cosets:
+            gens = [h for _, h in self.code.hermite]
+            gens += [tuple(k * (j == r) for j in range(ell)) for r in range(ell) if paired[r]]
+            stab = _fixed_subgroup(self.code, mu)
+            self._cosets[paired] = (enumerate_code(k, ell, gens).hermite, stab,
+                                    _isotropic_part(self.code, stab))
+        return self._cosets[paired]
 
 
 def _orbit_of(code: Code, x: IrrU0Label) -> OrbitInfo:
     _check_code_shape(code, x.k, x.length)
-    kernel = _LabelKernel(code)
-    return kernel.info(*kernel.orbit(kernel.index(x)))
+    kernel, x = _LabelKernel(code), canonicalize_irr(x.k, x.mu, x.nu)
+    form, stab, isotropic = kernel.cosets(x.mu)
+    nu = least_in_coset(2 * code.k, form, x.nu)
+    least = tuple(kernel.pair_class[m][v] for m, v in zip(x.mu, nu))
+    return OrbitInfo(least, stab, isotropic, kernel.character(least),
+                     kernel.labels, kernel.shift)
 
 
 def orbits(
@@ -311,10 +318,10 @@ def orbits(
 ) -> tuple[OrbitInfo, ...]:
     """The orbit census of the code action on all canonical labels.
 
-    Orbits are listed by their first member in `all_irr_labels` order.
+    Orbits are listed by their least member in `all_irr_labels` order.
     Characters are class functions only when every code pairing is
     integral, so Invalid codes are rejected.  A character restriction is
-    applied per label, before any orbit is built.
+    applied per orbit, to its least member.
     """
     if code.classification is Classification.INVALID:
         raise ValueError("orbit census requires a Case A or Case B code")
@@ -323,22 +330,22 @@ def orbits(
     if chi is not None and (chi.code != code or len(chi.eta) != code.length):
         return ()
     kernel = _LabelKernel(code)
-    target = None
-    if chi is not None:
-        if kernel.named(chi.eta) != chi:
-            return ()
-        target = chi.eta
-    classes, ell = code.k ** 2, code.length
-    weights = [classes ** (ell - 1 - r) for r in range(ell)]
-    visited = bytearray(classes ** ell)
+    target = None if chi is None else kernel.named(chi.eta)
+    if target != chi:
+        return ()
     census = []
-    for position, x in enumerate(product(range(classes), repeat=ell)):
-        if visited[position] or (target is not None and kernel.character(x).eta != target):
-            continue
-        members, stab = kernel.orbit(x)
-        for m in members:
-            visited[sum(map(mul, m, weights))] = 1
-        census.append(kernel.info(members, stab))
+    # the rows mu of canonical labels, whose orbits the sort interleaves
+    for mu in product(range((code.k + 1) // 2), repeat=code.length):
+        form, stab, isotropic = kernel.cosets(mu)
+        rows = [kernel.pair_class[m] for m in mu]
+        for j, h in form:
+            rows[j] = rows[j][:h[j]]
+        for x in product(*rows):
+            character = kernel.character(x)
+            if target is None or character is target:
+                census.append(OrbitInfo(x, stab, isotropic, character,
+                                        kernel.labels, kernel.shift))
+    census.sort(key=attrgetter("least"))
     return tuple(census)
 
 
@@ -369,7 +376,7 @@ def induce_from_orbit(code: Code, info: OrbitInfo) -> InducedModuleReport:
     """Induce over an orbit of the census of a Case A code, with the summand
     count `info.twisted_count` (the k mod 4 rule) and multiplicity sqrt(|D_X|/count)."""
     _require_case_a(code, "induction")
-    _check_code_shape(code, info.character.code.k, len(info.classes[0]))
+    _check_code_shape(code, info.character.code.k, len(info.least))
     summands = info.twisted_count
     mult = isqrt(info.stabilizer_order // summands) if summands else 0
     if mult * mult * summands != info.stabilizer_order:
@@ -377,11 +384,12 @@ def induce_from_orbit(code: Code, info: OrbitInfo) -> InducedModuleReport:
             f"stabilizer order {info.stabilizer_order} is not a square times "
             f"the summand count {summands}"
         )
-    # total length over the base algebra matches the code size
-    if summands * mult * mult * info.size != code.size:
+    # total length over the base algebra matches |D|, on the built members
+    size = len(info.classes)
+    if summands * mult * mult * size != code.size:
         raise ValueError(
             f"orbit of {info.representative} is inconsistent with |D| = {code.size}: "
-            f"{summands} summands x multiplicity {mult}^2 x orbit size {info.size}"
+            f"{summands} summands x multiplicity {mult}^2 x orbit size {size}"
         )
     return InducedModuleReport(orbit=info, summand_count=summands, multiplicity=mult)
 
@@ -447,26 +455,17 @@ def case_b_inventory(code: Code) -> CaseBInventory:
     of two irreducibles (not decided here).
     """
     even, xi1 = even_part(code)
-    # xi1 moves each class along its row, as a codeword of the even part does
-    shift = class_index(code.k)[2]
     entries = []
     for info in orbits(even, restrict_to_character=trivial_character(even)):
         report = induce_from_orbit(even, info)
         decomp: Counter = Counter()
         for x in info.classes:
             decomp[x] += report.multiplicity
-            decomp[tuple(shift[c][d] for c, d in zip(x, xi1.entries))] += report.multiplicity
+            # xi1 moves each class along its row, as a codeword of the even part does
+            decomp[tuple(info.shift[c][d] for c, d in zip(x, xi1.entries))] += report.multiplicity
         decomposition = tuple(sorted(decomp.items()))
-        for s in range(report.summand_count):
-            entries.append(
-                CaseBEntry(
-                    orbit=info,
-                    summand_index=s,
-                    multiplicity=report.multiplicity,
-                    u0_decomposition=decomposition,
-                    flag=UNDETERMINED_FLAG,
-                )
-            )
-    return CaseBInventory(
-        code=code, even_part=even, odd_representative=xi1, entries=tuple(entries)
-    )
+        entries += [CaseBEntry(orbit=info, summand_index=s, multiplicity=report.multiplicity,
+                               u0_decomposition=decomposition, flag=UNDETERMINED_FLAG)
+                    for s in range(report.summand_count)]
+    return CaseBInventory(code=code, even_part=even, odd_representative=xi1,
+                          entries=tuple(entries))

@@ -1,6 +1,8 @@
 """Brute-force scans kept as test-only references.  The ambient scans of
 (Z_2k)^ell check the dual code and the character names that the program
-reads off Hermite forms; each costs (2k)^ell steps per code.  The triple
+reads off Hermite forms; each costs (2k)^ell steps per code.  The label
+walk checks the orbit census that the program lists from the cosets of
+D + K_T, at k^(2 ell) labels and |D| translates per orbit.  The triple
 scan checks the associativity verdict of the fusion-axioms suite, and the
 argparse parser checks the command line that cli.COMMANDS reads."""
 
@@ -8,7 +10,8 @@ import argparse
 from itertools import chain, product
 
 from parafusion import cli
-from parafusion.arith import ResidueVector
+from parafusion.arith import ResidueVector, standard_inner
+from parafusion.ud import CharacterLabel, act, all_irr_labels
 from parafusion.verify import SUITES
 
 # (k, ell) pairs whose every code of all_codes is scanned, eta by eta:
@@ -37,6 +40,39 @@ def first_hit_names(code):
     for eta, key in ambient_keys(code):
         names.setdefault(key, eta)
     return names
+
+
+def scanned_stabilizer(code, x):
+    """The codewords that fix the label, each applied to it by `act`."""
+    return tuple(xi for xi in code.elements if act(xi, x) == x)
+
+
+def direct_census(code):
+    """The orbit census walked label by label, as (representative, members,
+    stabilizer, isotropic part, character): every codeword is applied by
+    `act` to the first label of each orbit met, for its members and, as in
+    `scanned_stabilizer`, its stabilizer (the action is abelian, so every
+    member has that one); each character is named by definition, as the
+    least eta of its dual-code coset (computed once per coset)."""
+    k, dual = code.k, scanned_dual(code)
+    names = {}
+    census, seen = [], set()
+    for x in all_irr_labels(code.k, code.length):
+        if x in seen:
+            continue
+        moved = [(xi, act(xi, x)) for xi in code.elements]
+        members = tuple(sorted({y for _, y in moved}))
+        seen.update(members)
+        rep = members[0]
+        stab = tuple(xi for xi, y in moved if y == x)
+        isotropic = tuple(xi for xi in stab
+                          if all(standard_inner(xi, eta) == 0 for eta in stab))
+        eta = ResidueVector(2 * k, tuple((k - 1) * n - k * m for m, n in zip(rep.mu, rep.nu)))
+        if eta not in names:
+            coset = [eta + delta for delta in dual]
+            names.update(dict.fromkeys(coset, min(v.entries for v in coset)))
+        census.append((rep, members, stab, isotropic, CharacterLabel(code, names[eta])))
+    return census
 
 
 def first_non_associative(table):

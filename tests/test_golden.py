@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from parafusion import ud
 from parafusion.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -99,6 +100,23 @@ def test_verify_report_matches_golden(capsys, name):
 @pytest.mark.parametrize("name", _names("fusion"))
 def test_fusion_report_matches_golden(capsys, name):
     _check(capsys, name)
+
+
+def test_census_reports_build_no_orbit_members(monkeypatch, capsys):
+    # a census lists each orbit by its least member: every plain and --chi
+    # Case A report keeps its bytes when building an orbit's members fails,
+    # and an --induce report, which lists the members, does fail
+    def refuse(info):
+        raise AssertionError(f"built the members of {info.representative}")
+
+    monkeypatch.setattr(ud.OrbitInfo, "classes", property(refuse))
+    names = [name for name in _names("modules")
+             if name.startswith(("case-a", "chi")) and "--induce" not in CASES[name]]
+    assert len(names) == 7
+    for name in names:
+        _check(capsys, name)
+    with pytest.raises(AssertionError, match="^built the members of U"):
+        main(CASES["induce-k3"])
 
 
 def test_golden_corpus_has_no_strays():

@@ -3,9 +3,13 @@ import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 import pytest
-from scans import SCANNED, ambient_keys, first_hit_names, scanned_dual
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scans import SCANNED, ambient_keys, direct_census, first_hit_names, scanned_stabilizer
 
 from parafusion import codes, ud
 from parafusion.arith import ResidueVector, mod1
@@ -23,7 +27,6 @@ from parafusion.ud import (
     UNDETERMINED_FLAG,
     CharacterLabel,
     IrrU0Label,
-    _isotropic_part,
     act,
     all_irr_labels,
     b_form_vec,
@@ -395,30 +398,6 @@ def test_case_b_inventory_requires_case_b():
         case_b_inventory(enumerate_code(3, 2, [(3, 3)]))
 
 
-def _direct_census(code):
-    """The orbit census built label by label from `act`, `stabilizer` and
-    `_isotropic_part`, independent of the index kernel; each character is
-    named by definition, as the least eta of its dual-code coset (computed
-    once per coset)."""
-    k, dual = code.k, scanned_dual(code)
-    names = {}
-    census, seen = [], set()
-    for x in all_irr_labels(code.k, code.length):
-        if x in seen:
-            continue
-        members = tuple(sorted({act(xi, x) for xi in code.elements}))
-        seen.update(members)
-        rep = members[0]
-        stab = stabilizer(code, rep)
-        eta = ResidueVector(2 * k, tuple((k - 1) * n - k * m for m, n in zip(rep.mu, rep.nu)))
-        if eta not in names:
-            coset = [eta + delta for delta in dual]
-            names.update(dict.fromkeys(coset, min(v.entries for v in coset)))
-        census.append((rep, members, stab, _isotropic_part(code, stab),
-                       CharacterLabel(code, names[eta])))
-    return census
-
-
 def _kernel_cases():
     for k in range(2, 6):
         for ell in (1, 2):
@@ -453,7 +432,7 @@ def test_orbit_kernel_matches_direct_census(monkeypatch):
         assert duals == []
         got = [(o.representative, o.members, o.stabilizer, o.isotropic, o.character)
                for o in census]
-        assert got == _direct_census(code), code
+        assert got == direct_census(code), code
         assert all(character_of(o.representative, code) == o.character for o in census)
         for chi in {o.character for o in census}:
             assert orbits(code, restrict_to_character=chi) == tuple(
@@ -463,6 +442,53 @@ def test_orbit_kernel_matches_direct_census(monkeypatch):
                 assert induce_from_orbit(code, o) == induce(code, o.representative)
         checked += 1
     assert checked > 40
+
+
+# every (k, ell) with k = 2..7, ell <= 4 and at most 2^16 labels
+CENSUS_SHAPES = [(k, ell) for k in range(2, 8) for ell in range(1, 5) if k ** (2 * ell) <= 2 ** 16]
+
+
+@st.composite
+def valid_codes(draw):
+    """A Case A or Case B code: each generator pairs integrally with itself
+    and with every earlier one."""
+    k, ell = draw(st.sampled_from(CENSUS_SHAPES))
+    n, gens = 2 * k, []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = [v for v in product(range(n), repeat=ell)
+                if all((k - 1) * sum(map(mul, v, g)) % n == 0 for g in gens + [v])]
+        gens.append(draw(st.sampled_from(pool)))
+    return enumerate_code(k, ell, gens)
+
+
+@settings(max_examples=10, deadline=None)
+@given(code=valid_codes(), picks=st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=6))
+def test_census_matches_the_label_walk(code, picks):
+    assert code.classification is not Classification.INVALID
+    reference = direct_census(code)
+    census = orbits(code)
+
+    def fields(o):
+        return o.representative, o.members, o.stabilizer, o.isotropic, o.character
+
+    assert [fields(o) for o in census] == reference
+    assert [o.size for o in census] == [len(members) for _, members, *_ in reference]
+    # each restriction is the census's orbits of that character, which
+    # equal the reference's field by field
+    for chi in {o.character for o in census}:
+        assert orbits(code, restrict_to_character=chi) == tuple(
+            o for o in census if o.character == chi)
+    # any label, not only a representative: its stabilizer and its orbit,
+    # also read off the raw pairs (k-1-i, l+k) of its classes
+    orbit_of = {x: t for t, (_, members, *_) in enumerate(reference) for x in members}
+    labels = list(orbit_of)
+    for x in (labels[p % len(labels)] for p in picks):
+        raw = IrrU0Label(code.k, tuple(code.k - 1 - m for m in x.mu),
+                         tuple(n + code.k for n in x.nu))
+        for y in (x, raw):
+            assert stabilizer(code, y) == scanned_stabilizer(code, x)
+            info = ud._orbit_of(code, y)
+            assert info == census[orbit_of[x]] and fields(info) == reference[orbit_of[x]]
 
 
 @pytest.mark.parametrize("k, ell", SCANNED)
@@ -531,13 +557,21 @@ def test_stabilizer_past_the_code_budget_fails_fast():
 
 
 def test_induce_from_inconsistent_orbit_is_an_error():
+    # the orbit size is |D|/|D_X|, so only the members induction builds can
+    # disagree with a wrong stabilizer: too small, or too large
     code = enumerate_code(3, 2, [(3, 3)])
     census = orbits(code)
     free = next(o for o in census if o.stabilizer_order == 1)
-    with pytest.raises(ValueError, match="inconsistent"):
-        induce_from_orbit(code, replace(free, classes=free.classes[:1]))
     fixed = next(o for o in census if o.stabilizer_order == 2)
-    with pytest.raises(ValueError, match="square"):
+    with pytest.raises(ValueError, match=r"^orbit of U\(1,0\) x U\(1,0\) is inconsistent "
+                       r"with \|D\| = 2: 1 summands x multiplicity 1\^2 x orbit size 1$"):
+        induce_from_orbit(code, replace(fixed, stabilizer=fixed.stabilizer[:1]))
+    with pytest.raises(ValueError, match=r"^orbit of U\(0,0\) x U\(0,0\) is inconsistent "
+                       r"with \|D\| = 2: 2 summands x multiplicity 1\^2 x orbit size 2$"):
+        induce_from_orbit(code, replace(free, stabilizer=fixed.stabilizer,
+                                        isotropic=fixed.isotropic))
+    with pytest.raises(ValueError, match="^stabilizer order 2 is not a square times "
+                       "the summand count 0$"):
         induce_from_orbit(code, replace(fixed, isotropic=()))
 
 
