@@ -31,10 +31,10 @@ Rational = Fraction
 # The work budget: the most codewords, labels, suite steps or fusion terms
 # one computation may build.  Python 3.11.7, shared 2-vCPU Xeon VM, process
 # peak RSS: the census of D = <(5,5,0,0)> (k=5, 203 125 orbits) takes
-# 0.6-1.0 s, 64 MB in `orbits`; `modules` 2.7-4.6 s, 136 MB (--induce
-# 8.0-13.7 s, 338 MB).  At the budget, D = <(4,4,0,0,0)> (k=4, 2^20 labels,
-# 524 288 orbits): 1.6-2.6 s, 142 MB in `orbits`; `modules` 7.9-11.7 s,
-# 341 MB (--induce 30-36 s, 909 MB).  The README's Budgets has report sizes.
+# 0.25-0.31 s, 51 MB in `census_rows`; `modules` 1.0-1.3 s, 51 MB (--induce
+# 3.4-4.0 s, 51 MB).  At the budget, D = <(4,4,0,0,0)> (k=4, 2^20 labels,
+# 524 288 orbits): 0.8-1.0 s, 108 MB in `census_rows`; `modules` 2.7-2.9 s,
+# 110 MB (--induce 8.0-8.8 s, 110 MB).  The README's Budgets has report sizes.
 # A `fusion` report of 10^5 terms takes 1.3 s and 67 MB, linearly.
 BUDGET = 2**20
 

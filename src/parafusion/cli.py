@@ -6,20 +6,22 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from math import prod
 from types import SimpleNamespace
 
 from .codes import Classification, euclidean_weight, load_code
-from .u0 import U0Label, all_u0_labels, fuse_u0, weight_mod1_table
+from .u0 import U0Label, class_index, fuse_u0
 from .ud import (
     CharacterLabel,
+    OrbitInfo,
     case_b_inventory,
+    census_rows,
     character_from_eta,
     check_label_budget,
     count_twisted_by_character,
     induce_from_orbit,
-    orbits,
     weight_mod1_uxi,
 )
 from .verify import SUITES, run_suite
@@ -30,13 +32,32 @@ SCHEMA = "parafusion-report/1"
 STREAMED_LEVELS = 3
 WRITE_PIECES = 64
 _quote = json.encoder.encode_basestring_ascii
+# a string no report holds, standing for text filled in after rendering
+_HOLE = "\x00"
+
+
+class _Listing:
+    """A report list held as rows, written entry by entry: the writer asks
+    `entry(row, indent)` for each entry's text, so no entry is built before
+    it is written."""
+
+    def __init__(self, rows, entry):
+        self.rows, self.entry = rows, entry
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        # each entry a callable, which `_render` passes the indent
+        return (partial(self.entry, row) for row in self.rows)
 
 
 def _render(value, indent: str) -> str:
     """The JSON text of a report value whose first line sits at `indent`,
     byte for byte as JSONEncoder(indent=2, sort_keys=True) writes it.
     Reports hold no floats, so a float is refused like any other type, and
-    `_quote` refuses a key that is not a string."""
+    `_quote` refuses a key that is not a string.  A callable value writes
+    itself: its text is `value(indent)`."""
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, int):
@@ -49,7 +70,7 @@ def _render(value, indent: str) -> str:
         return "null"
     inner = indent + "  "
     sep = ",\n" + inner
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, _Listing)):
         if not value:
             return "[]"
         try:  # most lists hold only strings: one join
@@ -62,6 +83,8 @@ def _render(value, indent: str) -> str:
             return "{}"
         body = sep.join([_quote(k) + ": " + _render(v, inner) for k, v in sorted(value.items())])
         return "{\n" + inner + body + "\n" + indent + "}"
+    if callable(value):
+        return value(indent)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -69,7 +92,7 @@ def _stream(value, indent: str, levels: int):
     """`_render(value, indent)` in pieces: a nonempty container within the
     top `levels` levels piece by piece, and each of its entries below them
     as one piece."""
-    if levels == 0 or not value or not isinstance(value, (dict, list, tuple)):
+    if levels == 0 or not value or not isinstance(value, (dict, list, tuple, _Listing)):
         yield _render(value, indent)
         return
     inner = indent + "  "
@@ -192,11 +215,12 @@ def cmd_modules(args) -> tuple[dict, int]:
         raise ValueError("--induce induces from a Case A census; a Case B code has none")
     # decided before a Case B even part is built or a --chi character is named
     check_label_budget(code.k, code.length)
-    # each class is named once, and a label is a tuple of class numbers
-    names = [str(c) for c in all_u0_labels(code.k)]
+    # one table of the classes, each named once: a label is a tuple of class numbers
+    index = class_index(code.k)
+    names = [str(c) for c in index.labels]
 
     if case_b:
-        inventory = case_b_inventory(code)
+        inventory = case_b_inventory(code, index)
         results = {
             "classification": "CaseB",
             "even_part_size": inventory.even_part.size,
@@ -218,47 +242,67 @@ def cmd_modules(args) -> tuple[dict, int]:
         return _report("modules", params, results), 0
 
     chi = _parse_chi(args.chi, code) if args.chi is not None else None
-    census = orbits(code, restrict_to_character=chi)
-    totals = count_twisted_by_character(census)
+    rows = census_rows(code, restrict_to_character=chi, index=index)
+    totals = count_twisted_by_character(rows)
     # each character is named once, and an orbit finds its name by eta
     chi_names = {c.eta: str(c) for c in totals}
-    counts = {chi_names[c.eta]: n for c, n in totals.items()}
-    # an orbit's weight mod 1 is the sum of its classes' numerators mod Q,
-    # and each distinct residue is written once
-    q, table = weight_mod1_table(code.k)
-    weight_names: dict[int, str] = {}
-    orbit_table = []
-    for o in census:
-        rep = o.least
-        r = sum(map(table.__getitem__, rep)) % q
-        if r not in weight_names:
-            weight_names[r] = str(Fraction(r, q))
-        entry = {
-            "representative": [names[c] for c in rep],
-            "size": o.size,
-            "stabilizer_order": o.stabilizer_order,
-            "isotropic_order": o.isotropic_order,
-            "character": chi_names[o.character.eta],
-            "weight_mod1": weight_names[r],
-        }
-        if args.induce:
-            report = induce_from_orbit(code, o)
-            entry["induced"] = {
-                "summand_count": report.summand_count,
-                "multiplicity": report.multiplicity,
-                "u0_decomposition": [
-                    {"label": [names[c] for c in x], "multiplicity": report.multiplicity}
-                    for x in o.classes
-                ],
-            }
-        orbit_table.append(entry)
     results = {
         "classification": "CaseA",
-        "orbit_count": len(census),
-        "orbits": orbit_table,
-        "twisted_module_counts": counts,
+        "orbit_count": len(rows),
+        "orbits": _Listing(rows, _orbit_entry(code, index, chi_names, args.induce)),
+        "twisted_module_counts": {chi_names[c.eta]: n for c, n in totals.items()},
     }
     return _report("modules", params, results), 0
+
+
+def _orbit_entry(code, index, chi_names: dict, induce: bool):
+    """The writer of a census row's entry.  Its text is rendered once per
+    coset group, character and indent, with a `_HOLE` for each class name
+    and the weight, and split there; an orbit fills in its pre-quoted class
+    names and its weight mod 1, each distinct weight quoted once.  With
+    `induce` the entry lists the orbit's members: two of them in the
+    rendered text give the pieces around and between members."""
+    quoted = [_quote(str(c)) for c in index.labels]
+    name, ell, q = quoted.__getitem__, code.length, index.q
+    pieces: dict[tuple, list[str]] = {}
+    weights: dict[int, str] = {}
+
+    def entry(row, indent: str) -> str:
+        least, group, chi = row
+        if induce:
+            info = OrbitInfo(least, group.stabilizer, group.isotropic, chi,
+                             index.labels, index.shift)
+            report = induce_from_orbit(code, info)
+        p = pieces.get((group, chi.eta, indent))
+        if p is None:
+            value = {
+                "representative": [_HOLE] * ell,
+                "size": group.size,
+                "stabilizer_order": group.stabilizer_order,
+                "isotropic_order": group.isotropic_order,
+                "character": chi_names[chi.eta],
+                "weight_mod1": _HOLE,
+            }
+            if induce:
+                member = {"label": [_HOLE] * ell, "multiplicity": report.multiplicity}
+                value["induced"] = {
+                    "summand_count": report.summand_count,
+                    "multiplicity": report.multiplicity,
+                    "u0_decomposition": [member, member],
+                }
+            p = pieces[group, chi.eta, indent] = _render(value, indent).split(_quote(_HOLE))
+        r = sum(map(index.weight.__getitem__, least)) % q
+        weight = weights.get(r)
+        if weight is None:
+            weight = weights[r] = _quote(str(Fraction(r, q)))
+        if not induce:
+            return p[0] + p[1].join(map(name, least)) + p[ell] + weight + p[ell + 1]
+        # the members, the representative and the weight, in key order
+        members = p[ell].join([p[1].join(map(name, x)) for x in info.classes])
+        return (p[0] + members + p[2 * ell] + p[2 * ell + 1].join(map(name, least))
+                + p[3 * ell] + weight + p[3 * ell + 1])
+
+    return entry
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -398,6 +442,11 @@ def main(argv=None) -> int:
         # instead of raising again, and the status is the shell's for SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 128 + 13
+    except ValueError as exc:
+        # an entry is computed as it is written (its induced module, say),
+        # so its failure cuts the report short and exits as any failure does
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return status
 
 

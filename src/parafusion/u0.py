@@ -14,10 +14,10 @@ parafermion weight has denominator 2(k-1)(k+1) and the lattice part
 compared as integers (`_summand_num`), and each public weight function
 builds one `Fraction` at its return.
 
-`class_index` numbers the classes 0..k^2-1 once per k, for every layer
-that works on class numbers (the orbit census, the `modules` report, the
-fusion-axioms suite); `fusion_table` is the fusion product on those
-numbers, and `weight_mod1_table` the weight mod 1 of each.
+`class_index` numbers the classes 0..k^2-1, with each class's eta and
+weight mod 1, in one table per k for every layer that works on class
+numbers (the orbit census, the `modules` report, the fusion-axioms suite);
+`fusion_table` is the fusion product on those numbers.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ __all__ = [
     "canonicalize_u0",
     "u0_vacuum",
     "all_u0_labels",
+    "ClassIndex",
     "class_index",
     "fuse_u0",
     "fusion_table",
@@ -47,7 +48,6 @@ __all__ = [
     "top_level",
     "top_level_closed_form",
     "weight_mod1",
-    "weight_mod1_table",
     "eta_u0",
     "b_form_u0",
     "theta_u0",
@@ -109,17 +109,39 @@ def all_u0_labels(k: int) -> tuple[U0Label, ...]:
     return tuple(labels)
 
 
-def class_index(k: int) -> tuple[tuple[U0Label, ...], list[list[int]], list[list[int]]]:
-    """(labels, pair_class, shift): the classes numbered in `all_u0_labels`
-    order, so class 0 is the vacuum and class p < 2k is U(0, p);
-    `pair_class[i][l]` is the class of the raw pair (i, l), 0 <= l < 2k, and
-    `shift[c][d]` the class of (i, l + d) when c is the class of (i, l)."""
+class ClassIndex(NamedTuple):
+    """The k^2 classes numbered in `all_u0_labels` order, so class 0 is the
+    vacuum and class p < 2k is U(0, p), with what each layer reads per class:
+    `pair_class[i][l]` is the class of the raw pair (i, l), 0 <= l < 2k;
+    `shift[c][d]` the class of (i, l + d) when c is the class of (i, l);
+    `eta[c]` its `eta_u0`; `weight[c]` Q times its weight mod 1, a residue
+    mod `q` = Q."""
+
+    labels: tuple[U0Label, ...]
+    pair_class: list[list[int]]
+    shift: list[list[int]]
+    eta: list[int]
+    q: int
+    weight: list[int]
+
+
+def class_index(k: int) -> ClassIndex:
+    """The one table of the classes at level k: see `ClassIndex`."""
     labels = all_u0_labels(k)
-    n = 2 * k
-    number = {c: j for j, c in enumerate(labels)}
-    pair_class = [[number[canonicalize_u0(k, i, l)] for l in range(n)] for i in range(k)]
-    shift = [[pair_class[c.i][(c.l + d) % n] for d in range(n)] for c in labels]
-    return labels, pair_class, shift
+    n, q = 2 * k, _weight_den(k)
+
+    def number(i: int, l: int) -> int:
+        if 2 * i > k - 1:  # (i, l) ~ (k-1-i, l+k)
+            i, l = k - 1 - i, l + k
+        # row i holds 2k classes, the self-paired row 2i = k-1 only k
+        return n * i + l % (k if 2 * i == k - 1 else n)
+
+    pair_class = [[number(i, l) for l in range(n)] for i in range(k)]
+    return ClassIndex(
+        labels, pair_class,
+        [[pair_class[c.i][(c.l + d) % n] for d in range(n)] for c in labels],
+        [eta_u0(k, c.i, c.l) for c in labels],
+        q, [_summand_num(k, c.i, 0, c.l)[0] % q for c in labels])
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +162,7 @@ def fuse_u0(a: U0Label, b: U0Label) -> FusionSum:
 def fusion_table(k: int) -> list[list[tuple[int, ...]]]:
     """`table[a][b]`: the class numbers of the terms of the product of the
     classes a and b, sorted, so equal tuples are equal multisets."""
-    labels, pair_class, _ = class_index(k)
+    labels, pair_class = class_index(k)[:2]
     return [[tuple(sorted(pair_class[t.i][t.l]
                           for t in _fuse_u0_terms(k, a.i, a.l, b.i, b.l)))
              for b in labels] for a in labels]
@@ -272,13 +294,6 @@ def weight_mod1(a: U0Label) -> Fraction:
     """Conformal weight mod 1, read off the summand X(i, 0, l)."""
     q = _weight_den(a.k)
     return Fraction(_summand_num(a.k, a.i, 0, a.l)[0] % q, q)
-
-
-def weight_mod1_table(k: int) -> tuple[int, list[int]]:
-    """(Q, table): `table[c]` is Q times the weight mod 1 of the class
-    numbered c by `class_index`, as a residue mod Q."""
-    q = _weight_den(k)
-    return q, [_summand_num(k, c.i, 0, c.l)[0] % q for c in all_u0_labels(k)]
 
 
 def eta_u0(k: int, i: int, l: int) -> int:

@@ -13,18 +13,21 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import isqrt
-from operator import attrgetter, getitem
+from operator import getitem, itemgetter
+from typing import NamedTuple
 
 from .arith import ResidueVector, check_budget, mod1, standard_inner
 from .codes import Classification, Code, enumerate_code, even_part, least_in_coset
-from .u0 import U0Label, all_u0_labels, canonicalize_u0, class_index, eta_u0
+from .u0 import ClassIndex, U0Label, all_u0_labels, canonicalize_u0, class_index, eta_u0
 
 __all__ = [
     "IrrU0Label",
     "CharacterLabel",
     "OrbitInfo",
+    "CosetGroup",
+    "CensusRow",
     "InducedModuleReport",
     "CaseBEntry",
     "CaseBInventory",
@@ -36,6 +39,7 @@ __all__ = [
     "character_from_eta",
     "trivial_character",
     "stabilizer",
+    "census_rows",
     "orbits",
     "induce",
     "induce_from_orbit",
@@ -257,6 +261,37 @@ def twisted_count(k: int, stabilizer_order: int, isotropic_order: int) -> int:
     return isotropic_order
 
 
+class CosetGroup:
+    """What the orbits with one set T of self-paired positions share (T, K_T
+    as in `_fixed_subgroup`): the stabilizer D_T, its isotropic part, the
+    orbit size |D|/|D_T| and the `twisted_count` of each orbit, computed
+    once.  A census builds one per T, so groups compare by identity."""
+
+    __slots__ = ("stabilizer", "isotropic", "stabilizer_order", "isotropic_order",
+                 "size", "twisted_count")
+
+    def __init__(self, code: Code, stabilizer: tuple[ResidueVector, ...]):
+        self.stabilizer = stabilizer
+        self.isotropic = _isotropic_part(code, stabilizer)
+        self.stabilizer_order = len(stabilizer)
+        self.isotropic_order = len(self.isotropic)
+        self.size = code.size // self.stabilizer_order
+        self.twisted_count = twisted_count(code.k, self.stabilizer_order, self.isotropic_order)
+
+
+class CensusRow(NamedTuple):
+    """An orbit of a census: its least member, a tuple of `class_index`
+    numbers, the `CosetGroup` of its self-paired positions, and its character."""
+
+    least: tuple[int, ...]
+    group: CosetGroup
+    character: CharacterLabel
+
+    @property
+    def twisted_count(self) -> int:
+        return self.group.twisted_count
+
+
 class _LabelKernel:
     """A code's orbits on labels written as class-index tuples.
 
@@ -265,60 +300,92 @@ class _LabelKernel:
     orbits of the labels with rows mu are the cosets of D + K_T (T, K_T as
     in `_fixed_subgroup`), each led by its nu reduced against the Hermite
     form of D + K_T: entry j in [0, d_j) at a pivot, free in [0, 2k) elsewhere.
-    That form, D_T and its isotropic part are computed once per T, and a
-    character once per distinct eta, reduced against the dual code's form.
+    That form and the `CosetGroup` are computed once per T.  An eta is keyed
+    by the integer whose base-2k digits it is, summed position by position,
+    and named once per distinct key, reduced against the dual code's form.
     """
 
-    def __init__(self, code: Code):
-        self.labels, self.pair_class, self.shift = class_index(code.k)
-        self.code = code
-        self.eta = [eta_u0(code.k, c.i, c.l) for c in self.labels]
-        self._by_eta: dict[tuple[int, ...], CharacterLabel] = {}
+    def __init__(self, code: Code, index: ClassIndex):
+        self.code, self.index = code, index
+        self._by_key: dict[int, CharacterLabel] = {}
         self._characters: dict[tuple[int, ...], CharacterLabel] = {}
         self._cosets: dict[tuple[bool, ...], tuple] = {}
 
-    def named(self, eta: tuple[int, ...]) -> CharacterLabel:
-        """The character that eta names."""
-        chi = self._by_eta.get(eta)
+    def named(self, key: int) -> CharacterLabel:
+        """The character that the eta keyed by `key` names."""
+        chi = self._by_key.get(key)
         if chi is None:
-            least = least_in_coset(2 * self.code.k, self.code.dual_hermite, eta)
+            n, eta, rest = 2 * self.code.k, [], key
+            for _ in range(self.code.length):
+                rest, e = divmod(rest, n)
+                eta.append(e)
+            least = least_in_coset(n, self.code.dual_hermite, eta[::-1])
             chi = self._characters.setdefault(least, CharacterLabel(self.code, least))
-            self._by_eta[eta] = chi
+            self._by_key[key] = chi
         return chi
 
-    def character(self, x: tuple[int, ...]) -> CharacterLabel:
-        return self.named(tuple(map(self.eta.__getitem__, x)))
+    def key(self, eta) -> int:
+        """The integer whose base-2k digits are eta, the first most significant."""
+        n, key = 2 * self.code.k, 0
+        for e in eta:
+            key = key * n + e % n
+        return key
 
-    def cosets(self, mu):
-        """(the Hermite form of D + K_T, D_T, the isotropic part of D_T)."""
-        k, ell = self.code.k, self.code.length
+    def character(self, x: tuple[int, ...]) -> CharacterLabel:
+        return self.named(self.key(map(self.index.eta.__getitem__, x)))
+
+    def cosets(self, mu) -> tuple[tuple, CosetGroup]:
+        """(the Hermite form of D + K_T, the `CosetGroup` of T)."""
+        code, k, ell = self.code, self.code.k, self.code.length
         paired = tuple(2 * m == k - 1 for m in mu)
         if paired not in self._cosets:
-            gens = [h for _, h in self.code.hermite]
+            gens = [h for _, h in code.hermite]
             gens += [tuple(k * (j == r) for j in range(ell)) for r in range(ell) if paired[r]]
-            stab = _fixed_subgroup(self.code, mu)
-            self._cosets[paired] = (enumerate_code(k, ell, gens).hermite, stab,
-                                    _isotropic_part(self.code, stab))
+            self._cosets[paired] = (enumerate_code(k, ell, gens).hermite,
+                                    CosetGroup(code, _fixed_subgroup(code, mu)))
         return self._cosets[paired]
+
+    def rows(self, mu, target: CharacterLabel | None) -> list[CensusRow]:
+        """The census rows of the labels with rows mu, least members rising,
+        only those of the character `target` unless it is None."""
+        form, group = self.cosets(mu)
+        n, eta = 2 * self.code.k, self.index.eta
+        columns = [self.index.pair_class[m] for m in mu]
+        for j, h in form:
+            columns[j] = columns[j][:h[j]]
+        # the keys of product(*columns), in its order
+        keys = [0]
+        for column in columns:
+            etas = [eta[c] for c in column]
+            keys = [key * n + e for key in keys for e in etas]
+        for key in set(keys).difference(self._by_key):
+            self.named(key)
+        named = map(self._by_key.__getitem__, keys)
+        if target is None:
+            return list(map(CensusRow, product(*columns), repeat(group), named))
+        return [CensusRow(x, group, chi)
+                for x, chi in zip(product(*columns), named) if chi is target]
 
 
 def _orbit_of(code: Code, x: IrrU0Label) -> OrbitInfo:
     _check_code_shape(code, x.k, x.length)
-    kernel, x = _LabelKernel(code), canonicalize_irr(x.k, x.mu, x.nu)
-    form, stab, isotropic = kernel.cosets(x.mu)
+    kernel, x = _LabelKernel(code, class_index(code.k)), canonicalize_irr(x.k, x.mu, x.nu)
+    form, group = kernel.cosets(x.mu)
     nu = least_in_coset(2 * code.k, form, x.nu)
-    least = tuple(kernel.pair_class[m][v] for m, v in zip(x.mu, nu))
-    return OrbitInfo(least, stab, isotropic, kernel.character(least),
-                     kernel.labels, kernel.shift)
+    least = tuple(kernel.index.pair_class[m][v] for m, v in zip(x.mu, nu))
+    return OrbitInfo(least, group.stabilizer, group.isotropic, kernel.character(least),
+                     kernel.index.labels, kernel.index.shift)
 
 
-def orbits(
+def census_rows(
     code: Code,
     restrict_to_character: CharacterLabel | None = None,
-) -> tuple[OrbitInfo, ...]:
-    """The orbit census of the code action on all canonical labels.
+    index: ClassIndex | None = None,
+) -> list[CensusRow]:
+    """The orbit census as `CensusRow`s, in `all_irr_labels` order of the
+    least members, which are tuples of the class numbers of `index`
+    (`class_index(code.k)`, built when not given).
 
-    Orbits are listed by their least member in `all_irr_labels` order.
     Characters are class functions only when every code pairing is
     integral, so Invalid codes are rejected.  A character restriction is
     applied per orbit, to its least member.
@@ -328,25 +395,34 @@ def orbits(
     check_label_budget(code.k, code.length)
     chi = restrict_to_character
     if chi is not None and (chi.code != code or len(chi.eta) != code.length):
-        return ()
-    kernel = _LabelKernel(code)
-    target = None if chi is None else kernel.named(chi.eta)
+        return []
+    kernel = _LabelKernel(code, class_index(code.k) if index is None else index)
+    target = None if chi is None else kernel.named(kernel.key(chi.eta))
     if target != chi:
-        return ()
+        return []
     census = []
     # the rows mu of canonical labels, whose orbits the sort interleaves
     for mu in product(range((code.k + 1) // 2), repeat=code.length):
-        form, stab, isotropic = kernel.cosets(mu)
-        rows = [kernel.pair_class[m] for m in mu]
-        for j, h in form:
-            rows[j] = rows[j][:h[j]]
-        for x in product(*rows):
-            character = kernel.character(x)
-            if target is None or character is target:
-                census.append(OrbitInfo(x, stab, isotropic, character,
-                                        kernel.labels, kernel.shift))
-    census.sort(key=attrgetter("least"))
-    return tuple(census)
+        census += kernel.rows(mu, target)
+    census.sort(key=itemgetter(0))
+    return census
+
+
+def orbits(
+    code: Code,
+    restrict_to_character: CharacterLabel | None = None,
+    index: ClassIndex | None = None,
+) -> tuple[OrbitInfo, ...]:
+    """The orbit census of the code action on all canonical labels, as
+    `OrbitInfo`s: `census_rows`, whose arguments it takes."""
+    if index is None:
+        check_label_budget(code.k, code.length)  # k^2 classes are fewer
+        index = class_index(code.k)
+    rows = census_rows(code, restrict_to_character, index)[::-1]
+    # each row is dropped as its OrbitInfo is built: the census is held once
+    return tuple(OrbitInfo(least, group.stabilizer, group.isotropic, chi,
+                           index.labels, index.shift)
+                 for least, group, chi in (rows.pop() for _ in range(len(rows))))
 
 
 @dataclass(frozen=True)
@@ -394,9 +470,9 @@ def induce_from_orbit(code: Code, info: OrbitInfo) -> InducedModuleReport:
     return InducedModuleReport(orbit=info, summand_count=summands, multiplicity=mult)
 
 
-def count_twisted_by_character(census: tuple[OrbitInfo, ...]) -> Counter:
+def count_twisted_by_character(census) -> Counter:
     """The sum of `twisted_count` over the orbits of each character of a
-    census, which is of one code."""
+    census, which is of one code: its `OrbitInfo`s or its `CensusRow`s."""
     # grouped by eta first, so that a CharacterLabel, and with it the Code,
     # is hashed once per character and not once per orbit
     totals: dict[tuple[int, ...], list] = {}
@@ -446,17 +522,18 @@ class CaseBInventory:
 UNDETERMINED_FLAG = "irreducible or splits into two irreducibles (undetermined)"
 
 
-def case_b_inventory(code: Code) -> CaseBInventory:
+def case_b_inventory(code: Code, index: ClassIndex | None = None) -> CaseBInventory:
     """Inventory of irreducible modules of a Case B superalgebra code.
 
     The even-diagonal subgroup D0 is Case A; every irreducible module of
     the even part U_{D0} comes from a trivial-character orbit there, and
     induces over U_D an object that is either irreducible or a direct sum
-    of two irreducibles (not decided here).
+    of two irreducibles (not decided here).  `index` is `class_index(code.k)`,
+    built when not given.
     """
     even, xi1 = even_part(code)
     entries = []
-    for info in orbits(even, restrict_to_character=trivial_character(even)):
+    for info in orbits(even, trivial_character(even), index):
         report = induce_from_orbit(even, info)
         decomp: Counter = Counter()
         for x in info.classes:

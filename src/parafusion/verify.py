@@ -65,7 +65,7 @@ def _associativity_fault(table: list[list[tuple[int, ...]]]) -> tuple[int, int, 
 def suite_fusion_axioms(k: int) -> list[CheckResult]:
     # associativity visits every triple of the k^2 classes
     check_budget("suite k^6", k, 6)
-    labels, pair_class, _ = class_index(k)
+    labels, pair_class = class_index(k)[:2]
     table = fusion_table(k)
     classes = range(len(labels))
     results = []

@@ -3,15 +3,27 @@
 reads off Hermite forms; each costs (2k)^ell steps per code.  The label
 walk checks the orbit census that the program lists from the cosets of
 D + K_T, at k^(2 ell) labels and |D| translates per orbit.  The triple
-scan checks the associativity verdict of the fusion-axioms suite, and the
-argparse parser checks the command line that cli.COMMANDS reads."""
+scan checks the associativity verdict of the fusion-axioms suite, the
+argparse parser checks the command line that cli.COMMANDS reads, and a
+Case A `modules` report built as a dict per orbit checks the report that
+the command writes from census rows."""
 
 import argparse
 from itertools import chain, product
 
 from parafusion import cli
-from parafusion.arith import ResidueVector, standard_inner
-from parafusion.ud import CharacterLabel, act, all_irr_labels
+from parafusion.arith import ResidueVector, mod1, standard_inner
+from parafusion.codes import load_code
+from parafusion.u0 import all_u0_labels, weight_mod1
+from parafusion.ud import (
+    CharacterLabel,
+    act,
+    all_irr_labels,
+    character_from_eta,
+    count_twisted_by_character,
+    induce_from_orbit,
+    orbits,
+)
 from parafusion.verify import SUITES
 
 # (k, ell) pairs whose every code of all_codes is scanned, eta by eta:
@@ -73,6 +85,53 @@ def direct_census(code):
             names.update(dict.fromkeys(coset, min(v.entries for v in coset)))
         census.append((rep, members, stab, isotropic, CharacterLabel(code, names[eta])))
     return census
+
+
+def modules_report(source: str, chi: str | None = None, induce: bool = False) -> dict:
+    """The report of `parafusion modules --code source [--chi chi] [--induce]`
+    on a Case A code, built orbit by orbit from `ud.orbits` as a dict per
+    entry: each class named by its label, each weight mod 1 summed from the
+    classes' `weight_mod1`, each character named by `str`."""
+    code = load_code(source)
+    labels = all_u0_labels(code.k)
+    character = None if chi is None else character_from_eta(
+        code, [int(x) for x in chi.split(",")])
+    census = orbits(code, restrict_to_character=character)
+    entries = []
+    for o in census:
+        entry = {
+            "representative": [str(labels[c]) for c in o.least],
+            "size": o.size,
+            "stabilizer_order": o.stabilizer_order,
+            "isotropic_order": o.isotropic_order,
+            "character": str(o.character),
+            "weight_mod1": str(mod1(sum(weight_mod1(labels[c]) for c in o.least))),
+        }
+        if induce:
+            report = induce_from_orbit(code, o)
+            entry["induced"] = {
+                "summand_count": report.summand_count,
+                "multiplicity": report.multiplicity,
+                "u0_decomposition": [
+                    {"label": [str(labels[c]) for c in x], "multiplicity": report.multiplicity}
+                    for x in o.classes
+                ],
+            }
+        entries.append(entry)
+    return {
+        "schema": cli.SCHEMA,
+        "command": "modules",
+        "parameters": {"code": source, "chi": chi, "induce": induce},
+        "results": {
+            "classification": "CaseA",
+            "orbit_count": len(census),
+            "orbits": entries,
+            "twisted_module_counts": {
+                str(c): n for c, n in count_twisted_by_character(census).items()},
+        },
+        "seed": None,
+        "deterministic": True,
+    }
 
 
 def first_non_associative(table):

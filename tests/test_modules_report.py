@@ -1,0 +1,124 @@
+"""The Case A `modules` report, written from census rows, against the
+report built as a dict per orbit (`scans.modules_report`) and encoded by
+the standard library's indenting encoder, byte for byte."""
+
+import contextlib
+import io
+import json
+import sys
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scans import modules_report
+
+from parafusion import cli, u0, ud
+from parafusion.codes import Classification, all_codes, enumerate_code
+from parafusion.ud import orbits
+
+REFERENCE = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def _source(code) -> str:
+    gens = [list(g.entries) for g in code.generators]
+    return json.dumps({"k": code.k, "length": code.length, "generators": gens})
+
+
+def _check(code, chi=None, induce=False) -> None:
+    source = _source(code)
+    argv = ["modules", "--code", source] + (["--chi", chi] if chi else []) \
+        + (["--induce"] if induce else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(argv)
+    assert status == 0 and err.getvalue() == ""
+    assert out.getvalue() == REFERENCE.encode(modules_report(source, chi, induce)) + "\n"
+
+
+# every (k, ell) with k = 2..7, ell <= 3 and at most 2^16 labels
+SHAPES = [(k, ell) for k in range(2, 8) for ell in range(1, 4) if k ** (2 * ell) <= 2 ** 16]
+
+
+@st.composite
+def case_a_codes(draw):
+    """A Case A code: each generator even, and pairing integrally with every
+    earlier one."""
+    k, ell = draw(st.sampled_from(SHAPES))
+    n, gens = 2 * k, []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = [v for v in product(range(n), repeat=ell)
+                if (k - 1) * sum(a * a for a in v) % (2 * n) == 0
+                and all((k - 1) * sum(map(int.__mul__, v, g)) % n == 0 for g in gens)]
+        gens.append(draw(st.sampled_from(pool)))
+    code = enumerate_code(k, ell, gens)
+    assert code.classification is Classification.CASE_A
+    return code
+
+
+@settings(max_examples=25, deadline=None)
+@given(code=case_a_codes(), mode=st.sampled_from(["plain", "chi", "induce"]), data=st.data())
+def test_modules_report_matches_the_reference(code, mode, data):
+    chi = None
+    if mode == "chi":
+        eta = data.draw(st.lists(st.integers(0, 2 * code.k - 1),
+                                 min_size=code.length, max_size=code.length))
+        chi = ",".join(map(str, eta))
+    _check(code, chi, mode == "induce")
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_every_small_case_a_report_matches_the_reference(k):
+    checked = 0
+    for code in all_codes(k, 2):
+        if code.classification is not Classification.CASE_A:
+            continue
+        _check(code)
+        _check(code, induce=True)
+        for chi in {o.character for o in orbits(code)}:
+            _check(code, ",".join(map(str, chi.eta)))
+        checked += 1
+    assert checked > 0
+
+
+_COUNTED = ("class_index", "all_u0_labels")
+
+
+@pytest.mark.parametrize("flags", [[], ["--chi", "1,2,0"], ["--induce"], "case-b"])
+def test_a_modules_request_builds_each_class_table_once(monkeypatch, capsys, flags):
+    # each per-k table is counted wherever a program module binds it, and
+    # class_index builds its labels through the module's own all_u0_labels;
+    # the weights mod 1 are a field of the class table
+    calls = dict.fromkeys(_COUNTED, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in _COUNTED:
+        fn = getattr(u0, name)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "") or "").startswith("parafusion") \
+                    and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    if flags == "case-b":
+        argv = ["modules", "--code", json.dumps({"k": 3, "length": 2, "generators": [[3, 0]]})]
+    else:
+        code = {"k": 3, "length": 3, "generators": [[3, 3, 0], [0, 3, 3]]}
+        argv = ["modules", "--code", json.dumps(code)] + flags
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["results"]
+    assert calls == {"class_index": 1, "all_u0_labels": 1}
+
+
+def test_a_failure_while_the_report_is_written_exits_2(monkeypatch, capsys):
+    # an induced module is computed as its entry is written: with every
+    # isotropic part empty, the stabilized orbits of k = 3 induce no square
+    monkeypatch.setattr(ud, "_isotropic_part", lambda code, stab: ())
+    code = json.dumps({"k": 3, "length": 2, "generators": [[3, 3]]})
+    assert cli.main(["modules", "--code", code, "--induce"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: stabilizer order 2 is not a square times the summand count 0\n"
+    assert cli.main(["modules", "--code", code]) == 0

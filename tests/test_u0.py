@@ -22,6 +22,7 @@ from parafusion.u0 import (
     b_form_u0,
     canonicalize_u0,
     class_index,
+    eta_u0,
     fuse_u0,
     fusion_table,
     phi_grade,
@@ -68,7 +69,7 @@ def test_canonical_class_count(k):
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_class_index_numbers_the_canonical_classes(k):
-    labels, pair_class, shift = class_index(k)
+    labels, pair_class, shift, eta = class_index(k)[:4]
     assert labels == all_u0_labels(k)
     assert labels[:2 * k] == simple_currents(k) and labels[0] == u0_vacuum(k)
     for i, l in product(range(k), range(2 * k)):
@@ -76,6 +77,8 @@ def test_class_index_numbers_the_canonical_classes(k):
         assert labels[c] == canonicalize_u0(k, i, l)
         assert [labels[shift[c][d]] for d in range(2 * k)] == [
             canonicalize_u0(k, i, l + d) for d in range(2 * k)]
+        # eta is a class function, read off any raw pair
+        assert eta[c] == eta_u0(k, i, l)
 
 
 @pytest.mark.parametrize("k", range(2, 8))
@@ -444,8 +447,7 @@ def test_public_weights_match_the_fraction_reference(k):
 @pytest.mark.parametrize("k", range(2, 13))
 def test_weight_mod1_matches_the_fraction_reference_on_raw_pairs(k):
     # the table is per class, so this also checks that a class's raw pairs agree
-    q, table = u0.weight_mod1_table(k)
-    _, pair_class, _ = u0.class_index(k)
+    _, pair_class, _, _, q, table = u0.class_index(k)
     for i in range(k):
         for l in range(2 * k):
             a = U0Label(k, i, l)

@@ -50,6 +50,21 @@ def test_writer_writes_empty_and_nested_containers():
     assert _streamed(tree) == cli._render(tree, "") == REFERENCE.encode(tree)
 
 
+def test_writer_writes_a_listing_as_the_list_of_its_entries():
+    # each entry is written by the listing's function, at the indent the
+    # writer reached: "orbits" sits under "results", so its entries at 6
+    def entry(row, indent):
+        return cli._render({"row": row, "indent": len(indent)}, indent)
+
+    rows = [[1, "a"], [], [None]]
+    tree = {"results": {"orbits": cli._Listing(rows, entry), "none": cli._Listing([], entry)}}
+    expected = REFERENCE.encode(
+        {"results": {"orbits": [{"row": r, "indent": 6} for r in rows], "none": []}})
+    assert cli._render(tree, "") == expected
+    for levels in range(5):
+        assert _streamed(tree, levels) == expected
+
+
 @pytest.mark.parametrize("bad", [0.5, {1, 2}, frozenset(), 1j, b"x"])
 def test_writer_refuses_what_a_report_never_holds(bad):
     # reports are exact: rationals are strings, never floats
