@@ -9,14 +9,15 @@ here from explicit vectors of (1/2k)Z^k, held as integer numerators over 2k.
 congruence mod 2k^2, and a norm mod 2Z one mod 4k^2.
 
 Every congruence check decides and samples in one helper, `_congruent`.
-The samples move coset representatives by random elements of N.
-`random_n_element` draws one: integer coefficients c_1..c_{k-1} in
-[-bound, bound] on the basis beta_r = alpha_r - alpha_{r+1}, each taken
-from `getrandbits` with the rejection `randint` itself makes, so the
-stream is randint's, and written straight into numerators.  `_translates`
-is the one loop that draws N-translates, for every check, from one
-Random(seed); it hands them on as plain lists of numerators, so each
-sampled pairing is one integer dot product.
+The samples move coset representatives by random elements of N, all drawn
+in one loop, `_n_translates`: each element's integer coefficients
+c_1..c_{k-1} in [-bound, bound] on the basis beta_r = alpha_r - alpha_{r+1}
+are taken from `getrandbits` with the rejection `randint` itself makes, so
+the stream is randint's, and written straight into the numerators of the
+moved representatives, laid end to end in one flat list per side.
+`_translates` runs that loop for every check from one Random(seed), so
+each sampled pairing is one integer dot product; `random_n_element` runs
+it once for the public draw of one vector.
 """
 
 from __future__ import annotations
@@ -153,9 +154,15 @@ def n_basis(k: int) -> tuple[LatticeVector, ...]:
     )
 
 
-def random_n_element(k: int, rng: random.Random, bound: int = 3) -> LatticeVector:
-    """A random element of N: sum c_r beta_r with c_r drawn from [-bound, bound]
-    in the order r = 1..k-1, so its coordinates are c_1, c_2 - c_1, ..., -c_{k-1}.
+def _n_translates(
+    rng: random.Random, k: int, sides: Sequence[Sequence[Sequence[int]]],
+    samples: int, bound: int = 3,
+) -> Iterator[list[list[int]]]:
+    """`samples` times, every side of `sides` moved by random elements of N:
+    each numerator tuple over 2k of a side plus its own sum c_r beta_r, the
+    moved tuples of a side laid end to end in one list.  The c_r are drawn
+    from [-bound, bound] in the order side, tuple, r = 1..k-1, so a tuple
+    moves to num_1 + 2k c_1, num_2 + 2k (c_2 - c_1), ..., num_k - 2k c_{k-1}.
 
     Each c_r + bound is `rng.getrandbits(n)`, n the bit length of the width
     2*bound + 1, drawn again while it is not below the width.  That is the
@@ -164,15 +171,34 @@ def random_n_element(k: int, rng: random.Random, bound: int = 3) -> LatticeVecto
     every c_r are the same; only randint's layers of calls are saved."""
     width = 2 * bound + 1
     bits, getrandbits, scale = width.bit_length(), rng.getrandbits, 2 * k
-    num, prev = [], 0
-    for _ in range(k - 1):
-        c = getrandbits(bits)
-        while c >= width:
-            c = getrandbits(bits)
-        c = scale * (c - bound)
-        num.append(c - prev)
-        prev = c
-    num.append(-prev)
+    sides = [[(num[:-1], num[-1]) for num in side] for side in sides]
+    for _ in range(samples):
+        out = []
+        for side in sides:
+            moved = []
+            for head, last in side:
+                prev = 0
+                for a in head:
+                    c = getrandbits(bits)
+                    while c >= width:
+                        c = getrandbits(bits)
+                    c = scale * (c - bound)
+                    moved.append(a + c - prev)
+                    prev = c
+                moved.append(last - prev)
+            out.append(moved)
+        yield out
+
+
+def random_n_element(k: int, rng: random.Random, bound: int = 3) -> LatticeVector:
+    """A random element of N: sum c_r beta_r with c_r drawn from [-bound, bound]
+    in the order r = 1..k-1, so its coordinates are c_1, c_2 - c_1, ..., -c_{k-1};
+    the draws are randint's (`_n_translates`)."""
+    if k < 2:
+        raise ValueError(f"rank k must be >= 2, got {k}")
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    ((num,),) = _n_translates(rng, k, [[(0,) * k]], 1, bound)
     return LatticeVector._of(k, tuple(num))
 
 
@@ -239,18 +265,12 @@ def _translates(
     reps_y: Sequence[LatticeVector],
     samples: int,
     seed: int,
-) -> Iterator[tuple[list[int], list[int]]]:
-    """`samples` pairs (xs, ys) of N-translates of the representatives, each
+) -> Iterator[list[list[int]]]:
+    """`samples` pairs [xs, ys] of N-translates of the representatives, each
     the numerators of its components laid end to end, the x translates drawn
     before the y translates from one Random(seed)."""
-    rng = random.Random(seed)
-
-    def moved(reps: Sequence[LatticeVector]) -> list[int]:
-        return [a + b for r in reps
-                for a, b in zip(r.num, random_n_element(k, rng).num, strict=True)]
-
-    for _ in range(samples):
-        yield moved(reps_x), moved(reps_y)
+    sides = [r.num for r in reps_x], [r.num for r in reps_y]
+    return _n_translates(random.Random(seed), k, sides, samples)
 
 
 def _congruent(k: int, reps_x: Sequence[LatticeVector], reps_y: Sequence[LatticeVector],

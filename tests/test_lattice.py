@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -88,6 +89,37 @@ def test_random_n_element_is_the_beta_combination_of_its_draws(k):
                     expected = expected + beta.scaled(twin.randint(-bound, bound))
                 assert random_n_element(k, rng, bound) == expected
             assert rng.random() == twin.random()
+
+
+class _Undrawn(random.Random):
+    def getrandbits(self, n):
+        raise AssertionError("a draw was made")
+
+
+@pytest.mark.parametrize("k, bound", [(3, -1), (3, -4), (1, 3), (0, 3), (-2, 0)])
+def test_random_n_element_refuses_before_drawing(k, bound):
+    # a negative bound rejected every draw forever, and k = 1 gave a rank-1
+    # vector that LatticeVector itself refuses
+    with pytest.raises(ValueError, match="bound must be >= 0" if k >= 2 else "rank k"):
+        random_n_element(k, _Undrawn(0), bound)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_translates_are_the_draws_of_random_n_element(k):
+    # each sample is the flat numerators of r + random_n_element(k, rng), one
+    # Random(seed), the x translates before the y translates
+    cases = random.Random(k)
+    for ell, samples in product(range(1, 4), range(6)):
+        for _ in range(3):
+            seed = cases.randrange(2**30)
+            reps_x = [coset_rep(ntilde_coset(k, cases.randrange(2 * k))) for _ in range(ell)]
+            reps_y = [lattice._housing_rep(k, cases.randrange(k), cases.randrange(2 * k))
+                      for _ in range(ell)]
+            rng = random.Random(seed)
+            expected = [[[a for r in reps for a in (r + random_n_element(k, rng)).num]
+                         for reps in (reps_x, reps_y)] for _ in range(samples)]
+            drawn = lattice._translates(k, reps_x, reps_y, samples, seed)
+            assert [list(sides) for sides in drawn] == expected
 
 
 def test_coset_reps():
@@ -198,8 +230,7 @@ def test_gamma_d_parity_examples():
 def test_gamma_d_parity_spot_check_fails_on_a_half_integral_translate(monkeypatch):
     # a translate outside N shifts a norm by an odd amount: the spot check
     # raises, also under python -O
-    half = LatticeVector(3, (Fraction(1, 2), Fraction(-1, 2), 0))
-    monkeypatch.setattr(lattice, "random_n_element", lambda k, rng: half)
+    monkeypatch.setattr(lattice, "_translates", _half_shifted())
     with pytest.raises(RuntimeError, match="N-translate"):
         gamma_d_parity(enumerate_code(3, 1, [[3]]))
 
@@ -243,14 +274,32 @@ def test_gamma_d_parity_builds_no_codeword():
     assert time.perf_counter() - start < 1.0
 
 
-def _half_translate(k, rng):
+def _half_translate(k):
     return LatticeVector(k, (Fraction(1, 2), Fraction(-1, 2)) + (0,) * (k - 2))
+
+
+def _half_shifted(share=1.0):
+    """lattice._translates with each translated component moved off N by
+    (1/2, -1/2, 0, ...), numerators (k, -k) over 2k: every component, or
+    about `share` of them, picked in draw order by a stream of their own."""
+    real = lattice._translates
+
+    def translates(k, reps_x, reps_y, samples, seed):
+        picks = random.Random(f"half {seed}")
+        for sides in real(k, reps_x, reps_y, samples, seed):
+            for side in sides:
+                for p in range(0, len(side), k):
+                    if picks.random() < share:
+                        side[p] += k
+                        side[p + 1] -= k
+            yield sides
+    return translates
 
 
 def test_lattice_lemmas_fail_on_a_half_integral_translate(monkeypatch, capsys):
     # a translate outside N moves the norm of the zero coset by 1: the sampled
     # congruences must notice, and verify must exit 1
-    monkeypatch.setattr(lattice, "random_n_element", _half_translate)
+    monkeypatch.setattr(lattice, "_translates", _half_shifted())
     assert not verify_coset_inner_congruence_vec(
         ResidueVector(4, (0,)), ResidueVector(4, (0,)), samples=1)
     checks = {c.name: c for c in suite_lattice_lemmas(2, seed=1)}
@@ -259,6 +308,30 @@ def test_lattice_lemmas_fail_on_a_half_integral_translate(monkeypatch, capsys):
     assert checks["coset-index"].passed
     assert main(["verify", "--suite", "lattice-lemmas", "--k", "2", "--seed", "1"]) == 1
     assert '"all_passed": false' in capsys.readouterr().out
+
+
+class _CountedRandom(random.Random):
+    """A Random that counts its getrandbits calls in `draws`."""
+
+    draws = 0
+
+    def getrandbits(self, n):
+        _CountedRandom.draws += 1
+        return super().getrandbits(n)
+
+
+def test_a_failing_sample_stops_the_drawing(monkeypatch):
+    # the translates are drawn lazily: a check that fails on its first sample
+    # makes the draws of that sample alone, whatever its sample count
+    monkeypatch.setattr(lattice, "random", SimpleNamespace(Random=_CountedRandom))
+    monkeypatch.setattr(lattice, "_translates", _half_shifted())
+    zero = ResidueVector(4, (0,))
+    drawn = []
+    for samples in (1, 20):
+        monkeypatch.setattr(_CountedRandom, "draws", 0)
+        assert not verify_coset_inner_congruence_vec(zero, zero, samples, seed=5)
+        drawn.append(_CountedRandom.draws)
+    assert drawn[0] == drawn[1] > 0
 
 
 @pytest.mark.parametrize("k", range(2, 11))
@@ -340,17 +413,24 @@ def test_congruence_checks_shapes_before_deciding():
             lattice._congruent(3, xs, ys, 0, 0, 5, 0)
 
 
-def _congruent_by_vectors(k, reps_x, reps_y, pair_target, norm_target, samples, seed):
+def _congruent_by_vectors(k, reps_x, reps_y, pair_target, norm_target, samples, seed,
+                          share=0.0):
     # the verdict of _congruent recomputed with LatticeVector arithmetic: N*
-    # membership from the basis pairings, then every case as Fractions
+    # membership from the basis pairings, then every case as Fractions; the
+    # translates are moved off N as _half_shifted(share) moves them
     m = 2 * k * k
     if any(r.inner(b).denominator != 1 for r in reps_x + reps_y for b in n_basis(k)):
         return False
-    rng = random.Random(seed)
+    rng, picks = random.Random(seed), random.Random(f"half {seed}")
+
+    def moved(r):
+        x = r + random_n_element(k, rng)
+        return x + _half_translate(k) if picks.random() < share else x
+
     cases = [(reps_x, reps_y)]
     for _ in range(samples):
-        xs = [r + lattice.random_n_element(k, rng) for r in reps_x]
-        cases.append((xs, [r + lattice.random_n_element(k, rng) for r in reps_y]))
+        xs = [moved(r) for r in reps_x]
+        cases.append((xs, [moved(r) for r in reps_y]))
     for xs, ys in cases:
         if (sum(x.inner(y) for x, y in zip(xs, ys)) - Fraction(pair_target, m)).denominator != 1:
             return False
@@ -359,12 +439,6 @@ def _congruent_by_vectors(k, reps_x, reps_y, pair_target, norm_target, samples, 
             if norm.denominator != 1 or norm.numerator % 2:
                 return False
     return True
-
-
-def _sometimes_half(k, rng):
-    # a real draw, moved off N by (1/2, -1/2, 0, ...) about one time in three
-    n = random_n_element(k, rng)
-    return n + _half_translate(k, rng) if rng.random() < 0.3 else n
 
 
 @st.composite
@@ -402,12 +476,11 @@ def _congruence_cases(draw):
 @given(_congruence_cases())
 def test_congruence_verdict_matches_lattice_vector_arithmetic(case):
     # the flat numerator dot products against inner and norm on r + n, with
-    # real translates or some moved off N, targets right or wrong
+    # real translates or about one in three moved off N, targets right or wrong
     *args, half = case
-    translate = _sometimes_half if half else random_n_element
-    with patch.object(lattice, "random_n_element", translate):
-        expected = _congruent_by_vectors(*args)
-        assert lattice._congruent(*args) == expected
+    share = 0.3 if half else 0.0
+    with patch.object(lattice, "_translates", _half_shifted(share)):
+        assert lattice._congruent(*args) == _congruent_by_vectors(*args, share=share)
 
 
 def test_gamma_d_parity_decides_representatives_outside_n_dual(monkeypatch):
@@ -442,7 +515,7 @@ HALF_TRANSLATE_DETAILS = {
 
 @pytest.mark.parametrize("k, seed", sorted(HALF_TRANSLATE_DETAILS))
 def test_lattice_lemmas_keep_their_draw_order(monkeypatch, k, seed):
-    monkeypatch.setattr(lattice, "random_n_element", _half_translate)
+    monkeypatch.setattr(lattice, "_translates", _half_shifted())
     details = tuple(c.detail for c in suite_lattice_lemmas(k, seed=seed)[:3])
     assert details == HALF_TRANSLATE_DETAILS[k, seed]
 
