@@ -1,17 +1,21 @@
 """Exact integer and rational primitives shared by every other module.
 
 All values are Python ints or :class:`fractions.Fraction`; nothing in this
-package touches floating point.
+package touches floating point.  :class:`Value` is the base of every
+immutable value type of the package, from `ResidueVector` here to the
+labels, codes, characters and orbits of the modules above.
 """
 
 from __future__ import annotations
 
 import sys
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, eq, ge, gt, le, lt
+from typing import Sequence
 
 __all__ = [
+    "Value",
     "Rational",
     "mod1",
     "ResidueVector",
@@ -23,6 +27,59 @@ __all__ = [
     "CodeTooLargeError",
     "check_budget",
 ]
+
+
+def _comparison(key, op):
+    """`op` on the keys of two instances of one class; NotImplemented otherwise."""
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return op(key(self), key(other))
+        return NotImplemented
+    return method
+
+
+class Value:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in its class statement, as in
+    ``class U0Label(Value, fields=("k", "i", "l"), order=True)``; its own
+    ``__init__`` checks and normalises them and stores them with
+    ``self.__dict__.update``.  ``==`` and ``hash`` read the tuple of the
+    ``compare`` fields (all the fields unless it names fewer), and so do
+    ``<``, ``<=``, ``>`` and ``>=`` when ``order`` is true; a comparison
+    holds only between instances of one class, and the hash is that
+    tuple's.  ``repr`` shows the fields as ``Name(field=value, ...)``.
+    Assigning or deleting an attribute raises AttributeError.
+
+    The methods are closures over one ``operator.attrgetter`` per class,
+    made once when the class is defined.
+    """
+
+    def __init_subclass__(cls, *, fields: tuple[str, ...],
+                          compare: tuple[str, ...] | None = None, order: bool = False) -> None:
+        compare = fields if compare is None else compare
+        get = attrgetter(*compare)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        key = get if len(compare) > 1 else lambda value: (get(value),)
+
+        def __hash__(self):
+            return hash(key(self))
+
+        def __repr__(self):
+            shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+            return f"{type(self).__qualname__}({shown})"
+
+        cls.__hash__, cls.__repr__, cls.__eq__ = __hash__, __repr__, _comparison(key, eq)
+        if order:
+            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = (
+                _comparison(key, op) for op in (lt, le, gt, ge))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
 
 # Arbitrary-precision exact rational: always lowest terms, positive denominator.
 Rational = Fraction
@@ -71,21 +128,16 @@ def mod1(q: Fraction | int) -> Fraction:
     return q - Fraction(q.numerator // q.denominator)
 
 
-@dataclass(frozen=True, order=True)
-class ResidueVector:
+class ResidueVector(Value, fields=("modulus", "entries"), order=True):
     """A vector over Z_n, entries stored reduced into [0, n)."""
 
-    modulus: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        if len(self.entries) < 1:
+    def __init__(self, modulus: int, entries: Sequence[int]) -> None:
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        if len(entries) < 1:
             raise ValueError("residue vector must have length >= 1")
-        object.__setattr__(
-            self, "entries", tuple(int(e) % self.modulus for e in self.entries)
-        )
+        self.__dict__.update(modulus=modulus,
+                             entries=tuple(int(e) % modulus for e in entries))
 
     @classmethod
     def zero(cls, modulus: int, length: int) -> "ResidueVector":
@@ -135,21 +187,16 @@ def standard_inner(xi: ResidueVector, eta: ResidueVector) -> int:
     return sum(a * b for a, b in zip(xi.entries, eta.entries)) % xi.modulus
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Value, fields=("entries",)):
     """A rectangular matrix with exact integer entries."""
 
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) == 0 or len(self.entries[0]) == 0:
+    def __init__(self, entries: Sequence[Sequence[int]]) -> None:
+        if len(entries) == 0 or len(entries[0]) == 0:
             raise ValueError("matrix must be nonempty")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
+        width = len(entries[0])
+        if any(len(row) != width for row in entries):
             raise ValueError("matrix rows must all have the same length")
-        object.__setattr__(
-            self, "entries", tuple(tuple(int(e) for e in row) for row in self.entries)
-        )
+        self.__dict__.update(entries=tuple(tuple(int(e) for e in row) for row in entries))
 
     @property
     def rows(self) -> int:

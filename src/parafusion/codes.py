@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
@@ -25,7 +24,7 @@ from math import prod
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .arith import CodeTooLargeError, ResidueVector, check_budget
+from .arith import CodeTooLargeError, ResidueVector, Value, check_budget
 
 __all__ = [
     "Classification",
@@ -49,16 +48,16 @@ class Classification(Enum):
     INVALID = "Invalid"
 
 
-@dataclass(frozen=True)
-class Code:
-    k: int
-    length: int
-    # a code is its subgroup, which the Hermite form names; the generators
-    # are one presentation of it, and the classification follows from it,
-    # so equality and the hash skip both
-    generators: tuple[ResidueVector, ...] = field(compare=False)
-    hermite: tuple[tuple[int, tuple[int, ...]], ...]
-    classification: Classification = field(compare=False)
+# a code is its subgroup, which the Hermite form names; the generators are
+# one presentation of it, and the classification follows from it, so
+# equality and the hash skip both
+class Code(Value, fields=("k", "length", "generators", "hermite", "classification"),
+           compare=("k", "length", "hermite")):
+    def __init__(self, k: int, length: int, generators: tuple[ResidueVector, ...],
+                 hermite: tuple[tuple[int, tuple[int, ...]], ...],
+                 classification: Classification) -> None:
+        self.__dict__.update(k=k, length=length, generators=generators, hermite=hermite,
+                             classification=classification)
 
     @property
     def size(self) -> int:

@@ -23,14 +23,13 @@ it once for the public draw of one vector.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
-from .arith import IntegerMatrix, ResidueVector, smith_normal_form
+from .arith import IntegerMatrix, ResidueVector, Value, smith_normal_form
 from .codes import Code
 from .u0 import eta_u0
 
@@ -56,17 +55,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True, init=False)
-class LatticeVector:
+def _check_rank(k: int) -> None:
+    """Refuse a rank below 2: at k = 1, N is 0, so a coset check would draw
+    no translate and pass on the representatives alone."""
+    if k < 2:
+        raise ValueError(f"rank k must be >= 2, got {k}")
+
+
+class LatticeVector(Value, fields=("k", "num"), order=True):
     """A vector of (1/2k)Z^k in the basis alpha_1..alpha_k (Gram = 2*Id), held
     as the integer numerators `num` of its coordinates over 2k."""
 
-    k: int
-    num: tuple[int, ...]
-
     def __init__(self, k: int, coords: Sequence) -> None:
-        if k < 2:
-            raise ValueError(f"rank k must be >= 2, got {k}")
+        _check_rank(k)
         if len(coords) != k:
             raise ValueError(f"expected {k} coordinates, got {len(coords)}")
         num = [Fraction(c) * 2 * k for c in coords]
@@ -194,30 +195,24 @@ def random_n_element(k: int, rng: random.Random, bound: int = 3) -> LatticeVecto
     """A random element of N: sum c_r beta_r with c_r drawn from [-bound, bound]
     in the order r = 1..k-1, so its coordinates are c_1, c_2 - c_1, ..., -c_{k-1};
     the draws are randint's (`_n_translates`)."""
-    if k < 2:
-        raise ValueError(f"rank k must be >= 2, got {k}")
+    _check_rank(k)
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     ((num,),) = _n_translates(rng, k, [[(0,) * k]], 1, bound)
     return LatticeVector._of(k, tuple(num))
 
 
-@dataclass(frozen=True)
-class CosetSpec:
+class CosetSpec(Value, fields=("k", "kind", "l", "j", "a")):
     """A coset of N in its dual: either Ntilde(l) = N - l*d/2k, or
     N(j, a) = N + delta_a - j*alpha_k + ((2j - wt(a))/2k) gamma_k."""
 
-    k: int
-    kind: str  # "ntilde" | "nja"
-    l: int = 0
-    j: int = 0
-    a: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("ntilde", "nja"):
-            raise ValueError(f"unknown coset kind {self.kind!r}")
-        if self.kind == "nja" and (len(self.a) != self.k or set(self.a) - {0, 1}):
-            raise ValueError(f"a must be a 0/1 vector of length {self.k}")
+    def __init__(self, k: int, kind: str, l: int = 0, j: int = 0,
+                 a: tuple[int, ...] = ()) -> None:
+        if kind not in ("ntilde", "nja"):
+            raise ValueError(f"unknown coset kind {kind!r}")
+        if kind == "nja" and (len(a) != k or set(a) - {0, 1}):
+            raise ValueError(f"a must be a 0/1 vector of length {k}")
+        self.__dict__.update(k=k, kind=kind, l=l, j=j, a=a)
 
 
 def ntilde_coset(k: int, l: int) -> CosetSpec:
@@ -301,6 +296,7 @@ def verify_coset_inner_congruence(
     """Decide, and check on `samples` translates, that <x, y> = (k-1)pq/2k
     mod Z for x in Ntilde(p), y in Ntilde(q), and <x, x> = (k-1)p^2/2k mod 2Z:
     the length-1 case of `verify_coset_inner_congruence_vec`."""
+    _check_rank(k)
     return verify_coset_inner_congruence_vec(
         ResidueVector(2 * k, (p,)), ResidueVector(2 * k, (q,)), samples, seed
     )
@@ -314,6 +310,7 @@ def verify_coset_inner_congruence_vec(
     if xi.modulus != eta.modulus or len(xi) != len(eta) or xi.modulus % 2:
         raise ValueError("xi and eta must share an even modulus and a length")
     k = xi.modulus // 2
+    _check_rank(k)
     reps_x = [coset_rep(ntilde_coset(k, c)) for c in xi]
     reps_y = [coset_rep(ntilde_coset(k, c)) for c in eta]
     # both targets times 2k^2: k(k-1)(xi.eta) mod 2k^2 and k(k-1)(xi.xi) mod 4k^2
@@ -416,6 +413,7 @@ def verify_pairing_matches_b_form(
     if xi.modulus % 2:
         raise ValueError("modulus must be even")
     k = xi.modulus // 2
+    _check_rank(k)
     if any(not 0 <= m < k for m in mu):
         raise ValueError(f"mu entries must lie in [0, {k - 1}]")
     reps_y = [_housing_rep(k, mu_r, nu_r) for mu_r, nu_r in zip(mu, nu)]

@@ -9,9 +9,9 @@ canonically written (k, 0).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import Value
 from .fusion import FusionSum, sl2_channels
 
 __all__ = [
@@ -30,20 +30,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class ParafermionLabel:
+class ParafermionLabel(Value, fields=("k", "i", "j"), order=True):
     """A label (k; i, j) with 0 <= i <= k; j is stored reduced mod k."""
 
-    k: int
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"level k must be >= 2, got {self.k}")
-        if not (0 <= self.i <= self.k):
-            raise ValueError(f"index i must lie in [0, {self.k}], got {self.i}")
-        object.__setattr__(self, "j", self.j % self.k)
+    def __init__(self, k: int, i: int, j: int) -> None:
+        if k < 2:
+            raise ValueError(f"level k must be >= 2, got {k}")
+        if not (0 <= i <= k):
+            raise ValueError(f"index i must lie in [0, {k}], got {i}")
+        self.__dict__.update(k=k, i=i, j=j % k)
 
     @property
     def is_canonical(self) -> bool:
@@ -125,26 +120,22 @@ def pf_theta(label: ParafermionLabel) -> ParafermionLabel:
     return canonicalize_pf(label.k, label.i, label.i - label.j)
 
 
-@dataclass(frozen=True, order=True)
-class TildeLabel:
+class TildeLabel(Value, fields=("k", "i", "q"), order=True):
     """Charge-style relabeling (k; i, q), q mod 2k with q = i mod 2.
 
     q = i - 2j identifies the label with the parafermion label (i, j);
     the identification reads (i, q) ~ (k-i, k+q) in these coordinates.
     """
 
-    k: int
-    i: int
-    q: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"level k must be >= 2, got {self.k}")
-        if not (0 <= self.i <= self.k):
-            raise ValueError(f"index i must lie in [0, {self.k}], got {self.i}")
-        object.__setattr__(self, "q", self.q % (2 * self.k))
-        if (self.q - self.i) % 2:
-            raise ValueError(f"parity violation: q={self.q} and i={self.i} must agree mod 2")
+    def __init__(self, k: int, i: int, q: int) -> None:
+        if k < 2:
+            raise ValueError(f"level k must be >= 2, got {k}")
+        if not (0 <= i <= k):
+            raise ValueError(f"index i must lie in [0, {k}], got {i}")
+        q %= 2 * k
+        if (q - i) % 2:
+            raise ValueError(f"parity violation: q={q} and i={i} must agree mod 2")
+        self.__dict__.update(k=k, i=i, q=q)
 
 
 def to_tilde(label: ParafermionLabel) -> TildeLabel:

@@ -22,12 +22,11 @@ numbers (the orbit census, the `modules` report, the fusion-axioms suite);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import check_budget, mod1
+from .arith import Value, check_budget, mod1
 from .fusion import FusionSum, sl2_channels
 from .parafermion import pf_weight_num
 
@@ -56,20 +55,15 @@ __all__ = [
     "verify_weight_difference",
 ]
 
-@dataclass(frozen=True, order=True)
-class U0Label:
+class U0Label(Value, fields=("k", "i", "l"), order=True):
     """A label (k; i, l) with 0 <= i <= k-1; l is stored reduced mod 2k."""
 
-    k: int
-    i: int
-    l: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"level k must be >= 2, got {self.k}")
-        if not (0 <= self.i <= self.k - 1):
-            raise ValueError(f"index i must lie in [0, {self.k - 1}], got {self.i}")
-        object.__setattr__(self, "l", self.l % (2 * self.k))
+    def __init__(self, k: int, i: int, l: int) -> None:
+        if k < 2:
+            raise ValueError(f"level k must be >= 2, got {k}")
+        if not (0 <= i <= k - 1):
+            raise ValueError(f"index i must lie in [0, {k - 1}], got {i}")
+        self.__dict__.update(k=k, i=i, l=l % (2 * k))
 
     def partner(self) -> "U0Label":
         return U0Label(self.k, self.k - 1 - self.i, self.l + self.k)
@@ -176,23 +170,16 @@ def simple_currents(k: int) -> tuple[U0Label, ...]:
     return tuple(U0Label(k, 0, l) for l in range(2 * k))
 
 
-@dataclass(frozen=True, order=True)
-class SummandLabel:
+class SummandLabel(Value, fields=("k", "i", "j", "l"), order=True):
     """A summand label X(i, j, l): parafermion factor (i, j) at level k-1
     on a lattice coset of offset -l/2k + (i-2j)/2(k-1)."""
 
-    k: int
-    i: int
-    j: int
-    l: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"level k must be >= 2, got {self.k}")
-        if not (0 <= self.i <= self.k - 1):
-            raise ValueError(f"index i must lie in [0, {self.k - 1}], got {self.i}")
-        object.__setattr__(self, "j", self.j % max(self.k - 1, 1))
-        object.__setattr__(self, "l", self.l % (2 * self.k))
+    def __init__(self, k: int, i: int, j: int, l: int) -> None:
+        if k < 2:
+            raise ValueError(f"level k must be >= 2, got {k}")
+        if not (0 <= i <= k - 1):
+            raise ValueError(f"index i must lie in [0, {k - 1}], got {i}")
+        self.__dict__.update(k=k, i=i, j=j % max(k - 1, 1), l=l % (2 * k))
 
     @property
     def lattice_offset(self) -> Fraction:

@@ -10,15 +10,14 @@ determine the inventory of irreducible (twisted) U_D-modules.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product, repeat
 from math import isqrt
 from operator import getitem, itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .arith import ResidueVector, check_budget, mod1, standard_inner
+from .arith import ResidueVector, Value, check_budget, mod1, standard_inner
 from .codes import Classification, Code, enumerate_code, even_part, least_in_coset
 from .u0 import ClassIndex, U0Label, all_u0_labels, canonicalize_u0, class_index, eta_u0
 
@@ -51,22 +50,17 @@ __all__ = [
     "case_b_inventory",
 ]
 
-@dataclass(frozen=True, order=True)
-class IrrU0Label:
+class IrrU0Label(Value, fields=("k", "mu", "nu"), order=True):
     """A tensor label (mu, nu): component r names the class of U(mu_r, nu_r)."""
 
-    k: int
-    mu: tuple[int, ...]
-    nu: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"level k must be >= 2, got {self.k}")
-        _check_lengths(self.mu, self.nu)
-        if any(not (0 <= m <= self.k - 1) for m in self.mu):
-            raise ValueError(f"mu entries must lie in [0, {self.k - 1}]")
-        object.__setattr__(self, "mu", tuple(int(m) for m in self.mu))
-        object.__setattr__(self, "nu", tuple(int(n) % (2 * self.k) for n in self.nu))
+    def __init__(self, k: int, mu: Sequence[int], nu: Sequence[int]) -> None:
+        if k < 2:
+            raise ValueError(f"level k must be >= 2, got {k}")
+        _check_lengths(mu, nu)
+        if any(not (0 <= m <= k - 1) for m in mu):
+            raise ValueError(f"mu entries must lie in [0, {k - 1}]")
+        self.__dict__.update(k=k, mu=tuple(int(m) for m in mu),
+                             nu=tuple(int(n) % (2 * k) for n in nu))
 
     @property
     def length(self) -> int:
@@ -133,13 +127,12 @@ def b_form_vec(xi: ResidueVector, x: IrrU0Label) -> Fraction:
     return mod1(Fraction(total, 2 * k))
 
 
-@dataclass(frozen=True)
-class CharacterLabel:
+class CharacterLabel(Value, fields=("code", "eta")):
     """A character of D, named by eta mod the dual code; eta is stored as
     the lexicographically least representative of its dual-code coset."""
 
-    code: Code
-    eta: tuple[int, ...]
+    def __init__(self, code: Code, eta: tuple[int, ...]) -> None:
+        self.__dict__.update(code=code, eta=eta)
 
     @property
     def is_trivial(self) -> bool:
@@ -201,16 +194,16 @@ def _isotropic_part(code: Code, stab: tuple[ResidueVector, ...]) -> tuple[Residu
     )
 
 
-@dataclass(frozen=True)
-class OrbitInfo:
-    """An orbit, named by its least member, a tuple of `class_index` numbers."""
+class OrbitInfo(Value, fields=("least", "stabilizer", "isotropic", "character")):
+    """An orbit, named by its least member, a tuple of `class_index` numbers.
+    `labels` and `shift` are the `ClassIndex` tables that name and move the
+    classes; equality and the repr skip them."""
 
-    least: tuple[int, ...]
-    stabilizer: tuple[ResidueVector, ...]
-    isotropic: tuple[ResidueVector, ...]
-    character: CharacterLabel
-    labels: tuple[U0Label, ...] = field(compare=False, repr=False)
-    shift: list[list[int]] = field(compare=False, repr=False)
+    def __init__(self, least: tuple[int, ...], stabilizer: tuple[ResidueVector, ...],
+                 isotropic: tuple[ResidueVector, ...], character: CharacterLabel,
+                 labels: tuple[U0Label, ...], shift: list[list[int]]) -> None:
+        self.__dict__.update(least=least, stabilizer=stabilizer, isotropic=isotropic,
+                             character=character, labels=labels, shift=shift)
 
     def _label(self, x: tuple[int, ...]) -> IrrU0Label:
         mu, nu = zip(*((self.labels[c].i, self.labels[c].l) for c in x))
@@ -425,17 +418,16 @@ def orbits(
                  for least, group, chi in (rows.pop() for _ in range(len(rows))))
 
 
-@dataclass(frozen=True)
-class InducedModuleReport:
+class InducedModuleReport(Value, fields=("orbit", "summand_count", "multiplicity")):
     """Structure of the induced module over one orbit, per the stabilizer
     branching: `summand_count` irreducibles, each appearing with
     multiplicity `multiplicity`, each decomposing over the orbit members
     with that same multiplicity.  Its character and stabilizer are the
     orbit's."""
 
-    orbit: OrbitInfo
-    summand_count: int
-    multiplicity: int
+    def __init__(self, orbit: OrbitInfo, summand_count: int, multiplicity: int) -> None:
+        self.__dict__.update(orbit=orbit, summand_count=summand_count,
+                             multiplicity=multiplicity)
 
 
 def _require_case_a(code: Code, what: str) -> None:
@@ -498,25 +490,25 @@ def weight_mod1_uxi(xi: ResidueVector) -> Fraction:
     return mod1(Fraction((k - 1) * sum(c * c for c in xi), 4 * k))
 
 
-@dataclass(frozen=True)
-class CaseBEntry:
+class CaseBEntry(Value, fields=("orbit", "summand_index", "multiplicity",
+                               "u0_decomposition", "flag")):
     """One irreducible module of the even part, over an orbit of the even
     part's census, with the decomposition of the object it induces over the
     whole superalgebra: class tuples as in `OrbitInfo.classes`, least first."""
 
-    orbit: OrbitInfo
-    summand_index: int
-    multiplicity: int
-    u0_decomposition: tuple[tuple[tuple[int, ...], int], ...]
-    flag: str
+    def __init__(self, orbit: OrbitInfo, summand_index: int, multiplicity: int,
+                 u0_decomposition: tuple[tuple[tuple[int, ...], int], ...],
+                 flag: str) -> None:
+        self.__dict__.update(orbit=orbit, summand_index=summand_index,
+                             multiplicity=multiplicity, u0_decomposition=u0_decomposition,
+                             flag=flag)
 
 
-@dataclass(frozen=True)
-class CaseBInventory:
-    code: Code
-    even_part: Code
-    odd_representative: ResidueVector
-    entries: tuple[CaseBEntry, ...]
+class CaseBInventory(Value, fields=("code", "even_part", "odd_representative", "entries")):
+    def __init__(self, code: Code, even_part: Code, odd_representative: ResidueVector,
+                 entries: tuple[CaseBEntry, ...]) -> None:
+        self.__dict__.update(code=code, even_part=even_part,
+                             odd_representative=odd_representative, entries=entries)
 
 
 UNDETERMINED_FLAG = "irreducible or splits into two irreducibles (undetermined)"

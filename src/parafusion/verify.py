@@ -4,10 +4,9 @@ returns per-check verdicts with a counterexample on failure."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain
 
-from .arith import ResidueVector, check_budget
+from .arith import ResidueVector, Value, check_budget
 from .codes import Classification, all_codes
 from .lattice import (
     discriminant_group,
@@ -23,11 +22,9 @@ from .ud import count_twisted_by_character, induce_from_orbit, orbits
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Value, fields=("name", "passed", "detail")):
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        self.__dict__.update(name=name, passed=passed, detail=detail)
 
 
 # Each suite refuses a k whose work grows like k^e past the budget before it

@@ -7,9 +7,9 @@ representative with s <= r is taken as canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import Value
 from .fusion import FusionSum, sl2_channels
 
 __all__ = [
@@ -23,19 +23,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class VirasoroLabel:
+class VirasoroLabel(Value, fields=("m", "r", "s"), order=True):
     """A Kac-table label (m; r, s), not necessarily canonical."""
 
-    m: int
-    r: int
-    s: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"level m must be >= 1, got {self.m}")
-        if not (1 <= self.r <= self.m + 1 and 1 <= self.s <= self.m + 2):
-            raise ValueError(f"indices ({self.r},{self.s}) outside the level-{self.m} table")
+    def __init__(self, m: int, r: int, s: int) -> None:
+        if m < 1:
+            raise ValueError(f"level m must be >= 1, got {m}")
+        if not (1 <= r <= m + 1 and 1 <= s <= m + 2):
+            raise ValueError(f"indices ({r},{s}) outside the level-{m} table")
+        self.__dict__.update(m=m, r=r, s=s)
 
     @property
     def is_canonical(self) -> bool:

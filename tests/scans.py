@@ -6,17 +6,26 @@ D + K_T, at k^(2 ell) labels and |D| translates per orbit.  The triple
 scan checks the associativity verdict of the fusion-axioms suite, the
 argparse parser checks the command line that cli.COMMANDS reads, and a
 Case A `modules` report built as a dict per orbit checks the report that
-the command writes from census rows."""
+the command writes from census rows.  The dataclass twins check the
+comparisons, hash and repr that `arith.Value` builds for each value type."""
 
 import argparse
+from dataclasses import field, fields, make_dataclass
 from itertools import chain, product
 
 from parafusion import cli
-from parafusion.arith import ResidueVector, mod1, standard_inner
-from parafusion.codes import load_code
-from parafusion.u0 import all_u0_labels, weight_mod1
+from parafusion.arith import IntegerMatrix, ResidueVector, mod1, standard_inner
+from parafusion.codes import Code, load_code
+from parafusion.lattice import CosetSpec, LatticeVector
+from parafusion.parafermion import ParafermionLabel, TildeLabel
+from parafusion.u0 import SummandLabel, U0Label, all_u0_labels, weight_mod1
 from parafusion.ud import (
+    CaseBEntry,
+    CaseBInventory,
     CharacterLabel,
+    InducedModuleReport,
+    IrrU0Label,
+    OrbitInfo,
     act,
     all_irr_labels,
     character_from_eta,
@@ -24,13 +33,57 @@ from parafusion.ud import (
     induce_from_orbit,
     orbits,
 )
-from parafusion.verify import SUITES
+from parafusion.verify import SUITES, CheckResult
+from parafusion.virasoro import VirasoroLabel
 
 # (k, ell) pairs whose every code of all_codes is scanned, eta by eta:
 # (2k)^ell <= 4096 holds for each.  The whole range k <= 8, ell <= 3 would
 # scan 31 million vectors.
 SCANNED = [(k, ell) for ell in (1, 2) for k in range(2, 9)] + [(2, 3), (3, 3)]
 
+
+
+def _skipped(shown=True):
+    """A field that equality, ordering and the hash skip."""
+    return field(compare=False, repr=shown)
+
+
+# Each value type as the frozen dataclass it was declared as: its fields in
+# order, which of them are compared and shown, its defaults, and `order`.
+# A twin makes no checks; `dataclass_twin` fills it from a value's fields.
+DATACLASS_TWINS = {
+    cls: make_dataclass(cls.__name__, spec, frozen=True, order=order)
+    for cls, spec, order in [
+        (ResidueVector, ["modulus", "entries"], True),
+        (IntegerMatrix, ["entries"], False),
+        (Code, ["k", "length", ("generators", tuple, _skipped()), "hermite",
+                ("classification", object, _skipped())], False),
+        (LatticeVector, ["k", "num"], True),
+        (CosetSpec, ["k", "kind", ("l", int, field(default=0)), ("j", int, field(default=0)),
+                     ("a", tuple, field(default=()))], False),
+        (ParafermionLabel, ["k", "i", "j"], True),
+        (TildeLabel, ["k", "i", "q"], True),
+        (U0Label, ["k", "i", "l"], True),
+        (SummandLabel, ["k", "i", "j", "l"], True),
+        (VirasoroLabel, ["m", "r", "s"], True),
+        (IrrU0Label, ["k", "mu", "nu"], True),
+        (CharacterLabel, ["code", "eta"], False),
+        (OrbitInfo, ["least", "stabilizer", "isotropic", "character",
+                     ("labels", tuple, _skipped(shown=False)),
+                     ("shift", list, _skipped(shown=False))], False),
+        (InducedModuleReport, ["orbit", "summand_count", "multiplicity"], False),
+        (CaseBEntry, ["orbit", "summand_index", "multiplicity", "u0_decomposition", "flag"],
+         False),
+        (CaseBInventory, ["code", "even_part", "odd_representative", "entries"], False),
+        (CheckResult, ["name", "passed", ("detail", str, field(default=""))], False),
+    ]
+}
+
+
+def dataclass_twin(value):
+    """The dataclass twin of a value, holding the value's fields."""
+    twin = DATACLASS_TWINS[type(value)]
+    return twin(**{f.name: getattr(value, f.name) for f in fields(twin)})
 
 def ambient_keys(code):
     """Every eta in lexicographic order, with its values (g | eta) mod 2k on

@@ -200,9 +200,11 @@ def test_main_exits_from_the_parser(capsys, argv, status):
     assert (captured.out == "", captured.err == "") == (status == 2, status == 0)
 
 
-def test_a_request_imports_no_argparse_gettext_or_locale():
+def test_a_request_imports_no_argparse_gettext_locale_dataclasses_or_inspect():
     # what a classify request adds to the modules of a bare interpreter: it
-    # builds no argparse parser, so no gettext lookup imports locale
+    # builds no argparse parser, so no gettext lookup imports locale, and its
+    # value types stand on arith.Value, so neither dataclasses nor the
+    # inspect it pulls in is imported
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(parafusion.__file__).parent.parent), env.get("PYTHONPATH")]))
@@ -218,4 +220,4 @@ def test_a_request_imports_no_argparse_gettext_or_locale():
     assert json.loads(after.stdout)["results"]["classification"] == "CaseB"
     added = set(after.stderr.split()) - set(bare.stderr.split())
     assert "parafusion.cli" in added
-    assert {"argparse", "gettext", "locale"} & added == set()
+    assert {"argparse", "gettext", "locale", "dataclasses", "inspect"} & added == set()

@@ -508,13 +508,13 @@ def test_case_a_census_stays_in_class_numbers(monkeypatch, capsys):
     # once: no orbit member is built as a label object
     code = enumerate_code(3, 3, [(3, 3, 0), (0, 3, 3)])
     built = []
-    validate = ud.IrrU0Label.__post_init__
+    validate = ud.IrrU0Label.__init__
 
-    def counted(self):
+    def counted(self, *args):
         built.append(self)
-        validate(self)
+        validate(self, *args)
 
-    monkeypatch.setattr(ud.IrrU0Label, "__post_init__", counted)
+    monkeypatch.setattr(ud.IrrU0Label, "__init__", counted)
     census = orbits(code)
     assert max(o.size for o in census) == code.size == 4
     source = json.dumps({"k": 3, "length": 3, "generators": [[3, 3, 0], [0, 3, 3]]})

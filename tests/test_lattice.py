@@ -104,6 +104,22 @@ def test_random_n_element_refuses_before_drawing(k, bound):
         random_n_element(k, _Undrawn(0), bound)
 
 
+@pytest.mark.parametrize("check", [
+    lambda: verify_coset_inner_congruence(1, 0, 1),
+    lambda: verify_coset_inner_congruence(0, 0, 1),
+    lambda: verify_coset_inner_congruence_vec(ResidueVector(2, (0,)), ResidueVector(2, (1,))),
+    lambda: verify_coset_inner_congruence_vec(ResidueVector(2, (1, 1)),
+                                              ResidueVector(2, (1, 0))),
+    lambda: verify_pairing_matches_b_form(ResidueVector(2, (1,)), (0,), ResidueVector(2, (1,))),
+], ids=["scalar-k1", "scalar-k0", "vec-mod2", "vec-mod2-length2", "pairing-mod2"])
+def test_coset_checks_refuse_rank_one_before_drawing(monkeypatch, check):
+    # at k = 1 no N-coefficient is drawn, so the congruence checks passed
+    # vacuously and the pairing check failed on a 0/1 vector of length 1
+    monkeypatch.setattr(lattice.random, "Random", _Undrawn)
+    with pytest.raises(ValueError, match=r"^rank k must be >= 2, got [01]$"):
+        check()
+
+
 @pytest.mark.parametrize("k", range(2, 13))
 def test_translates_are_the_draws_of_random_n_element(k):
     # each sample is the flat numerators of r + random_n_element(k, rng), one

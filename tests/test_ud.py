@@ -1,7 +1,6 @@
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -27,6 +26,7 @@ from parafusion.ud import (
     UNDETERMINED_FLAG,
     CharacterLabel,
     IrrU0Label,
+    OrbitInfo,
     act,
     all_irr_labels,
     b_form_vec,
@@ -565,14 +565,16 @@ def test_induce_from_inconsistent_orbit_is_an_error():
     fixed = next(o for o in census if o.stabilizer_order == 2)
     with pytest.raises(ValueError, match=r"^orbit of U\(1,0\) x U\(1,0\) is inconsistent "
                        r"with \|D\| = 2: 1 summands x multiplicity 1\^2 x orbit size 1$"):
-        induce_from_orbit(code, replace(fixed, stabilizer=fixed.stabilizer[:1]))
+        induce_from_orbit(code, OrbitInfo(fixed.least, fixed.stabilizer[:1], fixed.isotropic,
+                                          fixed.character, fixed.labels, fixed.shift))
     with pytest.raises(ValueError, match=r"^orbit of U\(0,0\) x U\(0,0\) is inconsistent "
                        r"with \|D\| = 2: 2 summands x multiplicity 1\^2 x orbit size 2$"):
-        induce_from_orbit(code, replace(free, stabilizer=fixed.stabilizer,
-                                        isotropic=fixed.isotropic))
+        induce_from_orbit(code, OrbitInfo(free.least, fixed.stabilizer, fixed.isotropic,
+                                          free.character, free.labels, free.shift))
     with pytest.raises(ValueError, match="^stabilizer order 2 is not a square times "
                        "the summand count 0$"):
-        induce_from_orbit(code, replace(fixed, isotropic=()))
+        induce_from_orbit(code, OrbitInfo(fixed.least, fixed.stabilizer, (),
+                                          fixed.character, fixed.labels, fixed.shift))
 
 
 def test_induce_from_orbit_refuses_an_orbit_of_another_shape():
