@@ -9,7 +9,8 @@ empty code, Case A, Case B at k = 3, 4 and 8, an Invalid code and a
 length-5 code; the `verify` cases run every suite: counting, which
 classifies every code of `all_codes`, at k = 2, 3, fusion-axioms at k = 2,
 4, appendix-a and discriminant up to k = 8, and lattice-lemmas at k = 2
-with seed 1; the `fusion` cases fuse one pair at k = 3, 4, 5.
+with seed 1 and at k = 8 with seed 5; the `fusion` cases fuse one pair at
+k = 3, 4, 5.
 
 Regenerate the corpus (only when a report is meant to change) with
 
@@ -64,6 +65,8 @@ CASES = {
     "verify-appendix-a-k8": ["verify", "--suite", "appendix-a", "--k", "8"],
     "verify-lattice-lemmas-k2-seed1": [
         "verify", "--suite", "lattice-lemmas", "--k", "2", "--seed", "1"],
+    "verify-lattice-lemmas-k8-seed5": [
+        "verify", "--suite", "lattice-lemmas", "--k", "8", "--seed", "5"],
     "verify-discriminant-k8": ["verify", "--suite", "discriminant", "--k", "8"],
     "fusion-k3": ["fusion", "--k", "3", "--left", "1,1", "--right", "1,1"],
     "fusion-k4": ["fusion", "--k", "4", "--left", "2,2", "--right", "2,0"],
