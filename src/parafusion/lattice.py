@@ -8,16 +8,11 @@ here from explicit vectors of (1/2k)Z^k, held as integer numerators over 2k.
 2k^2 <x, y> is the dot product of the numerators, so a pairing mod Z is a
 congruence mod 2k^2, and a norm mod 2Z one mod 4k^2.
 
-Every congruence check decides and samples in one helper, `_congruent`.
-The samples move coset representatives by random elements of N, all drawn
-in one loop, `_n_translates`: each element's integer coefficients
-c_1..c_{k-1} in [-bound, bound] on the basis beta_r = alpha_r - alpha_{r+1}
-are taken from `getrandbits` with the rejection `randint` itself makes, so
-the stream is randint's, and written straight into the numerators of the
-moved representatives, laid end to end in one flat list per side.
-`_translates` runs that loop for every check from one Random(seed), so
-each sampled pairing is one integer dot product; `random_n_element` runs
-it once for the public draw of one vector.
+Every coset congruence is decided in one helper, `_congruent`, on the
+coset representatives alone: pairings mod Z and norms mod 2Z are constant
+on the N-translates of representatives in N*, so a check draws nothing.
+`random_n_element` draws one element of N; the tests move representatives
+by it to check the decision on sampled translates.
 """
 
 from __future__ import annotations
@@ -26,8 +21,7 @@ import random
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
-from operator import mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import IntegerMatrix, ResidueVector, Value, smith_normal_form
 from .codes import Code
@@ -56,8 +50,8 @@ __all__ = [
 
 
 def _check_rank(k: int) -> None:
-    """Refuse a rank below 2: at k = 1, N is 0, so a coset check would draw
-    no translate and pass on the representatives alone."""
+    """Refuse a rank below 2: at k = 1, N is 0, so a coset check would have
+    no translate to decide."""
     if k < 2:
         raise ValueError(f"rank k must be >= 2, got {k}")
 
@@ -155,50 +149,19 @@ def n_basis(k: int) -> tuple[LatticeVector, ...]:
     )
 
 
-def _n_translates(
-    rng: random.Random, k: int, sides: Sequence[Sequence[Sequence[int]]],
-    samples: int, bound: int = 3,
-) -> Iterator[list[list[int]]]:
-    """`samples` times, every side of `sides` moved by random elements of N:
-    each numerator tuple over 2k of a side plus its own sum c_r beta_r, the
-    moved tuples of a side laid end to end in one list.  The c_r are drawn
-    from [-bound, bound] in the order side, tuple, r = 1..k-1, so a tuple
-    moves to num_1 + 2k c_1, num_2 + 2k (c_2 - c_1), ..., num_k - 2k c_{k-1}.
-
-    Each c_r + bound is `rng.getrandbits(n)`, n the bit length of the width
-    2*bound + 1, drawn again while it is not below the width.  That is the
-    draw `rng.randint(-bound, bound)` makes on CPython 3.10-3.13, through
-    randrange and `Random._randbelow_with_getrandbits`, so the stream and
-    every c_r are the same; only randint's layers of calls are saved."""
-    width = 2 * bound + 1
-    bits, getrandbits, scale = width.bit_length(), rng.getrandbits, 2 * k
-    sides = [[(num[:-1], num[-1]) for num in side] for side in sides]
-    for _ in range(samples):
-        out = []
-        for side in sides:
-            moved = []
-            for head, last in side:
-                prev = 0
-                for a in head:
-                    c = getrandbits(bits)
-                    while c >= width:
-                        c = getrandbits(bits)
-                    c = scale * (c - bound)
-                    moved.append(a + c - prev)
-                    prev = c
-                moved.append(last - prev)
-            out.append(moved)
-        yield out
-
-
 def random_n_element(k: int, rng: random.Random, bound: int = 3) -> LatticeVector:
-    """A random element of N: sum c_r beta_r with c_r drawn from [-bound, bound]
-    in the order r = 1..k-1, so its coordinates are c_1, c_2 - c_1, ..., -c_{k-1};
-    the draws are randint's (`_n_translates`)."""
+    """A random element of N: sum c_r beta_r with c_r = rng.randint(-bound, bound)
+    drawn in the order r = 1..k-1, so its coordinates are c_1, c_2 - c_1, ...,
+    -c_{k-1}."""
     _check_rank(k)
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    ((num,),) = _n_translates(rng, k, [[(0,) * k]], 1, bound)
+    num, prev = [], 0
+    for _ in range(k - 1):
+        c = 2 * k * rng.randint(-bound, bound)
+        num.append(c - prev)
+        prev = c
+    num.append(-prev)
     return LatticeVector._of(k, tuple(num))
 
 
@@ -254,59 +217,38 @@ def _in_n_dual(reps: Sequence[LatticeVector]) -> bool:
     return all(len({a % r.k for a in r.num}) == 1 for r in reps)
 
 
-def _translates(
-    k: int,
-    reps_x: Sequence[LatticeVector],
-    reps_y: Sequence[LatticeVector],
-    samples: int,
-    seed: int,
-) -> Iterator[list[list[int]]]:
-    """`samples` pairs [xs, ys] of N-translates of the representatives, each
-    the numerators of its components laid end to end, the x translates drawn
-    before the y translates from one Random(seed)."""
-    sides = [r.num for r in reps_x], [r.num for r in reps_y]
-    return _n_translates(random.Random(seed), k, sides, samples)
-
-
 def _congruent(k: int, reps_x: Sequence[LatticeVector], reps_y: Sequence[LatticeVector],
-               pair_target: int, norm_target: int | None, samples: int, seed: int) -> bool:
+               pair_target: int, norm_target: int | None) -> bool:
     """Whether 2k^2 <x, y> = pair_target mod 2k^2 and, unless norm_target is
     None, 2k^2 <x, x> = norm_target mod 4k^2, summed over components, on all
-    N-translates x, y of reps_x, reps_y.  Decided: <x+n, y+m> = <x,y> + <x,m>
-    + <n,y> + <n,m> and N is even, so this holds exactly when it holds on the
-    representatives and they lie in N*.  `samples` translates drawn from
-    Random(seed) are checked as well, each pairing one flat dot product of
-    numerators."""
+    N-translates x, y of reps_x, reps_y.  <x+n, y+m> = <x,y> + <x,m> + <n,y>
+    + <n,m> and N is even, so this holds exactly when it holds on the
+    representatives and they lie in N* (the discriminant form of N)."""
     if len(reps_x) != len(reps_y):
         raise ValueError("component count mismatch")
     if any(r.k != k for r in chain(reps_x, reps_y)):
         raise ValueError(f"every representative must have rank {k}")
     m = 2 * k * k
-    flat = ([a for r in reps_x for a in r.num], [a for r in reps_y for a in r.num])
-    cases = chain([flat], _translates(k, reps_x, reps_y, samples, seed))
-    return _in_n_dual([*reps_x, *reps_y]) and not any(
-        (sum(map(mul, xs, ys)) - pair_target) % m
-        or (norm_target is not None and (sum(map(mul, xs, xs)) - norm_target) % (2 * m))
-        for xs, ys in cases)
+    return (_in_n_dual([*reps_x, *reps_y])
+            and (_pair_inner(reps_x, reps_y) - pair_target) % m == 0
+            and (norm_target is None
+                 or (_pair_inner(reps_x, reps_x) - norm_target) % (2 * m) == 0))
 
 
-def verify_coset_inner_congruence(
-    k: int, p: int, q: int, samples: int = 20, seed: int = 0
-) -> bool:
-    """Decide, and check on `samples` translates, that <x, y> = (k-1)pq/2k
-    mod Z for x in Ntilde(p), y in Ntilde(q), and <x, x> = (k-1)p^2/2k mod 2Z:
-    the length-1 case of `verify_coset_inner_congruence_vec`."""
+def verify_coset_inner_congruence(k: int, p: int, q: int) -> bool:
+    """Decide that <x, y> = (k-1)pq/2k mod Z for x in Ntilde(p), y in
+    Ntilde(q), and <x, x> = (k-1)p^2/2k mod 2Z: the length-1 case of
+    `verify_coset_inner_congruence_vec`."""
     _check_rank(k)
     return verify_coset_inner_congruence_vec(
-        ResidueVector(2 * k, (p,)), ResidueVector(2 * k, (q,)), samples, seed
+        ResidueVector(2 * k, (p,)), ResidueVector(2 * k, (q,))
     )
 
 
-def verify_coset_inner_congruence_vec(
-    xi: ResidueVector, eta: ResidueVector, samples: int = 20, seed: int = 0
-) -> bool:
-    """Componentwise version on Ntilde(xi) x Ntilde(eta) in the ell-fold
-    dual: <x, y> = (k-1)(xi.eta)/2k mod Z and <x, x> = (k-1)(xi.xi)/2k mod 2Z."""
+def verify_coset_inner_congruence_vec(xi: ResidueVector, eta: ResidueVector) -> bool:
+    """Decide, componentwise on Ntilde(xi) x Ntilde(eta) in the ell-fold dual,
+    that <x, y> = (k-1)(xi.eta)/2k mod Z and <x, x> = (k-1)(xi.xi)/2k mod 2Z
+    for every x, y, from the representatives (`_congruent`)."""
     if xi.modulus != eta.modulus or len(xi) != len(eta) or xi.modulus % 2:
         raise ValueError("xi and eta must share an even modulus and a length")
     k = xi.modulus // 2
@@ -316,7 +258,7 @@ def verify_coset_inner_congruence_vec(
     # both targets times 2k^2: k(k-1)(xi.eta) mod 2k^2 and k(k-1)(xi.xi) mod 4k^2
     pair_target = k * (k - 1) * sum(a * b for a, b in zip(xi, eta))
     norm_target = k * (k - 1) * sum(a * a for a in xi)
-    return _congruent(k, reps_x, reps_y, pair_target, norm_target, samples, seed)
+    return _congruent(k, reps_x, reps_y, pair_target, norm_target)
 
 
 def _in_span_pair(x: LatticeVector, u: LatticeVector, v: LatticeVector) -> bool:
@@ -360,7 +302,7 @@ class GammaParity(Enum):
     NOT_INTEGRAL = "NotIntegral"
 
 
-def gamma_d_parity(code: Code, seed: int = 0) -> GammaParity:
+def gamma_d_parity(code: Code) -> GammaParity:
     """Parity of the glued lattice over the code, from the coordinates of its
     generators' coset representatives alone.
 
@@ -368,9 +310,9 @@ def gamma_d_parity(code: Code, seed: int = 0) -> GammaParity:
     pairs, each generator with itself among them, decide integrality.  Once
     every pairing is integral, |x+y|^2 = |x|^2 + |y|^2 + 2<x,y> makes every
     norm an integer and norm parity additive over D: some codeword has an
-    odd norm exactly when some generator does.  That pairings mod Z and
-    norms mod 2Z are constant on N-translates is decided (`_congruent`) and
-    checked on one translate the seed picks; the seed never picks the result.
+    odd norm exactly when some generator does.  Pairings mod Z and norms
+    mod 2Z are constant on N-translates because the generators'
+    representatives lie in N*, which is checked (`_in_n_dual`).
     """
     k = code.k
     m = 2 * k * k
@@ -379,8 +321,7 @@ def gamma_d_parity(code: Code, seed: int = 0) -> GammaParity:
         return GammaParity.NOT_INTEGRAL
 
     for g, rep in zip(code.generators, reps):
-        norm = _pair_inner(rep, rep)
-        if not _congruent(k, rep, rep, norm, norm, 1, seed):
+        if not _in_n_dual(rep):
             raise RuntimeError(f"an N-translate of the coset of {g} moves a pairing "
                                "off Z or a norm off 2Z")
 
@@ -402,12 +343,11 @@ def verify_pairing_matches_b_form(
     xi: ResidueVector,
     mu: Sequence[int],
     nu: ResidueVector,
-    samples: int = 20,
-    seed: int = 0,
 ) -> bool:
-    """Check that <x, y> for x in Ntilde(xi) and y in the coset housing the
+    """Decide that <x, y> for x in Ntilde(xi) and y in the coset housing the
     irreducible labeled (mu, nu) lands in (xi | (k-1)nu - k*mu)/2k mod Z, that
-    is 2k^2 <x, y> = k sum xi_r eta_u0(k, mu_r, nu_r) mod 2k^2."""
+    is 2k^2 <x, y> = k sum xi_r eta_u0(k, mu_r, nu_r) mod 2k^2, for every x, y,
+    from the representatives (`_congruent`)."""
     if xi.modulus != nu.modulus or len(xi) != len(nu) or len(mu) != len(nu):
         raise ValueError("xi, mu, nu must have matching shapes")
     if xi.modulus % 2:
@@ -420,4 +360,4 @@ def verify_pairing_matches_b_form(
     reps_x = [coset_rep(ntilde_coset(k, c)) for c in xi]
 
     target = k * sum(c * eta_u0(k, m, n) for c, m, n in zip(xi, mu, nu))
-    return _congruent(k, reps_x, reps_y, target, None, samples, seed)
+    return _congruent(k, reps_x, reps_y, target, None)

@@ -2,7 +2,6 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -120,24 +119,6 @@ def test_coset_checks_refuse_rank_one_before_drawing(monkeypatch, check):
         check()
 
 
-@pytest.mark.parametrize("k", range(2, 13))
-def test_translates_are_the_draws_of_random_n_element(k):
-    # each sample is the flat numerators of r + random_n_element(k, rng), one
-    # Random(seed), the x translates before the y translates
-    cases = random.Random(k)
-    for ell, samples in product(range(1, 4), range(6)):
-        for _ in range(3):
-            seed = cases.randrange(2**30)
-            reps_x = [coset_rep(ntilde_coset(k, cases.randrange(2 * k))) for _ in range(ell)]
-            reps_y = [lattice._housing_rep(k, cases.randrange(k), cases.randrange(2 * k))
-                      for _ in range(ell)]
-            rng = random.Random(seed)
-            expected = [[[a for r in reps for a in (r + random_n_element(k, rng)).num]
-                         for reps in (reps_x, reps_y)] for _ in range(samples)]
-            drawn = lattice._translates(k, reps_x, reps_y, samples, seed)
-            assert [list(sides) for sides in drawn] == expected
-
-
 def test_coset_reps():
     assert coset_rep(ntilde_coset(2, 0)) == LatticeVector(2, (0, 0))
     assert coset_rep(ntilde_coset(2, 1)) == LatticeVector(
@@ -202,9 +183,10 @@ def test_coset_membership():
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_scalar_coset_congruence(k):
-    for p in range(2 * k):
-        for q in range(2 * k):
-            assert verify_coset_inner_congruence(k, p, q, samples=5, seed=11)
+    with patch.object(lattice, "_congruent", _sampled(5, 11)):
+        for p in range(2 * k):
+            for q in range(2 * k):
+                assert verify_coset_inner_congruence(k, p, q)
 
 
 def test_vector_coset_congruence():
@@ -214,7 +196,8 @@ def test_vector_coset_congruence():
             for _ in range(4):
                 xi = ResidueVector(2 * k, tuple(rng.randrange(2 * k) for _ in range(ell)))
                 eta = ResidueVector(2 * k, tuple(rng.randrange(2 * k) for _ in range(ell)))
-                assert verify_coset_inner_congruence_vec(xi, eta, samples=5, seed=rng.randrange(10**6))
+                with patch.object(lattice, "_congruent", _sampled(5, rng.randrange(10**6))):
+                    assert verify_coset_inner_congruence_vec(xi, eta)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -244,9 +227,10 @@ def test_gamma_d_parity_examples():
 
 
 def test_gamma_d_parity_spot_check_fails_on_a_half_integral_translate(monkeypatch):
-    # a translate outside N shifts a norm by an odd amount: the spot check
-    # raises, also under python -O
-    monkeypatch.setattr(lattice, "_translates", _half_shifted())
+    # the representative of the coset 3, moved off N* by numerators (1, 1, 2)
+    # over 6, keeps its pairing with itself integral (norm 4): the N* spot
+    # check raises, also under python -O
+    monkeypatch.setattr(lattice, "coset_rep", _off_n_dual(lambda spec: spec.l == 3, (1, 1, 2)))
     with pytest.raises(RuntimeError, match="N-translate"):
         gamma_d_parity(enumerate_code(3, 1, [[3]]))
 
@@ -274,7 +258,8 @@ def test_gamma_d_parity_matches_the_element_wise_norms():
     seen = {}
     for _ in range(600):
         code = random_code(rng.randint(2, 5), rng.randint(1, 3), rng, max_generators=3)
-        parity = gamma_d_parity(code, seed=rng.randrange(10**6))
+        rng.randrange(10**6)  # the seed gamma_d_parity once took: the same codes
+        parity = gamma_d_parity(code)
         assert parity == _parity_by_elements(code), code
         seen[parity] = seen.get(parity, 0) + 1
     assert set(seen) == set(GammaParity) and min(seen.values()) >= 20, seen
@@ -290,64 +275,18 @@ def test_gamma_d_parity_builds_no_codeword():
     assert time.perf_counter() - start < 1.0
 
 
-def _half_translate(k):
-    return LatticeVector(k, (Fraction(1, 2), Fraction(-1, 2)) + (0,) * (k - 2))
-
-
-def _half_shifted(share=1.0):
-    """lattice._translates with each translated component moved off N by
-    (1/2, -1/2, 0, ...), numerators (k, -k) over 2k: every component, or
-    about `share` of them, picked in draw order by a stream of their own."""
-    real = lattice._translates
-
-    def translates(k, reps_x, reps_y, samples, seed):
-        picks = random.Random(f"half {seed}")
-        for sides in real(k, reps_x, reps_y, samples, seed):
-            for side in sides:
-                for p in range(0, len(side), k):
-                    if picks.random() < share:
-                        side[p] += k
-                        side[p + 1] -= k
-            yield sides
-    return translates
-
-
 def test_lattice_lemmas_fail_on_a_half_integral_translate(monkeypatch, capsys):
-    # a translate outside N moves the norm of the zero coset by 1: the sampled
-    # congruences must notice, and verify must exit 1
-    monkeypatch.setattr(lattice, "_translates", _half_shifted())
-    assert not verify_coset_inner_congruence_vec(
-        ResidueVector(4, (0,)), ResidueVector(4, (0,)), samples=1)
+    # the representative of the zero coset moved off N*, by 1/4 alpha_1: the
+    # decided congruences must notice, and verify must exit 1
+    monkeypatch.setattr(lattice, "coset_rep",
+                        _off_n_dual(lambda spec: spec.kind == "ntilde" and spec.l == 0))
+    assert not verify_coset_inner_congruence_vec(ResidueVector(4, (0,)), ResidueVector(4, (0,)))
     checks = {c.name: c for c in suite_lattice_lemmas(2, seed=1)}
     scalar = checks["scalar-coset-congruence"]
     assert not scalar.passed and scalar.detail == "failed at (p, q) = (0, 0)"
     assert checks["coset-index"].passed
     assert main(["verify", "--suite", "lattice-lemmas", "--k", "2", "--seed", "1"]) == 1
     assert '"all_passed": false' in capsys.readouterr().out
-
-
-class _CountedRandom(random.Random):
-    """A Random that counts its getrandbits calls in `draws`."""
-
-    draws = 0
-
-    def getrandbits(self, n):
-        _CountedRandom.draws += 1
-        return super().getrandbits(n)
-
-
-def test_a_failing_sample_stops_the_drawing(monkeypatch):
-    # the translates are drawn lazily: a check that fails on its first sample
-    # makes the draws of that sample alone, whatever its sample count
-    monkeypatch.setattr(lattice, "random", SimpleNamespace(Random=_CountedRandom))
-    monkeypatch.setattr(lattice, "_translates", _half_shifted())
-    zero = ResidueVector(4, (0,))
-    drawn = []
-    for samples in (1, 20):
-        monkeypatch.setattr(_CountedRandom, "draws", 0)
-        assert not verify_coset_inner_congruence_vec(zero, zero, samples, seed=5)
-        drawn.append(_CountedRandom.draws)
-    assert drawn[0] == drawn[1] > 0
 
 
 @pytest.mark.parametrize("k", range(2, 11))
@@ -385,9 +324,8 @@ def _off_n_dual(which, num=(1,)):
 ], ids=["none-moved", "ntilde-1-moved", "housing-moved"])
 def test_lattice_lemmas_decide_representatives_outside_n_dual(monkeypatch, moved, failing,
                                                               detail):
-    # with no sampled translate any failure comes from the decided part; the
-    # verifiers build every representative in lattice, so one patch moves them
-    monkeypatch.setattr(lattice, "_translates", lambda *args: iter(()))
+    # the verifiers build every representative in lattice, so one patch
+    # moves them
     if moved is not None:
         monkeypatch.setattr(lattice, "coset_rep", _off_n_dual(moved))
     checks = {c.name: c for c in suite_lattice_lemmas(3, seed=1)}
@@ -396,21 +334,18 @@ def test_lattice_lemmas_decide_representatives_outside_n_dual(monkeypatch, moved
 
 
 def test_verifiers_decide_representatives_outside_n_dual(monkeypatch):
-    # no sample is drawn, so nothing passes vacuously: the decided part fails
     monkeypatch.setattr(lattice, "coset_rep", _off_n_dual(lambda spec: True))
-    assert not verify_coset_inner_congruence_vec(
-        ResidueVector(6, (1, 2)), ResidueVector(6, (0, 4)), samples=0)
-    assert not verify_pairing_matches_b_form(
-        ResidueVector(6, (1,)), (0,), ResidueVector(6, (2,)), samples=0)
+    assert not verify_coset_inner_congruence_vec(ResidueVector(6, (1, 2)), ResidueVector(6, (0, 4)))
+    assert not verify_pairing_matches_b_form(ResidueVector(6, (1,)), (0,), ResidueVector(6, (2,)))
 
 
 def test_congruence_is_checked_on_the_representatives_themselves():
-    # in N*, with no sample drawn, the targets are still compared
+    # in N*, the targets are still compared
     reps = [coset_rep(ntilde_coset(3, c)) for c in (1, 4)]
     pair = lattice._pair_inner(reps, reps)
-    assert lattice._congruent(3, reps, reps, pair, pair, 0, 0)
-    assert not lattice._congruent(3, reps, reps, pair + 1, None, 0, 0)
-    assert not lattice._congruent(3, reps, reps, pair, pair + 18, 0, 0)  # 2k^2, not 4k^2
+    assert lattice._congruent(3, reps, reps, pair, pair)
+    assert not lattice._congruent(3, reps, reps, pair + 1, None)
+    assert not lattice._congruent(3, reps, reps, pair, pair + 18)  # 2k^2, not 4k^2
 
 
 def test_congruence_checks_shapes_before_deciding():
@@ -422,31 +357,26 @@ def test_congruence_checks_shapes_before_deciding():
     for xs, ys in [([off], [rep, rep]), ([rep, rep], [off]),
                    ([rep], [rep, rep]), ([rep, rep], [rep]), ([rep], [])]:
         with pytest.raises(ValueError, match="component count mismatch"):
-            lattice._congruent(3, xs, ys, 0, None, 5, 0)
+            lattice._congruent(3, xs, ys, 0, None)
     wide = coset_rep(ntilde_coset(4, 1))
     for xs, ys in [([rep], [wide]), ([wide], [rep]), ([off, wide], [rep, rep])]:
         with pytest.raises(ValueError, match="rank 3"):
-            lattice._congruent(3, xs, ys, 0, 0, 5, 0)
+            lattice._congruent(3, xs, ys, 0, 0)
 
 
-def _congruent_by_vectors(k, reps_x, reps_y, pair_target, norm_target, samples, seed,
-                          share=0.0):
+def _congruent_by_vectors(k, reps_x, reps_y, pair_target, norm_target, samples, seed):
     # the verdict of _congruent recomputed with LatticeVector arithmetic: N*
-    # membership from the basis pairings, then every case as Fractions; the
-    # translates are moved off N as _half_shifted(share) moves them
+    # membership from the basis pairings, then the representatives and
+    # `samples` pairs of their N-translates r + n, n drawn from Random(seed)
+    # with random_n_element (x before y), every case as Fractions
     m = 2 * k * k
     if any(r.inner(b).denominator != 1 for r in reps_x + reps_y for b in n_basis(k)):
         return False
-    rng, picks = random.Random(seed), random.Random(f"half {seed}")
-
-    def moved(r):
-        x = r + random_n_element(k, rng)
-        return x + _half_translate(k) if picks.random() < share else x
-
+    rng = random.Random(seed)
     cases = [(reps_x, reps_y)]
     for _ in range(samples):
-        xs = [moved(r) for r in reps_x]
-        cases.append((xs, [moved(r) for r in reps_y]))
+        xs = [r + random_n_element(k, rng) for r in reps_x]
+        cases.append((xs, [r + random_n_element(k, rng) for r in reps_y]))
     for xs, ys in cases:
         if (sum(x.inner(y) for x, y in zip(xs, ys)) - Fraction(pair_target, m)).denominator != 1:
             return False
@@ -455,6 +385,18 @@ def _congruent_by_vectors(k, reps_x, reps_y, pair_target, norm_target, samples, 
             if norm.denominator != 1 or norm.numerator % 2:
                 return False
     return True
+
+
+def _sampled(samples, seed):
+    """lattice._congruent, each verdict also required of _congruent_by_vectors
+    on `samples` translates drawn from Random(seed)."""
+    real = lattice._congruent
+
+    def congruent(*args):
+        verdict = real(*args)
+        assert verdict == _congruent_by_vectors(*args, samples, seed)
+        return verdict
+    return congruent
 
 
 @st.composite
@@ -484,19 +426,17 @@ def _congruence_cases(draw):
     pair += draw(st.sampled_from([0, 0, 0, 0, m, -m, 1, k, m - 1]))
     norm_shift = draw(st.sampled_from([None, 0, 0, 0, 0, 2 * m, -2 * m, m, 1, 2]))
     norm = None if norm_shift is None else norm + norm_shift
-    return (k, reps_x, reps_y, pair, norm, draw(st.integers(0, 4)),
-            draw(st.integers(0, 2**30)), draw(st.booleans()))
+    return k, reps_x, reps_y, pair, norm, draw(st.integers(1, 4)), draw(st.integers(0, 2**30))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_congruence_cases())
 def test_congruence_verdict_matches_lattice_vector_arithmetic(case):
-    # the flat numerator dot products against inner and norm on r + n, with
-    # real translates or about one in three moved off N, targets right or wrong
-    *args, half = case
-    share = 0.3 if half else 0.0
-    with patch.object(lattice, "_translates", _half_shifted(share)):
-        assert lattice._congruent(*args) == _congruent_by_vectors(*args, share=share)
+    # the decision on the representatives against inner and norm on sampled
+    # translates r + n, representatives in N* or not, targets right or wrong
+    k, reps_x, reps_y, pair, norm, samples, seed = case
+    assert (lattice._congruent(k, reps_x, reps_y, pair, norm)
+            == _congruent_by_vectors(k, reps_x, reps_y, pair, norm, samples, seed))
 
 
 def test_gamma_d_parity_decides_representatives_outside_n_dual(monkeypatch):
@@ -505,7 +445,6 @@ def test_gamma_d_parity_decides_representatives_outside_n_dual(monkeypatch):
     # generator pairing of D = <(5, 0)> integral, so only the decision can fail
     code = enumerate_code(5, 2, [[5, 0]])
     assert gamma_d_parity(code) == GammaParity.EVEN
-    monkeypatch.setattr(lattice, "_translates", lambda *args: iter(()))
     monkeypatch.setattr(lattice, "coset_rep", _off_n_dual(lambda spec: spec.l == 0, (1, 7)))
     with pytest.raises(RuntimeError, match="N-translate of the coset of"):
         gamma_d_parity(code)
@@ -561,7 +500,8 @@ def test_gamma_d_parity_matches_classification_on_random_codes():
         k = rng.randint(2, 5)
         ell = rng.randint(1, 3)
         code = random_code(k, ell, rng)
-        parity = gamma_d_parity(code, seed=rng.randrange(10**6))
+        rng.randrange(10**6)  # the seed gamma_d_parity once took: the same codes
+        parity = gamma_d_parity(code)
         seen.add(code.classification)
         expected = {
             Classification.CASE_A: GammaParity.EVEN,
@@ -573,12 +513,10 @@ def test_gamma_d_parity_matches_classification_on_random_codes():
 
 
 def test_pairing_matches_b_form_trivial_and_example():
-    assert verify_pairing_matches_b_form(
-        ResidueVector(6, (0, 0)), (1, 2), ResidueVector(6, (3, 4)), samples=5, seed=0
-    )
-    assert verify_pairing_matches_b_form(
-        ResidueVector(4, (2,)), (0,), ResidueVector(4, (1,)), samples=5, seed=0
-    )
+    with patch.object(lattice, "_congruent", _sampled(5, 0)):
+        assert verify_pairing_matches_b_form(
+            ResidueVector(6, (0, 0)), (1, 2), ResidueVector(6, (3, 4)))
+        assert verify_pairing_matches_b_form(ResidueVector(4, (2,)), (0,), ResidueVector(4, (1,)))
 
 
 def test_pairing_matches_b_form_random_sweep():
@@ -589,9 +527,8 @@ def test_pairing_matches_b_form_random_sweep():
                 xi = ResidueVector(2 * k, tuple(rng.randrange(2 * k) for _ in range(ell)))
                 mu = tuple(rng.randrange(k) for _ in range(ell))
                 nu = ResidueVector(2 * k, tuple(rng.randrange(2 * k) for _ in range(ell)))
-                assert verify_pairing_matches_b_form(
-                    xi, mu, nu, samples=5, seed=rng.randrange(10**6)
-                )
+                with patch.object(lattice, "_congruent", _sampled(5, rng.randrange(10**6))):
+                    assert verify_pairing_matches_b_form(xi, mu, nu)
 
 
 def test_pairing_matches_b_form_shape_errors():
