@@ -92,7 +92,9 @@ Rational = Fraction
 # 3.4-4.0 s, 51 MB).  At the budget, D = <(4,4,0,0,0)> (k=4, 2^20 labels,
 # 524 288 orbits): 0.8-1.0 s, 108 MB in `census_rows`; `modules` 2.7-2.9 s,
 # 110 MB (--induce 8.0-8.8 s, 110 MB).  The README's Budgets has report sizes.
-# A `fusion` report of 10^5 terms takes 1.3 s and 67 MB, linearly.
+# A `fusion` report of 10^5 terms takes 1.3 s and 67 MB, linearly.  The
+# largest class table is the k^2 classes of length 1: `modules` on <(0)> at
+# k = 512 takes 2.1 s, 190 MB, and on <(64)> at k = 1024 4.1 s, 560 MB.
 BUDGET = 2**20
 
 

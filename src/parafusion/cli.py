@@ -215,12 +215,12 @@ def cmd_modules(args) -> tuple[dict, int]:
         raise ValueError("--induce induces from a Case A census; a Case B code has none")
     # decided before a Case B even part is built or a --chi character is named
     check_label_budget(code.k, code.length)
-    # one table of the classes, each named once: a label is a tuple of class numbers
+    # one table of the classes: a label is a tuple of class numbers
     index = class_index(code.k)
-    names = [str(c) for c in index.labels]
 
     if case_b:
         inventory = case_b_inventory(code, index)
+        names = [str(c) for c in index.labels]  # each class named once
         results = {
             "classification": "CaseB",
             "even_part_size": inventory.even_part.size,
@@ -270,8 +270,7 @@ def _orbit_entry(code, index, chi_names: dict, induce: bool):
     def entry(row, indent: str) -> str:
         least, group, chi = row
         if induce:
-            info = OrbitInfo(least, group.stabilizer, group.isotropic, chi,
-                             index.labels, index.shift)
+            info = OrbitInfo(least, group.stabilizer, group.isotropic, chi, index)
             report = induce_from_orbit(code, info)
         p = pieces.get((group, chi.eta, indent))
         if p is None:

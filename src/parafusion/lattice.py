@@ -21,6 +21,7 @@ import random
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .arith import IntegerMatrix, ResidueVector, Value, smith_normal_form
@@ -87,7 +88,8 @@ class LatticeVector(Value, fields=("k", "num"), order=True):
 
     def _dot(self, other: "LatticeVector") -> int:
         """2k^2 <self, other>: the dot product of the numerators."""
-        return sum(a * b for a, b in self._zip(other))
+        self._zip(other)  # the rank check
+        return sum(map(mul, self.num, other.num))
 
     def inner(self, other: "LatticeVector") -> Fraction:
         return Fraction(self._dot(other), 2 * self.k * self.k)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .arith import Value, check_budget, mod1
 from .fusion import FusionSum, sl2_channels
@@ -105,18 +105,27 @@ def all_u0_labels(k: int) -> tuple[U0Label, ...]:
 
 class ClassIndex(NamedTuple):
     """The k^2 classes numbered in `all_u0_labels` order, so class 0 is the
-    vacuum and class p < 2k is U(0, p), with what each layer reads per class:
+    vacuum, class p < 2k is U(0, p), and class c = 2k i + l is U(i, l) on
+    canonical row i = c // 2k, with what each layer reads per class:
     `pair_class[i][l]` is the class of the raw pair (i, l), 0 <= l < 2k;
-    `shift[c][d]` the class of (i, l + d) when c is the class of (i, l);
-    `eta[c]` its `eta_u0`; `weight[c]` Q times its weight mod 1, a residue
-    mod `q` = Q."""
+    `moves` holds the classes of (i, l) for 0 <= l < 4k, row after canonical
+    row, so each row twice over: c moved by d in [0, 2k), the class of
+    (i, l + d), is `moves[c + 2k i + d]`; `eta[c]` is its `eta_u0`;
+    `weight[c]` Q times its weight mod 1, a residue mod `q` = Q.  Every
+    table holds at most 2k^2 + 2k entries."""
 
     labels: tuple[U0Label, ...]
     pair_class: list[list[int]]
-    shift: list[list[int]]
+    moves: list[int]
     eta: list[int]
     q: int
     weight: list[int]
+
+    def move_starts(self, x: Iterable[int]) -> list[int]:
+        """The places in `moves` of the classes c of x, each c moved by d at
+        its place plus d: c + 2k i, with i = c // 2k its row."""
+        n = 2 * len(self.pair_class)
+        return [c + c // n * n for c in x]
 
 
 def class_index(k: int) -> ClassIndex:
@@ -131,9 +140,11 @@ def class_index(k: int) -> ClassIndex:
         return n * i + l % (k if 2 * i == k - 1 else n)
 
     pair_class = [[number(i, l) for l in range(n)] for i in range(k)]
+    moves: list[int] = []
+    for row in pair_class[:(k + 1) // 2]:
+        moves += row * 2
     return ClassIndex(
-        labels, pair_class,
-        [[pair_class[c.i][(c.l + d) % n] for d in range(n)] for c in labels],
+        labels, pair_class, moves,
         [eta_u0(k, c.i, c.l) for c in labels],
         q, [_summand_num(k, c.i, 0, c.l)[0] % q for c in labels])
 

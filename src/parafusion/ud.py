@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product, repeat
 from math import isqrt
-from operator import getitem, itemgetter
+from operator import add, itemgetter
 from typing import NamedTuple, Sequence
 
 from .arith import ResidueVector, Value, check_budget, mod1, standard_inner
@@ -196,24 +196,27 @@ def _isotropic_part(code: Code, stab: tuple[ResidueVector, ...]) -> tuple[Residu
 
 class OrbitInfo(Value, fields=("least", "stabilizer", "isotropic", "character")):
     """An orbit, named by its least member, a tuple of `class_index` numbers.
-    `labels` and `shift` are the `ClassIndex` tables that name and move the
-    classes; equality and the repr skip them."""
+    `index` is the `ClassIndex` that names and moves the classes; equality
+    and the repr skip it."""
 
     def __init__(self, least: tuple[int, ...], stabilizer: tuple[ResidueVector, ...],
                  isotropic: tuple[ResidueVector, ...], character: CharacterLabel,
-                 labels: tuple[U0Label, ...], shift: list[list[int]]) -> None:
+                 index: ClassIndex) -> None:
         self.__dict__.update(least=least, stabilizer=stabilizer, isotropic=isotropic,
-                             character=character, labels=labels, shift=shift)
+                             character=character, index=index)
 
     def _label(self, x: tuple[int, ...]) -> IrrU0Label:
-        mu, nu = zip(*((self.labels[c].i, self.labels[c].l) for c in x))
+        labels = self.index.labels
+        mu, nu = zip(*((labels[c].i, labels[c].l) for c in x))
         return IrrU0Label(self.character.code.k, mu, nu)
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """The members, least first: the least one moved by every codeword."""
-        rows = [self.shift[c] for c in self.least]
-        moved = {tuple(map(getitem, rows, xi.entries)) for xi in self.character.code.elements}
+        starts = self.index.move_starts(self.least)
+        get = self.index.moves.__getitem__
+        moved = {tuple(map(get, map(add, starts, xi.entries)))
+                 for xi in self.character.code.elements}
         return (self.least, *sorted(moved - {self.least}))
 
     @property
@@ -367,7 +370,7 @@ def _orbit_of(code: Code, x: IrrU0Label) -> OrbitInfo:
     nu = least_in_coset(2 * code.k, form, x.nu)
     least = tuple(kernel.index.pair_class[m][v] for m, v in zip(x.mu, nu))
     return OrbitInfo(least, group.stabilizer, group.isotropic, kernel.character(least),
-                     kernel.index.labels, kernel.index.shift)
+                     kernel.index)
 
 
 def census_rows(
@@ -409,12 +412,13 @@ def orbits(
     """The orbit census of the code action on all canonical labels, as
     `OrbitInfo`s: `census_rows`, whose arguments it takes."""
     if index is None:
-        check_label_budget(code.k, code.length)  # k^2 classes are fewer
+        # each table of the class index holds at most 2k^2 + 2k <= 3 k^(2 length)
+        # entries, so the label budget bounds it too
+        check_label_budget(code.k, code.length)
         index = class_index(code.k)
     rows = census_rows(code, restrict_to_character, index)[::-1]
     # each row is dropped as its OrbitInfo is built: the census is held once
-    return tuple(OrbitInfo(least, group.stabilizer, group.isotropic, chi,
-                           index.labels, index.shift)
+    return tuple(OrbitInfo(least, group.stabilizer, group.isotropic, chi, index)
                  for least, group, chi in (rows.pop() for _ in range(len(rows))))
 
 
@@ -527,11 +531,13 @@ def case_b_inventory(code: Code, index: ClassIndex | None = None) -> CaseBInvent
     entries = []
     for info in orbits(even, trivial_character(even), index):
         report = induce_from_orbit(even, info)
+        starts, get = info.index.move_starts, info.index.moves.__getitem__
         decomp: Counter = Counter()
         for x in info.classes:
             decomp[x] += report.multiplicity
             # xi1 moves each class along its row, as a codeword of the even part does
-            decomp[tuple(info.shift[c][d] for c, d in zip(x, xi1.entries))] += report.multiplicity
+            moved = tuple(map(get, map(add, starts(x), xi1.entries)))
+            decomp[moved] += report.multiplicity
         decomposition = tuple(sorted(decomp.items()))
         entries += [CaseBEntry(orbit=info, summand_index=s, multiplicity=report.multiplicity,
                                u0_decomposition=decomposition, flag=UNDETERMINED_FLAG)

@@ -69,8 +69,7 @@ DATACLASS_TWINS = {
         (IrrU0Label, ["k", "mu", "nu"], True),
         (CharacterLabel, ["code", "eta"], False),
         (OrbitInfo, ["least", "stabilizer", "isotropic", "character",
-                     ("labels", tuple, _skipped(shown=False)),
-                     ("shift", list, _skipped(shown=False))], False),
+                     ("index", tuple, _skipped(shown=False))], False),
         (InducedModuleReport, ["orbit", "summand_count", "multiplicity"], False),
         (CaseBEntry, ["orbit", "summand_index", "multiplicity", "u0_decomposition", "flag"],
          False),

@@ -113,8 +113,12 @@ def test_random_n_element_refuses_before_drawing(k, bound):
 ], ids=["scalar-k1", "scalar-k0", "vec-mod2", "vec-mod2-length2", "pairing-mod2"])
 def test_coset_checks_refuse_rank_one_before_drawing(monkeypatch, check):
     # at k = 1 no N-coefficient is drawn, so the congruence checks passed
-    # vacuously and the pairing check failed on a 0/1 vector of length 1
-    monkeypatch.setattr(lattice.random, "Random", _Undrawn)
+    # vacuously and the pairing check failed on a 0/1 vector of length 1;
+    # the rank is refused before any congruence is decided
+    def undecided(*args):
+        raise AssertionError("a congruence was decided")
+
+    monkeypatch.setattr(lattice, "_congruent", undecided)
     with pytest.raises(ValueError, match=r"^rank k must be >= 2, got [01]$"):
         check()
 

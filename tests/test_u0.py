@@ -69,16 +69,32 @@ def test_canonical_class_count(k):
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_class_index_numbers_the_canonical_classes(k):
-    labels, pair_class, shift, eta = class_index(k)[:4]
+    index = class_index(k)
+    labels, pair_class, moves, eta = index[:4]
     assert labels == all_u0_labels(k)
     assert labels[:2 * k] == simple_currents(k) and labels[0] == u0_vacuum(k)
     for i, l in product(range(k), range(2 * k)):
         c = pair_class[i][l]
         assert labels[c] == canonicalize_u0(k, i, l)
-        assert [labels[shift[c][d]] for d in range(2 * k)] == [
+        # class c = 2k i' + l' is U(i', l'), moved by d at moves[c + 2k i' + d]
+        [start] = index.move_starts([c])
+        assert start == c + 2 * k * labels[c].i
+        assert [labels[moves[start + d]] for d in range(2 * k)] == [
             canonicalize_u0(k, i, l + d) for d in range(2 * k)]
         # eta is a class function, read off any raw pair
         assert eta[c] == eta_u0(k, i, l)
+
+
+@pytest.mark.parametrize("k", [*range(2, 9), 64])
+def test_class_index_tables_hold_at_most_5k2_entries(k):
+    # the label budget admits length-1 codes up to k = 1024, so no table
+    # may grow like k^3
+    index = class_index(k)
+    for table in index:
+        if isinstance(table, int):
+            continue
+        entries = sum(len(row) if isinstance(row, list) else 1 for row in table)
+        assert entries <= 5 * k * k
 
 
 @pytest.mark.parametrize("k", range(2, 8))

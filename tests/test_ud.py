@@ -566,15 +566,15 @@ def test_induce_from_inconsistent_orbit_is_an_error():
     with pytest.raises(ValueError, match=r"^orbit of U\(1,0\) x U\(1,0\) is inconsistent "
                        r"with \|D\| = 2: 1 summands x multiplicity 1\^2 x orbit size 1$"):
         induce_from_orbit(code, OrbitInfo(fixed.least, fixed.stabilizer[:1], fixed.isotropic,
-                                          fixed.character, fixed.labels, fixed.shift))
+                                          fixed.character, fixed.index))
     with pytest.raises(ValueError, match=r"^orbit of U\(0,0\) x U\(0,0\) is inconsistent "
                        r"with \|D\| = 2: 2 summands x multiplicity 1\^2 x orbit size 2$"):
         induce_from_orbit(code, OrbitInfo(free.least, fixed.stabilizer, fixed.isotropic,
-                                          free.character, free.labels, free.shift))
+                                          free.character, free.index))
     with pytest.raises(ValueError, match="^stabilizer order 2 is not a square times "
                        "the summand count 0$"):
         induce_from_orbit(code, OrbitInfo(fixed.least, fixed.stabilizer, (),
-                                          fixed.character, fixed.labels, fixed.shift))
+                                          fixed.character, fixed.index))
 
 
 def test_induce_from_orbit_refuses_an_orbit_of_another_shape():

@@ -16,7 +16,7 @@ from parafusion.arith import IntegerMatrix, ResidueVector
 from parafusion.codes import Classification, Code, all_codes, enumerate_code
 from parafusion.lattice import CosetSpec, LatticeVector, nja_coset, ntilde_coset
 from parafusion.parafermion import ParafermionLabel, TildeLabel
-from parafusion.u0 import SummandLabel, U0Label
+from parafusion.u0 import SummandLabel, U0Label, class_index
 from parafusion.ud import (
     UNDETERMINED_FLAG,
     CaseBEntry,
@@ -54,12 +54,13 @@ CENSUSES = [(code, orbits(code))
 
 @st.composite
 def orbit_infos(draw):
-    # the census's own orbit, or one rebuilt with other class tables
+    # the census's own orbit, or one rebuilt with another class table
     _, census = draw(st.sampled_from(CENSUSES))
     o = draw(st.sampled_from(census))
     if draw(st.booleans()):
         return o
-    return OrbitInfo(o.least, o.stabilizer, o.isotropic, o.character, (), [])
+    return OrbitInfo(o.least, o.stabilizer, o.isotropic, o.character,
+                     class_index(o.character.code.k))
 
 
 @st.composite
