@@ -215,29 +215,17 @@ def cmd_modules(args) -> tuple[dict, int]:
         raise ValueError("--induce induces from a Case A census; a Case B code has none")
     # decided before a Case B even part is built or a --chi character is named
     check_label_budget(code.k, code.length)
-    # one table of the classes: a label is a tuple of class numbers
+    # one table of the classes, each named once: a label is a tuple of class numbers
     index = class_index(code.k)
+    names = index.names()
 
     if case_b:
         inventory = case_b_inventory(code, index)
-        names = [str(c) for c in index.labels]  # each class named once
         results = {
             "classification": "CaseB",
             "even_part_size": inventory.even_part.size,
             "odd_representative": list(inventory.odd_representative.entries),
-            "entries": [
-                {
-                    "orbit_representative": [names[c] for c in e.orbit.least],
-                    "summand_index": e.summand_index,
-                    "multiplicity": e.multiplicity,
-                    "u0_decomposition": [
-                        {"label": [names[c] for c in x], "multiplicity": m}
-                        for x, m in e.u0_decomposition
-                    ],
-                    "flag": e.flag,
-                }
-                for e in inventory.entries
-            ],
+            "entries": _Listing(inventory.entries, partial(_case_b_entry, names)),
         }
         return _report("modules", params, results), 0
 
@@ -249,20 +237,32 @@ def cmd_modules(args) -> tuple[dict, int]:
     results = {
         "classification": "CaseA",
         "orbit_count": len(rows),
-        "orbits": _Listing(rows, _orbit_entry(code, index, chi_names, args.induce)),
+        "orbits": _Listing(rows, _orbit_entry(code, index, names, chi_names, args.induce)),
         "twisted_module_counts": {chi_names[c.eta]: n for c, n in totals.items()},
     }
     return _report("modules", params, results), 0
 
 
-def _orbit_entry(code, index, chi_names: dict, induce: bool):
+def _case_b_entry(names: list[str], e, indent: str) -> str:
+    """The text of a Case B inventory entry, its classes named by `names`."""
+    return _render({
+        "orbit_representative": [names[c] for c in e.orbit.least],
+        "summand_index": e.summand_index,
+        "multiplicity": e.multiplicity,
+        "u0_decomposition": [{"label": [names[c] for c in x], "multiplicity": m}
+                             for x, m in e.u0_decomposition],
+        "flag": e.flag,
+    }, indent)
+
+
+def _orbit_entry(code, index, names: list[str], chi_names: dict, induce: bool):
     """The writer of a census row's entry.  Its text is rendered once per
     coset group, character and indent, with a `_HOLE` for each class name
     and the weight, and split there; an orbit fills in its pre-quoted class
     names and its weight mod 1, each distinct weight quoted once.  With
     `induce` the entry lists the orbit's members: two of them in the
     rendered text give the pieces around and between members."""
-    quoted = [_quote(str(c)) for c in index.labels]
+    quoted = list(map(_quote, names))
     name, ell, q = quoted.__getitem__, code.length, index.q
     pieces: dict[tuple, list[str]] = {}
     weights: dict[int, str] = {}

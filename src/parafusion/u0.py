@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from itertools import repeat, starmap
+from operator import add
+from typing import Iterable, Iterator, NamedTuple
 
 from .arith import Value, check_budget, mod1
 from .fusion import FusionSum, sl2_channels
@@ -76,7 +78,7 @@ class U0Label(Value, fields=("k", "i", "l"), order=True):
         return self.l < self.k
 
     def __str__(self) -> str:
-        return f"U({self.i},{self.l})"
+        return ClassIndex.name(self.i, self.l)
 
 
 def canonicalize_u0(k: int, i: int, l: int) -> U0Label:
@@ -91,46 +93,54 @@ def u0_vacuum(k: int) -> U0Label:
 
 
 def all_u0_labels(k: int) -> tuple[U0Label, ...]:
-    """All k^2 canonical labels, sorted."""
+    """All k^2 canonical labels, sorted: the classes of `class_index` in turn."""
     if k < 2:
         raise ValueError(f"level k must be >= 2, got {k}")
-    labels = []
-    for i in range(k):
-        if i < k - 1 - i:
-            labels.extend(U0Label(k, i, l) for l in range(2 * k))
-        elif i == k - 1 - i:
-            labels.extend(U0Label(k, i, l) for l in range(k))
-    return tuple(labels)
+    return tuple(U0Label(k, i, l) for i, l in ClassIndex.pairs(k, range(k * k)))
 
 
 class ClassIndex(NamedTuple):
-    """The k^2 classes numbered in `all_u0_labels` order, so class 0 is the
+    """The k^2 classes numbered in canonical order, so class 0 is the
     vacuum, class p < 2k is U(0, p), and class c = 2k i + l is U(i, l) on
-    canonical row i = c // 2k, with what each layer reads per class:
-    `pair_class[i][l]` is the class of the raw pair (i, l), 0 <= l < 2k;
-    `moves` holds the classes of (i, l) for 0 <= l < 4k, row after canonical
-    row, so each row twice over: c moved by d in [0, 2k), the class of
-    (i, l + d), is `moves[c + 2k i + d]`; `eta[c]` is its `eta_u0`;
-    `weight[c]` Q times its weight mod 1, a residue mod `q` = Q.  Every
-    table holds at most 2k^2 + 2k entries."""
+    canonical row i = c // 2k (`pairs`), named `name(i, l)`, with what each
+    layer reads per class: `pair_class[i][l]` is the class of the raw pair
+    (i, l), 0 <= l < 2k; `moves` holds the classes of (i, l) for
+    0 <= l < 4k, row after canonical row, so each row twice over: c moved by
+    d in [0, 2k), the class of (i, l + d), is `moves[c + 2k i + d]` (`moved`);
+    `eta[c]` is its `eta_u0`; `weight[c]` Q times its weight mod 1, a
+    residue mod `q` = Q.  Every table holds at most 2k^2 + 2k entries."""
 
-    labels: tuple[U0Label, ...]
     pair_class: list[list[int]]
     moves: list[int]
     eta: list[int]
     q: int
     weight: list[int]
 
-    def move_starts(self, x: Iterable[int]) -> list[int]:
-        """The places in `moves` of the classes c of x, each c moved by d at
-        its place plus d: c + 2k i, with i = c // 2k its row."""
-        n = 2 * len(self.pair_class)
-        return [c + c // n * n for c in x]
+    @staticmethod
+    def pairs(k: int, classes: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """The canonical pair (i, l) of each class c at level k: c = 2k i + l."""
+        return map(divmod, classes, repeat(2 * k))
+
+    name = "U({},{})".format
+
+    def names(self) -> list[str]:
+        """The name of each class, by number."""
+        k = len(self.pair_class)
+        return list(starmap(self.name, self.pairs(k, range(k * k))))
+
+    def moved(self, x: Iterable[int], words: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
+        """The classes x moved by each word: class c = 2k i + l moved by d,
+        the class of (i, l + d), is at c + 2k i + d in `moves`, which holds
+        each row twice over."""
+        n, get = 2 * len(self.pair_class), self.moves.__getitem__
+        starts = [c + c // n * n for c in x]
+        return [tuple(map(get, map(add, starts, d))) for d in words]
 
 
 def class_index(k: int) -> ClassIndex:
     """The one table of the classes at level k: see `ClassIndex`."""
-    labels = all_u0_labels(k)
+    if k < 2:
+        raise ValueError(f"level k must be >= 2, got {k}")
     n, q = 2 * k, _weight_den(k)
 
     def number(i: int, l: int) -> int:
@@ -140,13 +150,10 @@ def class_index(k: int) -> ClassIndex:
         return n * i + l % (k if 2 * i == k - 1 else n)
 
     pair_class = [[number(i, l) for l in range(n)] for i in range(k)]
-    moves: list[int] = []
-    for row in pair_class[:(k + 1) // 2]:
-        moves += row * 2
+    moves = [c for row in pair_class[:(k + 1) // 2] for c in row * 2]
     return ClassIndex(
-        labels, pair_class, moves,
-        [eta_u0(k, c.i, c.l) for c in labels],
-        q, [_summand_num(k, c.i, 0, c.l)[0] % q for c in labels])
+        pair_class, moves, [eta_u0(k, i, l) for i, l in ClassIndex.pairs(k, range(k * k))],
+        q, [_summand_num(k, i, 0, l)[0] % q for i, l in ClassIndex.pairs(k, range(k * k))])
 
 
 @lru_cache(maxsize=None)
@@ -167,10 +174,9 @@ def fuse_u0(a: U0Label, b: U0Label) -> FusionSum:
 def fusion_table(k: int) -> list[list[tuple[int, ...]]]:
     """`table[a][b]`: the class numbers of the terms of the product of the
     classes a and b, sorted, so equal tuples are equal multisets."""
-    labels, pair_class = class_index(k)[:2]
-    return [[tuple(sorted(pair_class[t.i][t.l]
-                          for t in _fuse_u0_terms(k, a.i, a.l, b.i, b.l)))
-             for b in labels] for a in labels]
+    pair_class, pairs = class_index(k).pair_class, list(ClassIndex.pairs(k, range(k * k)))
+    return [[tuple(sorted(pair_class[t.i][t.l] for t in _fuse_u0_terms(k, i1, l1, i2, l2)))
+             for i2, l2 in pairs] for i1, l1 in pairs]
 
 
 def simple_currents(k: int) -> tuple[U0Label, ...]:

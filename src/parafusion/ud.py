@@ -14,12 +14,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product, repeat
 from math import isqrt
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .arith import ResidueVector, Value, check_budget, mod1, standard_inner
 from .codes import Classification, Code, enumerate_code, even_part, least_in_coset
-from .u0 import ClassIndex, U0Label, all_u0_labels, canonicalize_u0, class_index, eta_u0
+from .u0 import ClassIndex, U0Label, canonicalize_u0, class_index, eta_u0
 
 __all__ = [
     "IrrU0Label",
@@ -96,11 +96,8 @@ def check_label_budget(k: int, length: int) -> None:
 def all_irr_labels(k: int, length: int) -> tuple[IrrU0Label, ...]:
     """All k^(2*length) canonical labels, in lexicographic component order."""
     check_label_budget(k, length)
-    singles = all_u0_labels(k)
-    return tuple(
-        IrrU0Label(k, tuple(c.i for c in combo), tuple(c.l for c in combo))
-        for combo in product(singles, repeat=length)
-    )
+    singles = list(ClassIndex.pairs(k, range(k * k)))
+    return tuple(IrrU0Label(k, *zip(*combo)) for combo in product(singles, repeat=length))
 
 
 def _check_code_shape(code: Code, k: int, length: int) -> None:
@@ -206,17 +203,14 @@ class OrbitInfo(Value, fields=("least", "stabilizer", "isotropic", "character"))
                              character=character, index=index)
 
     def _label(self, x: tuple[int, ...]) -> IrrU0Label:
-        labels = self.index.labels
-        mu, nu = zip(*((labels[c].i, labels[c].l) for c in x))
-        return IrrU0Label(self.character.code.k, mu, nu)
+        k = self.character.code.k
+        return IrrU0Label(k, *zip(*ClassIndex.pairs(k, x)))
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """The members, least first: the least one moved by every codeword."""
-        starts = self.index.move_starts(self.least)
-        get = self.index.moves.__getitem__
-        moved = {tuple(map(get, map(add, starts, xi.entries)))
-                 for xi in self.character.code.elements}
+        words = (xi.entries for xi in self.character.code.elements)
+        moved = set(self.index.moved(self.least, words))
         return (self.least, *sorted(moved - {self.least}))
 
     @property
@@ -531,12 +525,11 @@ def case_b_inventory(code: Code, index: ClassIndex | None = None) -> CaseBInvent
     entries = []
     for info in orbits(even, trivial_character(even), index):
         report = induce_from_orbit(even, info)
-        starts, get = info.index.move_starts, info.index.moves.__getitem__
         decomp: Counter = Counter()
         for x in info.classes:
             decomp[x] += report.multiplicity
             # xi1 moves each class along its row, as a codeword of the even part does
-            moved = tuple(map(get, map(add, starts(x), xi1.entries)))
+            [moved] = info.index.moved(x, [xi1.entries])
             decomp[moved] += report.multiplicity
         decomposition = tuple(sorted(decomp.items()))
         entries += [CaseBEntry(orbit=info, summand_index=s, multiplicity=report.multiplicity,

@@ -15,7 +15,7 @@ from .lattice import (
     verify_coset_inner_congruence_vec,
     verify_pairing_matches_b_form,
 )
-from .u0 import U0Label, class_index, fusion_table, theta_u0, top_level, \
+from .u0 import ClassIndex, U0Label, class_index, fusion_table, top_level, \
     top_level_closed_form
 from .ud import count_twisted_by_character, induce_from_orbit, orbits
 
@@ -62,29 +62,29 @@ def _associativity_fault(table: list[list[tuple[int, ...]]]) -> tuple[int, int, 
 def suite_fusion_axioms(k: int) -> list[CheckResult]:
     # associativity visits every triple of the k^2 classes
     check_budget("suite k^6", k, 6)
-    labels, pair_class = class_index(k)[:2]
-    table = fusion_table(k)
-    classes = range(len(labels))
+    index = class_index(k)
+    table, names = fusion_table(k), index.names()
+    classes = range(k * k)
     results = []
 
     bad = next((a for a in classes if table[0][a] != (a,)), None)
     results.append(CheckResult(
-        "unit-law", bad is None, "" if bad is None else f"vacuum failed on {labels[bad]}"))
+        "unit-law", bad is None, "" if bad is None else f"vacuum failed on {names[bad]}"))
 
     bad = next(
         ((a, b) for a in classes for b in classes if table[a][b] != table[b][a]), None
     )
     results.append(CheckResult(
         "commutativity", bad is None,
-        "" if bad is None else f"{labels[bad[0]]} x {labels[bad[1]]} is not symmetric"))
+        "" if bad is None else f"{names[bad[0]]} x {names[bad[1]]} is not symmetric"))
 
     bad = _associativity_fault(table)
     results.append(CheckResult(
         "associativity", bad is None,
-        "" if bad is None else f"triple {', '.join(str(labels[a]) for a in bad)}"))
+        "" if bad is None else f"triple {', '.join(names[a] for a in bad)}"))
 
     duals = [[b for b in classes if 0 in table[a][b]] for a in classes]
-    theta = [pair_class[t.i][t.l] for t in map(theta_u0, labels)]
+    theta = [index.pair_class[i][-l % (2 * k)] for i, l in ClassIndex.pairs(k, classes)]
     bad = next(
         (a for a in classes
          if duals[a] != [theta[a]] or table[a][theta[a]].count(0) != 1), None
@@ -92,7 +92,7 @@ def suite_fusion_axioms(k: int) -> list[CheckResult]:
     results.append(CheckResult(
         "unique-dual", bad is None,
         "" if bad is None else
-        f"{labels[bad]} has dual candidates {[labels[b] for b in duals[bad]]}"))
+        f"{names[bad]} has dual candidates [{', '.join(names[b] for b in duals[bad])}]"))
 
     # class p < 2k is the simple current U(0, p)
     group_ok = all(
@@ -124,9 +124,9 @@ def suite_appendix_a(k_max: int) -> list[CheckResult]:
 
 def suite_lattice_lemmas(k: int, seed: int = 0) -> list[CheckResult]:
     # 4k^2 scalar pairs, each decided in O(k), so the work grows like k^3;
-    # k^4 admits k <= 32, 0.11-0.12 s in process and 0.15 s from the command
-    # line (k = 16 22 ms, k = 8 6 ms, k = 2 1.2 ms; Python 3.11, 2-vCPU Xeon VM)
-    check_budget("suite k^4", k, 4)
+    # k^3 admits k <= 101, 1.5-1.9 s in process and 1.5-1.6 s from the command
+    # line (k = 64 0.5 s, k = 32 0.1 s; Python 3.11, 2-vCPU Xeon VM)
+    check_budget("suite k^3", k, 3)
     results = []
     rng = random.Random(seed)
 

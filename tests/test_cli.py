@@ -371,7 +371,7 @@ def test_verify_fusion_axioms_over_budget_fails_fast(capsys):
 @pytest.mark.parametrize("suite, k, size", [
     ("appendix-a", 102, "k^3 = 1061208"),
     ("discriminant", 33, "k^4 = 1185921"),
-    ("lattice-lemmas", 33, "k^4 = 1185921"),
+    ("lattice-lemmas", 102, "k^3 = 1061208"),
     ("counting", 11, "k^6 = 1771561"),
 ])
 def test_verify_suite_over_budget_fails_fast(capsys, suite, k, size):
@@ -390,7 +390,7 @@ class _Admitted(Exception):
 @pytest.mark.parametrize("suite, k, first_step", [
     ("appendix-a", 101, "top_level"),
     ("discriminant", 32, "discriminant_group"),
-    ("lattice-lemmas", 32, "verify_coset_inner_congruence"),
+    ("lattice-lemmas", 101, "verify_coset_inner_congruence"),
     ("counting", 10, "all_codes"),
 ])
 def test_verify_suite_budget_admits_the_last_k(monkeypatch, suite, k, first_step):

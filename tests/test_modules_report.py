@@ -86,9 +86,9 @@ _COUNTED = ("class_index", "all_u0_labels")
 
 @pytest.mark.parametrize("flags", [[], ["--chi", "1,2,0"], ["--induce"], "case-b"])
 def test_a_modules_request_builds_each_class_table_once(monkeypatch, capsys, flags):
-    # each per-k table is counted wherever a program module binds it, and
-    # class_index builds its labels through the module's own all_u0_labels;
-    # the weights mod 1 are a field of the class table
+    # each per-k table is counted wherever a program module binds it: the
+    # class table is built once, and no class is a U0Label on the way to the
+    # report; the weights mod 1 are a field of the class table
     calls = dict.fromkeys(_COUNTED, 0)
 
     def counted(name, fn):
@@ -110,7 +110,7 @@ def test_a_modules_request_builds_each_class_table_once(monkeypatch, capsys, fla
         argv = ["modules", "--code", json.dumps(code)] + flags
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["results"]
-    assert calls == {"class_index": 1, "all_u0_labels": 1}
+    assert calls == {"class_index": 1, "all_u0_labels": 0}
 
 
 def test_a_failure_while_the_report_is_written_exits_2(monkeypatch, capsys):
@@ -122,3 +122,36 @@ def test_a_failure_while_the_report_is_written_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: stabilizer order 2 is not a square times the summand count 0\n"
     assert cli.main(["modules", "--code", code]) == 0
+
+
+class _FlagUnread:
+    """A Case B entry whose flag cannot be read."""
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __getattr__(self, name):
+        if name == "flag":
+            raise ValueError("the last entry's flag was read")
+        return getattr(self.entry, name)
+
+
+def test_a_case_b_report_is_written_before_its_last_entry_is_read(monkeypatch, capsys):
+    # 729 entries, far more than the WRITE_PIECES pieces one write joins: the
+    # first entries are out before the last one's fields are read
+    inventory_of = ud.case_b_inventory
+
+    def last_unread(code, index=None):
+        inventory = inventory_of(code, index)
+        entries = inventory.entries[:-1] + (_FlagUnread(inventory.entries[-1]),)
+        return ud.CaseBInventory(inventory.code, inventory.even_part,
+                                 inventory.odd_representative, entries)
+
+    monkeypatch.setattr(cli, "case_b_inventory", last_unread)
+    code = json.dumps({"k": 3, "length": 3, "generators": [[3, 0, 0]]})
+    assert len(inventory_of(cli.load_code(code)).entries) > 2 * cli.WRITE_PIECES
+    assert cli.main(["modules", "--code", code]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the last entry's flag was read\n"
+    assert captured.out.count('"orbit_representative"') > cli.WRITE_PIECES
+    assert captured.out.startswith('{\n  "command": "modules"')

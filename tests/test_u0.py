@@ -15,6 +15,7 @@ from parafusion.cli import main
 from parafusion.codes import CodeTooLargeError
 from parafusion.fusion import FusionSum
 from parafusion.u0 import (
+    ClassIndex,
     SummandLabel,
     TopLevel,
     U0Label,
@@ -70,17 +71,25 @@ def test_canonical_class_count(k):
 @pytest.mark.parametrize("k", range(2, 9))
 def test_class_index_numbers_the_canonical_classes(k):
     index = class_index(k)
-    labels, pair_class, moves, eta = index[:4]
-    assert labels == all_u0_labels(k)
+    pair_class, moves, eta = index.pair_class, index.moves, index.eta
+    labels = all_u0_labels(k)
+    # class c is U(c // 2k, c % 2k), named as its label is, in label order
+    assert [U0Label(k, i, l) for i, l in ClassIndex.pairs(k, range(k * k))] == list(labels)
+    assert list(labels) == sorted(labels)
+    assert index.names() == [str(a) for a in labels]
     assert labels[:2 * k] == simple_currents(k) and labels[0] == u0_vacuum(k)
     for i, l in product(range(k), range(2 * k)):
         c = pair_class[i][l]
         assert labels[c] == canonicalize_u0(k, i, l)
+        assert labels[c] == U0Label(k, *divmod(c, 2 * k))
         # class c = 2k i' + l' is U(i', l'), moved by d at moves[c + 2k i' + d]
-        [start] = index.move_starts([c])
-        assert start == c + 2 * k * labels[c].i
+        start = c + 2 * k * labels[c].i
         assert [labels[moves[start + d]] for d in range(2 * k)] == [
             canonicalize_u0(k, i, l + d) for d in range(2 * k)]
+        assert index.moved([c], ([d] for d in range(2 * k))) == [
+            (moves[start + d],) for d in range(2 * k)]
+        # each class of a tuple moves by its own entry
+        assert index.moved([c, 0], [(1, 2)]) == [(pair_class[i][(l + 1) % (2 * k)], 2)]
         # eta is a class function, read off any raw pair
         assert eta[c] == eta_u0(k, i, l)
 
@@ -97,9 +106,21 @@ def test_class_index_tables_hold_at_most_5k2_entries(k):
         assert entries <= 5 * k * k
 
 
+@pytest.mark.parametrize("k", [*range(2, 9), 64])
+def test_class_index_builds_no_label(monkeypatch, k):
+    # a class is its number from the class table to the written report
+    def refused(self, *args):
+        raise AssertionError(f"U0Label{args} built")
+
+    monkeypatch.setattr(U0Label, "__init__", refused)
+    index = class_index(k)
+    assert len(index.eta) == len(index.weight) == k * k
+    assert index.names()[-1] == "U({},{})".format(*divmod(k * k - 1, 2 * k))
+
+
 @pytest.mark.parametrize("k", range(2, 8))
 def test_fusion_table_matches_fuse_u0(k):
-    labels = class_index(k)[0]
+    labels = all_u0_labels(k)
     table = fusion_table(k)
     for (a, x), (b, y) in product(enumerate(labels), repeat=2):
         assert list(table[a][b]) == sorted(table[a][b])
@@ -129,7 +150,7 @@ def _current_square_shifted(k, i1, l1, i2, l2):
      "U(1,0) x U(2,0) is not symmetric"),
     (_double_first_on_row_one, 5, "associativity", "triple U(1,0), U(1,0), U(2,0)"),
     (_double_first_on_row_one, 4, "unique-dual",
-     "U(1,0) has dual candidates [U0Label(k=4, i=1, l=0)]"),
+     "U(1,0) has dual candidates [U(1,0)]"),
     (_current_square_shifted, 3, "simple-current-group",
      "simple currents do not realize the cyclic group law"),
 ])
@@ -463,7 +484,8 @@ def test_public_weights_match_the_fraction_reference(k):
 @pytest.mark.parametrize("k", range(2, 13))
 def test_weight_mod1_matches_the_fraction_reference_on_raw_pairs(k):
     # the table is per class, so this also checks that a class's raw pairs agree
-    _, pair_class, _, _, q, table = u0.class_index(k)
+    index = u0.class_index(k)
+    pair_class, q, table = index.pair_class, index.q, index.weight
     for i in range(k):
         for l in range(2 * k):
             a = U0Label(k, i, l)
