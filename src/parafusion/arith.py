@@ -94,8 +94,10 @@ Rational = Fraction
 # 110 MB (--induce 8.0-8.8 s, 110 MB).  The README's Budgets has report sizes.
 # A `fusion` report of 10^5 terms takes 1.3 s and 67 MB, linearly.  The
 # largest class table is the k^2 classes of length 1: `modules` on <(0)> at
-# k = 512 takes 1.6 s, 130 MB, on <(64)> at k = 1024 2.9 s, 340 MB, and on
-# the Case B <(511)> at k = 511 9.1-10.9 s, 310 MB.
+# k = 512 takes 1.6 s, 130 MB, on <(64)> at k = 1024 2.4-2.5 s, 333 MB, and
+# on the Case B <(511)> at k = 511 3.6-3.8 s, 111 MB.  A Case B report is
+# written row by row: the k = 3, length-6 <(3,0,0,0,0,0),(0,3,3,0,0,0)>
+# takes 3.1-3.2 s, 52 MB for its 212 MiB report.
 BUDGET = 2**20
 
 

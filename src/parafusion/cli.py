@@ -6,7 +6,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import partial
 from itertools import islice
 from math import prod
 from types import SimpleNamespace
@@ -14,9 +13,10 @@ from types import SimpleNamespace
 from .codes import Classification, euclidean_weight, load_code
 from .u0 import U0Label, class_index, fuse_u0
 from .ud import (
+    UNDETERMINED_FLAG,
     CharacterLabel,
     OrbitInfo,
-    case_b_inventory,
+    case_b_rows,
     census_rows,
     character_from_eta,
     check_label_budget,
@@ -37,27 +37,19 @@ _HOLE = "\x00"
 
 
 class _Listing:
-    """A report list held as rows, written entry by entry: the writer asks
-    `entry(row, indent)` for each entry's text, so no entry is built before
-    it is written."""
+    """A report list held as rows, written row by row: the writer asks
+    `entry(row, indent)` for the text of each row's entries, one or more
+    of the list's elements, so no entry is built before it is written."""
 
     def __init__(self, rows, entry):
         self.rows, self.entry = rows, entry
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        # each entry a callable, which `_render` passes the indent
-        return (partial(self.entry, row) for row in self.rows)
 
 
 def _render(value, indent: str) -> str:
     """The JSON text of a report value whose first line sits at `indent`,
     byte for byte as JSONEncoder(indent=2, sort_keys=True) writes it.
     Reports hold no floats, so a float is refused like any other type, and
-    `_quote` refuses a key that is not a string.  A callable value writes
-    itself: its text is `value(indent)`."""
+    `_quote` refuses a key that is not a string."""
     if isinstance(value, str):
         return _quote(value)
     if isinstance(value, int):
@@ -70,46 +62,47 @@ def _render(value, indent: str) -> str:
         return "null"
     inner = indent + "  "
     sep = ",\n" + inner
-    if isinstance(value, (list, tuple, _Listing)):
-        if not value:
-            return "[]"
+    # no element's text is empty, so only an empty container has an empty body
+    if isinstance(value, dict):
+        body = sep.join([_quote(k) + ": " + _render(v, inner) for k, v in sorted(value.items())])
+        return "{\n" + inner + body + "\n" + indent + "}" if body else "{}"
+    if isinstance(value, _Listing):
+        body = sep.join([value.entry(row, inner) for row in value.rows])
+    elif isinstance(value, (list, tuple)):
         try:  # most lists hold only strings: one join
             body = sep.join(map(_quote, value))
         except TypeError:
             body = sep.join([_render(v, inner) for v in value])
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = sep.join([_quote(k) + ": " + _render(v, inner) for k, v in sorted(value.items())])
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if callable(value):
-        return value(indent)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return "[\n" + inner + body + "\n" + indent + "]" if body else "[]"
 
 
 def _stream(value, indent: str, levels: int):
-    """`_render(value, indent)` in pieces: a nonempty container within the
-    top `levels` levels piece by piece, and each of its entries below them
-    as one piece."""
-    if levels == 0 or not value or not isinstance(value, (dict, list, tuple, _Listing)):
+    """`_render(value, indent)` in pieces: a container within the top
+    `levels` levels piece by piece, and each of its entries below them as
+    one piece, as is each row's text of a `_Listing`."""
+    if levels == 0 or not isinstance(value, (dict, list, tuple, _Listing)):
         yield _render(value, indent)
         return
-    inner = indent + "  "
+    inner, render = indent + "  ", _render
     if isinstance(value, dict):
         head, close = "{\n", "}"
         entries = ((_quote(k) + ": ", v) for k, v in sorted(value.items()))
     else:
-        head, close = "[\n", "]"
-        entries = (("", v) for v in value)
+        head, close, items = "[\n", "]", value
+        if isinstance(value, _Listing):  # each row's text is one piece
+            render, levels, items = value.entry, 1, value.rows
+        entries = (("", v) for v in items)
+    n = -1
     for n, (key, v) in enumerate(entries):
         prefix = (",\n" if n else head) + inner + key
         if levels == 1:
-            yield prefix + _render(v, inner)
+            yield prefix + render(v, inner)
         else:
             yield prefix
             yield from _stream(v, inner, levels - 1)
-    yield "\n" + indent + close
+    yield "\n" + indent + close if n >= 0 else head[0] + close
 
 
 def _report(command: str, parameters: dict, results: dict, seed=None) -> dict:
@@ -215,17 +208,18 @@ def cmd_modules(args) -> tuple[dict, int]:
         raise ValueError("--induce induces from a Case A census; a Case B code has none")
     # decided before a Case B even part is built or a --chi character is named
     check_label_budget(code.k, code.length)
-    # one table of the classes, each named once: a label is a tuple of class numbers
+    # one table of the classes, each named and quoted once: a label is a
+    # tuple of class numbers
     index = class_index(code.k)
-    names = index.names()
+    quoted = list(map(_quote, index.names()))
 
     if case_b:
-        inventory = case_b_inventory(code, index)
+        even, xi1, rows = case_b_rows(code, index)
         results = {
             "classification": "CaseB",
-            "even_part_size": inventory.even_part.size,
-            "odd_representative": list(inventory.odd_representative.entries),
-            "entries": _Listing(inventory.entries, partial(_case_b_entry, names)),
+            "even_part_size": even.size,
+            "odd_representative": list(xi1.entries),
+            "entries": _Listing(rows, _case_b_entry(code.length, quoted)),
         }
         return _report("modules", params, results), 0
 
@@ -237,32 +231,51 @@ def cmd_modules(args) -> tuple[dict, int]:
     results = {
         "classification": "CaseA",
         "orbit_count": len(rows),
-        "orbits": _Listing(rows, _orbit_entry(code, index, names, chi_names, args.induce)),
+        "orbits": _Listing(rows, _orbit_entry(code, index, quoted, chi_names, args.induce)),
         "twisted_module_counts": {chi_names[c.eta]: n for c, n in totals.items()},
     }
     return _report("modules", params, results), 0
 
 
-def _case_b_entry(names: list[str], e, indent: str) -> str:
-    """The text of a Case B inventory entry, its classes named by `names`."""
-    return _render({
-        "orbit_representative": [names[c] for c in e.orbit.least],
-        "summand_index": e.summand_index,
-        "multiplicity": e.multiplicity,
-        "u0_decomposition": [{"label": [names[c] for c in x], "multiplicity": m}
-                             for x, m in e.u0_decomposition],
-        "flag": e.flag,
-    }, indent)
+def _case_b_entry(ell: int, quoted: list[str]):
+    """The writer of a `ud.CaseBRow`'s entries, one per summand.  Their text
+    is rendered once per indent, with a `_HOLE` for each class name, each
+    multiplicity and the summand index, and split there; a row fills in its
+    pre-quoted class names and its numbers, and its entries differ only in
+    the summand index."""
+    name = quoted.__getitem__
+    pieces: dict[str, list[str]] = {}
+
+    def entry(row, indent: str) -> str:
+        p = pieces.get(indent)
+        if p is None:
+            member = {"label": [_HOLE] * ell, "multiplicity": _HOLE}
+            p = pieces[indent] = _render({
+                "orbit_representative": [_HOLE] * ell,
+                "summand_index": _HOLE,
+                "multiplicity": _HOLE,
+                "u0_decomposition": [member, member],
+                "flag": UNDETERMINED_FLAG,
+            }, indent).split(_quote(_HOLE))
+        orbit, mult, summands, decomposition = row
+        # in key order: the multiplicity, the representative, the summand
+        # index and the members, each its label and its multiplicity
+        head = p[0] + str(mult) + p[1] + p[2].join(map(name, orbit.least)) + p[ell + 1]
+        members = p[2 * ell + 3].join([p[ell + 3].join(map(name, x)) + p[2 * ell + 2] + str(m)
+                                       for x, m in decomposition])
+        tail = p[ell + 2] + members + p[3 * ell + 4]
+        return (",\n" + indent).join([head + str(s) + tail for s in range(summands)])
+
+    return entry
 
 
-def _orbit_entry(code, index, names: list[str], chi_names: dict, induce: bool):
+def _orbit_entry(code, index, quoted: list[str], chi_names: dict, induce: bool):
     """The writer of a census row's entry.  Its text is rendered once per
     coset group, character and indent, with a `_HOLE` for each class name
     and the weight, and split there; an orbit fills in its pre-quoted class
     names and its weight mod 1, each distinct weight quoted once.  With
     `induce` the entry lists the orbit's members: two of them in the
     rendered text give the pieces around and between members."""
-    quoted = list(map(_quote, names))
     name, ell, q = quoted.__getitem__, code.length, index.q
     pieces: dict[tuple, list[str]] = {}
     weights: dict[int, str] = {}

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 from itertools import product, repeat
 from math import isqrt
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .arith import ResidueVector, Value, check_budget, mod1, standard_inner
 from .codes import Classification, Code, enumerate_code, even_part, least_in_coset
@@ -30,6 +30,7 @@ __all__ = [
     "InducedModuleReport",
     "CaseBEntry",
     "CaseBInventory",
+    "CaseBRow",
     "canonicalize_irr",
     "all_irr_labels",
     "act",
@@ -47,6 +48,7 @@ __all__ = [
     "twisted_count",
     "check_label_budget",
     "weight_mod1_uxi",
+    "case_b_rows",
     "case_b_inventory",
 ]
 
@@ -191,6 +193,11 @@ def _isotropic_part(code: Code, stab: tuple[ResidueVector, ...]) -> tuple[Residu
     )
 
 
+def _label(k: int, x: tuple[int, ...]) -> IrrU0Label:
+    """The label of a tuple of `class_index` numbers at level k."""
+    return IrrU0Label(k, *zip(*ClassIndex.pairs(k, x)))
+
+
 class OrbitInfo(Value, fields=("least", "stabilizer", "isotropic", "character")):
     """An orbit, named by its least member, a tuple of `class_index` numbers.
     `index` is the `ClassIndex` that names and moves the classes; equality
@@ -202,10 +209,6 @@ class OrbitInfo(Value, fields=("least", "stabilizer", "isotropic", "character"))
         self.__dict__.update(least=least, stabilizer=stabilizer, isotropic=isotropic,
                              character=character, index=index)
 
-    def _label(self, x: tuple[int, ...]) -> IrrU0Label:
-        k = self.character.code.k
-        return IrrU0Label(k, *zip(*ClassIndex.pairs(k, x)))
-
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """The members, least first: the least one moved by every codeword."""
@@ -215,11 +218,12 @@ class OrbitInfo(Value, fields=("least", "stabilizer", "isotropic", "character"))
 
     @property
     def representative(self) -> IrrU0Label:
-        return self._label(self.least)
+        return _label(self.character.code.k, self.least)
 
     @property
     def members(self) -> tuple[IrrU0Label, ...]:
-        return tuple(map(self._label, self.classes))
+        k = self.character.code.k
+        return tuple(_label(k, x) for x in self.classes)
 
     @property
     def size(self) -> int:
@@ -367,6 +371,16 @@ def _orbit_of(code: Code, x: IrrU0Label) -> OrbitInfo:
                      kernel.index)
 
 
+def _index_of(code: Code, index: ClassIndex | None) -> ClassIndex:
+    """`index`, or else `class_index(code.k)`, built once the label budget
+    admits the code: each table of the class index holds at most
+    2k^2 + 2k <= 3 k^(2 length) entries, so the label budget bounds it too."""
+    if index is None:
+        check_label_budget(code.k, code.length)
+        index = class_index(code.k)
+    return index
+
+
 def census_rows(
     code: Code,
     restrict_to_character: CharacterLabel | None = None,
@@ -386,7 +400,7 @@ def census_rows(
     chi = restrict_to_character
     if chi is not None and (chi.code != code or len(chi.eta) != code.length):
         return []
-    kernel = _LabelKernel(code, class_index(code.k) if index is None else index)
+    kernel = _LabelKernel(code, _index_of(code, index))
     target = None if chi is None else kernel.named(kernel.key(chi.eta))
     if target != chi:
         return []
@@ -405,11 +419,7 @@ def orbits(
 ) -> tuple[OrbitInfo, ...]:
     """The orbit census of the code action on all canonical labels, as
     `OrbitInfo`s: `census_rows`, whose arguments it takes."""
-    if index is None:
-        # each table of the class index holds at most 2k^2 + 2k <= 3 k^(2 length)
-        # entries, so the label budget bounds it too
-        check_label_budget(code.k, code.length)
-        index = class_index(code.k)
+    index = _index_of(code, index)
     rows = census_rows(code, restrict_to_character, index)[::-1]
     # each row is dropped as its OrbitInfo is built: the census is held once
     return tuple(OrbitInfo(least, group.stabilizer, group.isotropic, chi, index)
@@ -444,20 +454,28 @@ def induce_from_orbit(code: Code, info: OrbitInfo) -> InducedModuleReport:
     _require_case_a(code, "induction")
     _check_code_shape(code, info.character.code.k, len(info.least))
     summands = info.twisted_count
-    mult = isqrt(info.stabilizer_order // summands) if summands else 0
-    if mult * mult * summands != info.stabilizer_order:
+    mult = _multiplicity(code, info.least, summands, info.stabilizer_order, len(info.classes))
+    return InducedModuleReport(orbit=info, summand_count=summands, multiplicity=mult)
+
+
+def _multiplicity(code: Code, least: tuple[int, ...], summands: int, stabilizer_order: int,
+                  size: int) -> int:
+    """sqrt(|D_X|/summands), the multiplicity of each summand induced over
+    the orbit of `least`, checked: |D_X| must be a square times the summand
+    count, and the total length over the base algebra must be |D| on the
+    `size` members built."""
+    mult = isqrt(stabilizer_order // summands) if summands else 0
+    if mult * mult * summands != stabilizer_order:
         raise ValueError(
-            f"stabilizer order {info.stabilizer_order} is not a square times "
+            f"stabilizer order {stabilizer_order} is not a square times "
             f"the summand count {summands}"
         )
-    # total length over the base algebra matches |D|, on the built members
-    size = len(info.classes)
     if summands * mult * mult * size != code.size:
         raise ValueError(
-            f"orbit of {info.representative} is inconsistent with |D| = {code.size}: "
+            f"orbit of {_label(code.k, least)} is inconsistent with |D| = {code.size}: "
             f"{summands} summands x multiplicity {mult}^2 x orbit size {size}"
         )
-    return InducedModuleReport(orbit=info, summand_count=summands, multiplicity=mult)
+    return mult
 
 
 def count_twisted_by_character(census) -> Counter:
@@ -512,28 +530,62 @@ class CaseBInventory(Value, fields=("code", "even_part", "odd_representative", "
 UNDETERMINED_FLAG = "irreducible or splits into two irreducibles (undetermined)"
 
 
+class CaseBRow(NamedTuple):
+    """A trivial-character orbit of the even part D0 of a Case B code, as
+    its `CensusRow`, with what it induces: `summand_count` irreducible
+    modules of U_{D0}, each with `multiplicity`, and over the whole code the
+    decomposition of each, (class tuple, multiplicity) pairs sorted by class
+    tuple: the orbit's members and their translates by the odd representative."""
+
+    orbit: CensusRow
+    multiplicity: int
+    summand_count: int
+    decomposition: tuple[tuple[tuple[int, ...], int], ...]
+
+
+def case_b_rows(code: Code, index: ClassIndex | None = None
+                ) -> tuple[Code, ResidueVector, Iterator[CaseBRow]]:
+    """The even part D0 of a Case B code, the least vector xi1 of its odd
+    part, and the `CaseBRow` of each trivial-character orbit of D0, in
+    census order, each computed as it is read.  `index` is
+    `class_index(code.k)`, built when not given."""
+    even, xi1 = even_part(code)
+    index = _index_of(code, index)
+    census = census_rows(even, trivial_character(even), index)
+    # the words of D0 and of xi1 + D0, entries in [0, 2k) as `moved` takes them
+    n, words = 2 * code.k, [xi.entries for xi in even.elements]
+    odd = [tuple((a + b) % n for a, b in zip(xi1.entries, w)) for w in words]
+
+    def rows() -> Iterator[CaseBRow]:
+        for orbit in census:
+            least, stab, summands = orbit.least, orbit.group.stabilizer_order, orbit.twisted_count
+            # D0 meets each member |D0_X| times, and xi1 + D0 each translate
+            counts = Counter(index.moved(least, words))
+            mult = _multiplicity(even, least, summands, stab, len(counts))
+            counts.update(index.moved(least, odd))
+            yield CaseBRow(orbit, mult, summands,
+                           tuple((x, c // stab * mult) for x, c in sorted(counts.items())))
+
+    return even, xi1, rows()
+
+
 def case_b_inventory(code: Code, index: ClassIndex | None = None) -> CaseBInventory:
     """Inventory of irreducible modules of a Case B superalgebra code.
 
     The even-diagonal subgroup D0 is Case A; every irreducible module of
     the even part U_{D0} comes from a trivial-character orbit there, and
     induces over U_D an object that is either irreducible or a direct sum
-    of two irreducibles (not decided here).  `index` is `class_index(code.k)`,
+    of two irreducibles (not decided here).  The entries are those of
+    `case_b_rows`, one per summand; `index` is `class_index(code.k)`,
     built when not given.
     """
-    even, xi1 = even_part(code)
+    index = _index_of(code, index)
+    even, xi1, rows = case_b_rows(code, index)
     entries = []
-    for info in orbits(even, trivial_character(even), index):
-        report = induce_from_orbit(even, info)
-        decomp: Counter = Counter()
-        for x in info.classes:
-            decomp[x] += report.multiplicity
-            # xi1 moves each class along its row, as a codeword of the even part does
-            [moved] = info.index.moved(x, [xi1.entries])
-            decomp[moved] += report.multiplicity
-        decomposition = tuple(sorted(decomp.items()))
-        entries += [CaseBEntry(orbit=info, summand_index=s, multiplicity=report.multiplicity,
+    for (least, group, chi), mult, summands, decomposition in rows:
+        info = OrbitInfo(least, group.stabilizer, group.isotropic, chi, index)
+        entries += [CaseBEntry(orbit=info, summand_index=s, multiplicity=mult,
                                u0_decomposition=decomposition, flag=UNDETERMINED_FLAG)
-                    for s in range(report.summand_count)]
+                    for s in range(summands)]
     return CaseBInventory(code=code, even_part=even, odd_representative=xi1,
                           entries=tuple(entries))

@@ -6,20 +6,24 @@ D + K_T, at k^(2 ell) labels and |D| translates per orbit.  The triple
 scan checks the associativity verdict of the fusion-axioms suite, the
 argparse parser checks the command line that cli.COMMANDS reads, and a
 Case A `modules` report built as a dict per orbit checks the report that
-the command writes from census rows.  The dataclass twins check the
+the command writes from census rows, and a Case B report built from label
+objects under `act` checks the report written from the rows of the even
+part's census.  The dataclass twins check the
 comparisons, hash and repr that `arith.Value` builds for each value type."""
 
 import argparse
+from collections import Counter
 from dataclasses import field, fields, make_dataclass
 from itertools import chain, product
 
 from parafusion import cli
 from parafusion.arith import IntegerMatrix, ResidueVector, mod1, standard_inner
-from parafusion.codes import Code, load_code
+from parafusion.codes import Code, even_part, load_code
 from parafusion.lattice import CosetSpec, LatticeVector
 from parafusion.parafermion import ParafermionLabel, TildeLabel
 from parafusion.u0 import SummandLabel, U0Label, all_u0_labels, weight_mod1
 from parafusion.ud import (
+    UNDETERMINED_FLAG,
     CaseBEntry,
     CaseBInventory,
     CharacterLabel,
@@ -32,6 +36,7 @@ from parafusion.ud import (
     count_twisted_by_character,
     induce_from_orbit,
     orbits,
+    trivial_character,
 )
 from parafusion.verify import SUITES, CheckResult
 from parafusion.virasoro import VirasoroLabel
@@ -139,6 +144,17 @@ def direct_census(code):
     return census
 
 
+def _modules_report(source: str, chi: str | None, induce: bool, results: dict) -> dict:
+    return {
+        "schema": cli.SCHEMA,
+        "command": "modules",
+        "parameters": {"code": source, "chi": chi, "induce": induce},
+        "results": results,
+        "seed": None,
+        "deterministic": True,
+    }
+
+
 def modules_report(source: str, chi: str | None = None, induce: bool = False) -> dict:
     """The report of `parafusion modules --code source [--chi chi] [--induce]`
     on a Case A code, built orbit by orbit from `ud.orbits` as a dict per
@@ -170,20 +186,57 @@ def modules_report(source: str, chi: str | None = None, induce: bool = False) ->
                 ],
             }
         entries.append(entry)
-    return {
-        "schema": cli.SCHEMA,
-        "command": "modules",
-        "parameters": {"code": source, "chi": chi, "induce": induce},
-        "results": {
-            "classification": "CaseA",
-            "orbit_count": len(census),
-            "orbits": entries,
-            "twisted_module_counts": {
-                str(c): n for c, n in count_twisted_by_character(census).items()},
-        },
-        "seed": None,
-        "deterministic": True,
-    }
+    return _modules_report(source, chi, induce, {
+        "classification": "CaseA",
+        "orbit_count": len(census),
+        "orbits": entries,
+        "twisted_module_counts": {
+            str(c): n for c, n in count_twisted_by_character(census).items()},
+    })
+
+
+def case_b_reference(code):
+    """Case B entries built from label objects, as (representative, summand
+    index, multiplicity, decomposition, flag): each member of a
+    trivial-character orbit of the even part and its translate by the odd
+    representative under `act`, sorted as labels."""
+    even, xi1 = even_part(code)
+    entries = []
+    for info in orbits(even, restrict_to_character=trivial_character(even)):
+        report = induce_from_orbit(even, info)
+        decomp = Counter()
+        for w in info.members:
+            decomp[w] += report.multiplicity
+            decomp[act(xi1, w)] += report.multiplicity
+        decomposition = tuple(sorted(decomp.items()))
+        entries.extend((info.representative, s, report.multiplicity, decomposition,
+                        UNDETERMINED_FLAG) for s in range(report.summand_count))
+    return entries
+
+
+def case_b_report(source: str) -> dict:
+    """The report of `parafusion modules --code source` on a Case B code,
+    built from `case_b_reference` as a dict per entry, each label named by
+    `str` of its classes."""
+    code = load_code(source)
+    even, xi1 = even_part(code)
+
+    def names(x):
+        return [str(c) for c in x.components()]
+
+    entries = [{
+        "orbit_representative": names(rep),
+        "summand_index": s,
+        "multiplicity": mult,
+        "u0_decomposition": [{"label": names(x), "multiplicity": m} for x, m in decomposition],
+        "flag": flag,
+    } for rep, s, mult, decomposition, flag in case_b_reference(code)]
+    return _modules_report(source, None, False, {
+        "classification": "CaseB",
+        "even_part_size": even.size,
+        "odd_representative": list(xi1.entries),
+        "entries": entries,
+    })
 
 
 def first_non_associative(table):

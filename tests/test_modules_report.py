@@ -1,6 +1,7 @@
-"""The Case A `modules` report, written from census rows, against the
-report built as a dict per orbit (`scans.modules_report`) and encoded by
-the standard library's indenting encoder, byte for byte."""
+"""The `modules` report, written from census rows, against the report built
+as a dict per entry and encoded by the standard library's indenting
+encoder, byte for byte: a Case A report against `scans.modules_report`, a
+Case B report against `scans.case_b_report`."""
 
 import contextlib
 import io
@@ -11,7 +12,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scans import modules_report
+from scans import case_b_report, modules_report
 
 from parafusion import cli, u0, ud
 from parafusion.codes import Classification, all_codes, enumerate_code
@@ -33,7 +34,11 @@ def _check(code, chi=None, induce=False) -> None:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = cli.main(argv)
     assert status == 0 and err.getvalue() == ""
-    assert out.getvalue() == REFERENCE.encode(modules_report(source, chi, induce)) + "\n"
+    if code.classification is Classification.CASE_B:
+        expected = case_b_report(source)
+    else:
+        expected = modules_report(source, chi, induce)
+    assert out.getvalue() == REFERENCE.encode(expected) + "\n"
 
 
 # every (k, ell) with k = 2..7, ell <= 3 and at most 2^16 labels
@@ -81,6 +86,54 @@ def test_every_small_case_a_report_matches_the_reference(k):
     assert checked > 0
 
 
+def _integral(k, v, g) -> bool:
+    return (k - 1) * sum(map(int.__mul__, v, g)) % (2 * k) == 0
+
+
+def _odd(k, v) -> bool:
+    return (k - 1) * sum(a * a for a in v) // (2 * k) % 2 == 1
+
+
+# the shapes of SHAPES with at most 2^12 labels that hold a Case B code: an
+# odd vector pairing integrally with itself
+CASE_B_SHAPES = [(k, ell) for k, ell in SHAPES if k ** (2 * ell) <= 2 ** 12
+                 and any(_integral(k, v, v) and _odd(k, v)
+                         for v in product(range(2 * k), repeat=ell))]
+
+
+@st.composite
+def case_b_codes(draw):
+    """A Case B code: an odd first generator, and each generator pairing
+    integrally with itself and with every earlier one."""
+    k, ell = draw(st.sampled_from(CASE_B_SHAPES))
+    pool = [v for v in product(range(2 * k), repeat=ell) if _integral(k, v, v)]
+    gens = [draw(st.sampled_from([v for v in pool if _odd(k, v)]))]
+    for _ in range(draw(st.integers(0, 2))):
+        gens.append(draw(st.sampled_from([v for v in pool
+                                          if all(_integral(k, v, g) for g in gens)])))
+    code = enumerate_code(k, ell, gens)
+    assert code.classification is Classification.CASE_B
+    return code
+
+
+@settings(max_examples=25, deadline=None)
+@given(code=case_b_codes())
+def test_case_b_report_matches_the_reference(code):
+    _check(code)
+
+
+def test_every_small_case_b_report_matches_the_reference():
+    # every Case B code of all_codes(k, ell), k = 2..5, ell <= 3, at most 2^12 labels
+    checked = 0
+    for k, ell in SHAPES:
+        if k <= 5 and k ** (2 * ell) <= 2 ** 12:
+            for code in all_codes(k, ell):
+                if code.classification is Classification.CASE_B:
+                    _check(code)
+                    checked += 1
+    assert checked == 110
+
+
 _COUNTED = ("class_index", "all_u0_labels")
 
 
@@ -124,34 +177,24 @@ def test_a_failure_while_the_report_is_written_exits_2(monkeypatch, capsys):
     assert cli.main(["modules", "--code", code]) == 0
 
 
-class _FlagUnread:
-    """A Case B entry whose flag cannot be read."""
-
-    def __init__(self, entry):
-        self.entry = entry
-
-    def __getattr__(self, name):
-        if name == "flag":
-            raise ValueError("the last entry's flag was read")
-        return getattr(self.entry, name)
-
-
 def test_a_case_b_report_is_written_before_its_last_entry_is_read(monkeypatch, capsys):
     # 729 entries, far more than the WRITE_PIECES pieces one write joins: the
-    # first entries are out before the last one's fields are read
-    inventory_of = ud.case_b_inventory
-
-    def last_unread(code, index=None):
-        inventory = inventory_of(code, index)
-        entries = inventory.entries[:-1] + (_FlagUnread(inventory.entries[-1]),)
-        return ud.CaseBInventory(inventory.code, inventory.even_part,
-                                 inventory.odd_representative, entries)
-
-    monkeypatch.setattr(cli, "case_b_inventory", last_unread)
+    # first entries are out before the row source computes the last row's
+    # decomposition
     code = json.dumps({"k": 3, "length": 3, "generators": [[3, 0, 0]]})
-    assert len(inventory_of(cli.load_code(code)).entries) > 2 * cli.WRITE_PIECES
+    assert len(ud.case_b_inventory(cli.load_code(code)).entries) > 2 * cli.WRITE_PIECES
+    *_, rows = ud.case_b_rows(cli.load_code(code))
+    last = list(rows)[-1].orbit.least
+    multiplicity = ud._multiplicity
+
+    def last_raises(code, least, *counts):
+        if least == last:
+            raise ValueError("the last row's decomposition was computed")
+        return multiplicity(code, least, *counts)
+
+    monkeypatch.setattr(ud, "_multiplicity", last_raises)
     assert cli.main(["modules", "--code", code]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: the last entry's flag was read\n"
+    assert captured.err == "error: the last row's decomposition was computed\n"
     assert captured.out.count('"orbit_representative"') > cli.WRITE_PIECES
     assert captured.out.startswith('{\n  "command": "modules"')

@@ -1,6 +1,5 @@
 import random
 import time
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -8,7 +7,14 @@ from operator import mul
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scans import SCANNED, ambient_keys, direct_census, first_hit_names, scanned_stabilizer
+from scans import (
+    SCANNED,
+    ambient_keys,
+    case_b_reference,
+    direct_census,
+    first_hit_names,
+    scanned_stabilizer,
+)
 
 from parafusion import codes, ud
 from parafusion.arith import ResidueVector, mod1
@@ -23,7 +29,6 @@ from parafusion.codes import (
 )
 from parafusion.u0 import U0Label, all_u0_labels, b_form_u0
 from parafusion.ud import (
-    UNDETERMINED_FLAG,
     CharacterLabel,
     IrrU0Label,
     OrbitInfo,
@@ -359,23 +364,6 @@ def test_case_b_even_part_matches_the_elementwise_split():
         assert inventory.odd_representative == d1[0]
 
 
-def _case_b_reference(code):
-    """Case B entries built from label objects: each orbit member and its
-    translate by the odd representative under `act`, sorted as labels."""
-    even, xi1 = codes.even_part(code)
-    entries = []
-    for info in orbits(even, restrict_to_character=trivial_character(even)):
-        report = induce_from_orbit(even, info)
-        decomp = Counter()
-        for w in info.members:
-            decomp[w] += report.multiplicity
-            decomp[act(xi1, w)] += report.multiplicity
-        decomposition = tuple(sorted(decomp.items()))
-        entries.extend((info.representative, s, report.multiplicity, decomposition,
-                        UNDETERMINED_FLAG) for s in range(report.summand_count))
-    return entries
-
-
 def test_case_b_inventory_matches_the_label_reference():
     # {0,3}^3 at k=3: its even part <(3,3,0),(0,3,3)> has orbits of multiplicity two
     cube = enumerate_code(3, 3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
@@ -390,7 +378,7 @@ def test_case_b_inventory_matches_the_label_reference():
         got = [(e.orbit.representative, e.summand_index, e.multiplicity,
                 tuple((label(x), m) for x, m in e.u0_decomposition), e.flag)
                for e in case_b_inventory(code).entries]
-        assert got == _case_b_reference(code)
+        assert got == case_b_reference(code)
 
 
 def test_case_b_inventory_requires_case_b():

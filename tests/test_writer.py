@@ -57,12 +57,18 @@ def test_writer_writes_a_listing_as_the_list_of_its_entries():
         return cli._render({"row": row, "indent": len(indent)}, indent)
 
     rows = [[1, "a"], [], [None]]
-    tree = {"results": {"orbits": cli._Listing(rows, entry), "none": cli._Listing([], entry)}}
+
+    def tree(listed=list):
+        return {"results": {"orbits": cli._Listing(listed(rows), entry),
+                            "none": cli._Listing(listed([]), entry)}}
+
     expected = REFERENCE.encode(
         {"results": {"orbits": [{"row": r, "indent": 6} for r in rows], "none": []}})
-    assert cli._render(tree, "") == expected
-    for levels in range(5):
-        assert _streamed(tree, levels) == expected
+    # rows held as a list, or read once from an iterator that has no length
+    for listed in (list, iter):
+        assert cli._render(tree(listed), "") == expected
+        for levels in range(5):
+            assert _streamed(tree(listed), levels) == expected
 
 
 @pytest.mark.parametrize("bad", [0.5, {1, 2}, frozenset(), 1j, b"x"])
