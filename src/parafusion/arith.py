@@ -16,7 +16,6 @@ from typing import Sequence
 
 __all__ = [
     "Value",
-    "Rational",
     "mod1",
     "ResidueVector",
     "standard_inner",
@@ -81,10 +80,6 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-# Arbitrary-precision exact rational: always lowest terms, positive denominator.
-Rational = Fraction
-
-
 # The work budget: the most codewords, labels, suite steps or fusion terms
 # one computation may build.  Python 3.11.7, shared 2-vCPU Xeon VM, process
 # peak RSS: the census of D = <(5,5,0,0)> (k=5, 203 125 orbits) takes
@@ -94,7 +89,7 @@ Rational = Fraction
 # 110 MB (--induce 8.0-8.8 s, 110 MB).  The README's Budgets has report sizes.
 # A `fusion` report of 10^5 terms takes 1.3 s and 67 MB, linearly.  The
 # largest class table is the k^2 classes of length 1: `modules` on <(0)> at
-# k = 512 takes 1.6 s, 130 MB, on <(64)> at k = 1024 2.4-2.5 s, 333 MB, and
+# k = 512 takes 1.6 s, 130 MB, on <(64)> at k = 1024 2.6-2.7 s, 268 MB, and
 # on the Case B <(511)> at k = 511 3.6-3.8 s, 111 MB.  A Case B report is
 # written row by row: the k = 3, length-6 <(3,0,0,0,0,0),(0,3,3,0,0,0)>
 # takes 3.1-3.2 s, 52 MB for its 212 MiB report.

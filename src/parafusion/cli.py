@@ -6,7 +6,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, starmap
 from math import prod
 from types import SimpleNamespace
 
@@ -16,7 +16,7 @@ from .ud import (
     UNDETERMINED_FLAG,
     CharacterLabel,
     OrbitInfo,
-    case_b_rows,
+    case_b_inventory,
     census_rows,
     character_from_eta,
     check_label_budget,
@@ -209,12 +209,13 @@ def cmd_modules(args) -> tuple[dict, int]:
     # decided before a Case B even part is built or a --chi character is named
     check_label_budget(code.k, code.length)
     # one table of the classes, each named and quoted once: a label is a
-    # tuple of class numbers
+    # tuple of class numbers; the names are quoted as they are made, so the
+    # unquoted list is never held
     index = class_index(code.k)
-    quoted = list(map(_quote, index.names()))
+    quoted = list(map(_quote, starmap(index.name, index.pairs(code.k, range(code.k ** 2)))))
 
     if case_b:
-        even, xi1, rows = case_b_rows(code, index)
+        even, xi1, rows = case_b_inventory(code, index)
         results = {
             "classification": "CaseB",
             "even_part_size": even.size,

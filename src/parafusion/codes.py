@@ -315,6 +315,15 @@ def random_code(
     return enumerate_code(k, length, gens)
 
 
+def _parse_json(text: str):
+    """`json.loads`, with text nested too deeply for its parser refused as
+    malformed input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("code JSON is nested too deeply") from None
+
+
 def load_code(source) -> Code:
     """Load a code from a JSON object, JSON text, or a path to a JSON file.
 
@@ -323,14 +332,14 @@ def load_code(source) -> Code:
     """
     # JSON text never goes through Path: a long code is not a valid file name
     if isinstance(source, str) and source.lstrip().startswith("{"):
-        obj = json.loads(source)
+        obj = _parse_json(source)
     # isfile, not Path.exists: a text longer than a file name is no file, and
     # isfile says so where exists() raises OSError on some Pythons
     elif isinstance(source, Path) or isinstance(source, str) and os.path.isfile(source):
-        obj = json.loads(Path(source).read_text())
+        obj = _parse_json(Path(source).read_text())
     elif isinstance(source, str):
         try:
-            obj = json.loads(source)
+            obj = _parse_json(source)
         except json.JSONDecodeError as exc:
             message = f"{source!r} is neither an existing file nor JSON text: {exc.msg}"
             raise json.JSONDecodeError(message, exc.doc, exc.pos) from None

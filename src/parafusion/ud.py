@@ -28,8 +28,6 @@ __all__ = [
     "CosetGroup",
     "CensusRow",
     "InducedModuleReport",
-    "CaseBEntry",
-    "CaseBInventory",
     "CaseBRow",
     "canonicalize_irr",
     "all_irr_labels",
@@ -48,7 +46,6 @@ __all__ = [
     "twisted_count",
     "check_label_budget",
     "weight_mod1_uxi",
-    "case_b_rows",
     "case_b_inventory",
 ]
 
@@ -506,27 +503,6 @@ def weight_mod1_uxi(xi: ResidueVector) -> Fraction:
     return mod1(Fraction((k - 1) * sum(c * c for c in xi), 4 * k))
 
 
-class CaseBEntry(Value, fields=("orbit", "summand_index", "multiplicity",
-                               "u0_decomposition", "flag")):
-    """One irreducible module of the even part, over an orbit of the even
-    part's census, with the decomposition of the object it induces over the
-    whole superalgebra: class tuples as in `OrbitInfo.classes`, least first."""
-
-    def __init__(self, orbit: OrbitInfo, summand_index: int, multiplicity: int,
-                 u0_decomposition: tuple[tuple[tuple[int, ...], int], ...],
-                 flag: str) -> None:
-        self.__dict__.update(orbit=orbit, summand_index=summand_index,
-                             multiplicity=multiplicity, u0_decomposition=u0_decomposition,
-                             flag=flag)
-
-
-class CaseBInventory(Value, fields=("code", "even_part", "odd_representative", "entries")):
-    def __init__(self, code: Code, even_part: Code, odd_representative: ResidueVector,
-                 entries: tuple[CaseBEntry, ...]) -> None:
-        self.__dict__.update(code=code, even_part=even_part,
-                             odd_representative=odd_representative, entries=entries)
-
-
 UNDETERMINED_FLAG = "irreducible or splits into two irreducibles (undetermined)"
 
 
@@ -543,12 +519,18 @@ class CaseBRow(NamedTuple):
     decomposition: tuple[tuple[tuple[int, ...], int], ...]
 
 
-def case_b_rows(code: Code, index: ClassIndex | None = None
-                ) -> tuple[Code, ResidueVector, Iterator[CaseBRow]]:
-    """The even part D0 of a Case B code, the least vector xi1 of its odd
-    part, and the `CaseBRow` of each trivial-character orbit of D0, in
-    census order, each computed as it is read.  `index` is
-    `class_index(code.k)`, built when not given."""
+def case_b_inventory(code: Code, index: ClassIndex | None = None
+                     ) -> tuple[Code, ResidueVector, Iterator[CaseBRow]]:
+    """Inventory of irreducible modules of a Case B superalgebra code.
+
+    The even-diagonal subgroup D0 is Case A; every irreducible module of
+    the even part U_{D0} comes from a trivial-character orbit there, and
+    induces over U_D an object that is either irreducible or a direct sum
+    of two irreducibles (not decided here).  Returns D0, the least vector
+    xi1 of the odd part, and the `CaseBRow` of each trivial-character orbit
+    of D0, in census order, each computed as it is read.  `index` is
+    `class_index(code.k)`, built when not given.
+    """
     even, xi1 = even_part(code)
     index = _index_of(code, index)
     census = census_rows(even, trivial_character(even), index)
@@ -567,25 +549,3 @@ def case_b_rows(code: Code, index: ClassIndex | None = None
                            tuple((x, c // stab * mult) for x, c in sorted(counts.items())))
 
     return even, xi1, rows()
-
-
-def case_b_inventory(code: Code, index: ClassIndex | None = None) -> CaseBInventory:
-    """Inventory of irreducible modules of a Case B superalgebra code.
-
-    The even-diagonal subgroup D0 is Case A; every irreducible module of
-    the even part U_{D0} comes from a trivial-character orbit there, and
-    induces over U_D an object that is either irreducible or a direct sum
-    of two irreducibles (not decided here).  The entries are those of
-    `case_b_rows`, one per summand; `index` is `class_index(code.k)`,
-    built when not given.
-    """
-    index = _index_of(code, index)
-    even, xi1, rows = case_b_rows(code, index)
-    entries = []
-    for (least, group, chi), mult, summands, decomposition in rows:
-        info = OrbitInfo(least, group.stabilizer, group.isotropic, chi, index)
-        entries += [CaseBEntry(orbit=info, summand_index=s, multiplicity=mult,
-                               u0_decomposition=decomposition, flag=UNDETERMINED_FLAG)
-                    for s in range(summands)]
-    return CaseBInventory(code=code, even_part=even, odd_representative=xi1,
-                          entries=tuple(entries))

@@ -24,8 +24,6 @@ from parafusion.parafermion import ParafermionLabel, TildeLabel
 from parafusion.u0 import SummandLabel, U0Label, all_u0_labels, weight_mod1
 from parafusion.ud import (
     UNDETERMINED_FLAG,
-    CaseBEntry,
-    CaseBInventory,
     CharacterLabel,
     InducedModuleReport,
     IrrU0Label,
@@ -76,9 +74,6 @@ DATACLASS_TWINS = {
         (OrbitInfo, ["least", "stabilizer", "isotropic", "character",
                      ("index", tuple, _skipped(shown=False))], False),
         (InducedModuleReport, ["orbit", "summand_count", "multiplicity"], False),
-        (CaseBEntry, ["orbit", "summand_index", "multiplicity", "u0_decomposition", "flag"],
-         False),
-        (CaseBInventory, ["code", "even_part", "odd_representative", "entries"], False),
         (CheckResult, ["name", "passed", ("detail", str, field(default=""))], False),
     ]
 }

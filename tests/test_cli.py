@@ -112,6 +112,18 @@ def test_code_text_longer_than_a_file_name_is_not_an_os_error(capsys):
         assert message in err and "Errno" not in err
 
 
+@pytest.mark.parametrize("command", ["classify", "modules"])
+def test_code_nested_too_deeply_is_a_usage_error(tmp_path, capsys, command):
+    # json's parser recurses once per level and runs out of stack
+    text = "[" * 20000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    for source in (text, str(path)):
+        status, out, err = run_cli(capsys, [command, "--code", source])
+        assert status == 2 and out == ""
+        assert err == "error: code JSON is nested too deeply\n"
+
+
 def test_modules_case_a(tmp_path, capsys):
     path = tmp_path / "code.json"
     path.write_text(json.dumps({"k": 2, "length": 2, "generators": [[2, 2]]}))

@@ -29,6 +29,7 @@ from parafusion.codes import (
 )
 from parafusion.u0 import U0Label, all_u0_labels, b_form_u0
 from parafusion.ud import (
+    UNDETERMINED_FLAG,
     CharacterLabel,
     IrrU0Label,
     OrbitInfo,
@@ -324,26 +325,27 @@ def test_weight_mod1_uxi_on_codes():
 
 def test_case_b_inventory_trivial_even_part():
     code = enumerate_code(3, 1, [(3,)])
-    inventory = case_b_inventory(code)
-    assert inventory.even_part.size == 1
-    assert len(inventory.entries) == 9
-    reps = [e.orbit.representative for e in inventory.entries]
-    assert len(set(reps)) == 9
-    for entry in inventory.entries:
-        assert entry.multiplicity == 1
-        assert sum(m for _, m in entry.u0_decomposition) == 2
-        assert "undetermined" in entry.flag
+    even, _, rows = case_b_inventory(code)
+    assert even.size == 1
+    rows = list(rows)
+    # one summand per row: each row is one entry of the report
+    assert [row.summand_count for row in rows] == [1] * 9
+    assert len({row.orbit.least for row in rows}) == 9
+    for row in rows:
+        assert row.multiplicity == 1
+        assert sum(m for _, m in row.decomposition) == 2
 
 
 def test_case_b_inventory_nontrivial_even_part():
     code = enumerate_code(2, 2, [(2, 0), (0, 2)])
     assert code.classification is Classification.CASE_B
-    inventory = case_b_inventory(code)
-    assert inventory.even_part.size == 2
-    assert len(inventory.entries) == 4
-    for entry in inventory.entries:
+    even, _, rows = case_b_inventory(code)
+    assert even.size == 2
+    rows = list(rows)
+    assert sum(row.summand_count for row in rows) == 4
+    for row in rows:
         # each induced object has base-algebra length |D|
-        assert sum(m for _, m in entry.u0_decomposition) == 4
+        assert sum(m for _, m in row.decomposition) == 4
 
 
 def _random_case_b_codes():
@@ -359,15 +361,15 @@ def _random_case_b_codes():
 def test_case_b_even_part_matches_the_elementwise_split():
     for code in _random_case_b_codes():
         d0, d1 = split_even_odd(code)
-        inventory = case_b_inventory(code)
-        assert inventory.even_part.elements == d0
-        assert inventory.odd_representative == d1[0]
+        even, xi1, _ = case_b_inventory(code)
+        assert even.elements == d0
+        assert xi1 == d1[0]
 
 
 def test_case_b_inventory_matches_the_label_reference():
     # {0,3}^3 at k=3: its even part <(3,3,0),(0,3,3)> has orbits of multiplicity two
     cube = enumerate_code(3, 3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
-    assert max(e.multiplicity for e in case_b_inventory(cube).entries) == 2
+    assert max(row.multiplicity for row in case_b_inventory(cube)[2]) == 2
     for code in [*_random_case_b_codes(), cube]:
         labels = all_u0_labels(code.k)
 
@@ -375,9 +377,10 @@ def test_case_b_inventory_matches_the_label_reference():
             return IrrU0Label(code.k, tuple(labels[c].i for c in x),
                               tuple(labels[c].l for c in x))
 
-        got = [(e.orbit.representative, e.summand_index, e.multiplicity,
-                tuple((label(x), m) for x, m in e.u0_decomposition), e.flag)
-               for e in case_b_inventory(code).entries]
+        # an entry per summand of each row, as the report lists them
+        got = [(label(row.orbit.least), s, row.multiplicity,
+                tuple((label(x), m) for x, m in row.decomposition), UNDETERMINED_FLAG)
+               for row in case_b_inventory(code)[2] for s in range(row.summand_count)]
         assert got == case_b_reference(code)
 
 

@@ -18,9 +18,6 @@ from parafusion.lattice import CosetSpec, LatticeVector, nja_coset, ntilde_coset
 from parafusion.parafermion import ParafermionLabel, TildeLabel
 from parafusion.u0 import SummandLabel, U0Label, class_index
 from parafusion.ud import (
-    UNDETERMINED_FLAG,
-    CaseBEntry,
-    CaseBInventory,
     CharacterLabel,
     InducedModuleReport,
     IrrU0Label,
@@ -118,22 +115,6 @@ def characters(draw):
     return draw(st.sampled_from([character_from_eta(code, eta), CharacterLabel(code, eta)]))
 
 
-@st.composite
-def case_b_entries(draw):
-    return CaseBEntry(draw(orbit_infos()), draw(st.integers(0, 1)), draw(st.integers(1, 2)),
-                      draw(tuples(st.tuples(tuples(st.integers(0, 3)), st.integers(1, 2)),
-                                  0, 2)),
-                      draw(st.sampled_from([UNDETERMINED_FLAG, ""])))
-
-
-@st.composite
-def case_b_inventories(draw):
-    code = draw(codes())
-    return CaseBInventory(code, draw(codes()), draw(st.sampled_from(code.generators or
-                                                                    (code.zero(),))),
-                          draw(tuples(case_b_entries(), 0, 1)))
-
-
 VALUES = {
     ResidueVector: st.builds(ResidueVector, st.integers(1, 4), tuples(small, 1, 3)),
     IntegerMatrix: integer_matrices(),
@@ -150,15 +131,13 @@ VALUES = {
     OrbitInfo: orbit_infos(),
     InducedModuleReport: st.builds(InducedModuleReport, orbit_infos(), st.integers(0, 2),
                                    st.integers(0, 2)),
-    CaseBEntry: case_b_entries(),
-    CaseBInventory: case_b_inventories(),
     CheckResult: st.builds(CheckResult, st.sampled_from(["a", "b"]), st.booleans(),
                            st.sampled_from(["", "x"])),
 }
 
 
 def test_every_value_type_has_a_twin_and_a_strategy():
-    assert len(DATACLASS_TWINS) == 17
+    assert len(DATACLASS_TWINS) == 15
     assert VALUES.keys() == DATACLASS_TWINS.keys()
 
 
