@@ -327,8 +327,8 @@ def _parse_json(text: str):
 def load_code(source) -> Code:
     """Load a code from a JSON object, JSON text, or a path to a JSON file.
 
-    Schema: {"k": int, "length": int, "generators": [[int, ...], ...]}.
-    Generator entries are reduced mod 2k.
+    Schema: {"k": int, "length": int, "generators": [[int, ...], ...]},
+    and no other field.  Generator entries are reduced mod 2k.
     """
     # JSON text never goes through Path: a long code is not a valid file name
     if isinstance(source, str) and source.lstrip().startswith("{"):
@@ -350,6 +350,9 @@ def load_code(source) -> Code:
     missing = {"k", "length", "generators"} - obj.keys()
     if missing:
         raise ValueError(f"code JSON is missing fields: {sorted(missing)}")
+    unknown = obj.keys() - {"k", "length", "generators"}
+    if unknown:
+        raise ValueError(f"code JSON has unknown fields: {sorted(map(str, unknown))}")
     k, length, generators = obj["k"], obj["length"], obj["generators"]
     # type() and not isinstance(): JSON true/false load as bool, an int subclass
     if type(k) is not int or type(length) is not int:

@@ -373,6 +373,8 @@ def test_load_code(tmp_path):
         load_code({"k": 2, "length": 1})
     with pytest.raises(ValueError):
         load_code({"k": 2, "length": 1, "generators": [["x"]]})
+    with pytest.raises(ValueError, match=r"^code JSON has unknown fields: \['extra'\]$"):
+        load_code('{"k":3,"length":1,"generators":[[3]],"extra":1}')
     with pytest.raises(json.JSONDecodeError):
         load_code("not json {")
 
