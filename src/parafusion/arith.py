@@ -83,10 +83,10 @@ class Value:
 # The work budget: the most codewords, labels, suite steps or fusion terms
 # one computation may build.  Python 3.11.7, shared 2-vCPU Xeon VM, process
 # peak RSS: the census of D = <(5,5,0,0)> (k=5, 203 125 orbits) takes
-# 0.25-0.31 s, 51 MB in `census_rows`; `modules` 1.0-1.3 s, 51 MB (--induce
-# 3.4-4.0 s, 51 MB).  At the budget, D = <(4,4,0,0,0)> (k=4, 2^20 labels,
-# 524 288 orbits): 0.8-1.0 s, 108 MB in `census_rows`; `modules` 2.7-2.9 s,
-# 110 MB (--induce 8.0-8.8 s, 110 MB).  The README's Budgets has report sizes.
+# 0.25-0.31 s, 51 MB in `orbits`; `modules` 1.0-1.3 s, 51 MB (--induce
+# 1.9-2.8 s, 51 MB).  At the budget, D = <(4,4,0,0,0)> (k=4, 2^20 labels,
+# 524 288 orbits): 0.8-1.0 s, 108 MB in `orbits`; `modules` 2.7-2.9 s,
+# 110 MB (--induce 5.6-5.8 s, 110 MB).  The README's Budgets has report sizes.
 # A `fusion` report of 10^5 terms takes 1.3 s and 67 MB, linearly.  The
 # largest class table is the k^2 classes of length 1: `modules` on <(0)> at
 # k = 512 takes 1.6 s, 130 MB, on <(64)> at k = 1024 2.6-2.7 s, 268 MB, and

@@ -15,13 +15,13 @@ from .u0 import U0Label, class_index, fuse_u0
 from .ud import (
     UNDETERMINED_FLAG,
     CharacterLabel,
-    OrbitInfo,
     case_b_inventory,
-    census_rows,
     character_from_eta,
     check_label_budget,
     count_twisted_by_character,
-    induce_from_orbit,
+    induction,
+    orbit_members,
+    orbits,
     weight_mod1_uxi,
 )
 from .verify import SUITES, run_suite
@@ -225,7 +225,7 @@ def cmd_modules(args) -> tuple[dict, int]:
         return _report("modules", params, results), 0
 
     chi = _parse_chi(args.chi, code) if args.chi is not None else None
-    rows = census_rows(code, restrict_to_character=chi, index=index)
+    rows = orbits(code, restrict_to_character=chi, index=index)
     totals = count_twisted_by_character(rows)
     # each character is named once, and an orbit finds its name by eta
     chi_names = {c.eta: str(c) for c in totals}
@@ -280,12 +280,15 @@ def _orbit_entry(code, index, quoted: list[str], chi_names: dict, induce: bool):
     name, ell, q = quoted.__getitem__, code.length, index.q
     pieces: dict[tuple, list[str]] = {}
     weights: dict[int, str] = {}
+    induced: dict = {}
 
     def entry(row, indent: str) -> str:
         least, group, chi = row
         if induce:
-            info = OrbitInfo(least, group.stabilizer, group.isotropic, chi, index)
-            report = induce_from_orbit(code, info)
+            pair = induced.get(group)
+            if pair is None:
+                pair = induced[group] = induction(code, group)
+            members = orbit_members(code, row, index, pair)
         p = pieces.get((group, chi.eta, indent))
         if p is None:
             value = {
@@ -297,10 +300,11 @@ def _orbit_entry(code, index, quoted: list[str], chi_names: dict, induce: bool):
                 "weight_mod1": _HOLE,
             }
             if induce:
-                member = {"label": [_HOLE] * ell, "multiplicity": report.multiplicity}
+                summands, mult = pair
+                member = {"label": [_HOLE] * ell, "multiplicity": mult}
                 value["induced"] = {
-                    "summand_count": report.summand_count,
-                    "multiplicity": report.multiplicity,
+                    "summand_count": summands,
+                    "multiplicity": mult,
                     "u0_decomposition": [member, member],
                 }
             p = pieces[group, chi.eta, indent] = _render(value, indent).split(_quote(_HOLE))
@@ -311,8 +315,8 @@ def _orbit_entry(code, index, quoted: list[str], chi_names: dict, induce: bool):
         if not induce:
             return p[0] + p[1].join(map(name, least)) + p[ell] + weight + p[ell + 1]
         # the members, the representative and the weight, in key order
-        members = p[ell].join([p[1].join(map(name, x)) for x in info.classes])
-        return (p[0] + members + p[2 * ell] + p[2 * ell + 1].join(map(name, least))
+        listed = p[ell].join([p[1].join(map(name, x)) for x in members])
+        return (p[0] + listed + p[2 * ell] + p[2 * ell + 1].join(map(name, least))
                 + p[3 * ell] + weight + p[3 * ell + 1])
 
     return entry

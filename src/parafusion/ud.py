@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product, repeat
 from math import isqrt
 from operator import itemgetter
@@ -24,10 +24,8 @@ from .u0 import ClassIndex, U0Label, canonicalize_u0, class_index, eta_u0
 __all__ = [
     "IrrU0Label",
     "CharacterLabel",
-    "OrbitInfo",
     "CosetGroup",
     "CensusRow",
-    "InducedModuleReport",
     "CaseBRow",
     "canonicalize_irr",
     "all_irr_labels",
@@ -37,10 +35,10 @@ __all__ = [
     "character_from_eta",
     "trivial_character",
     "stabilizer",
-    "census_rows",
     "orbits",
+    "induction",
+    "orbit_members",
     "induce",
-    "induce_from_orbit",
     "count_twisted",
     "count_twisted_by_character",
     "twisted_count",
@@ -195,51 +193,6 @@ def _label(k: int, x: tuple[int, ...]) -> IrrU0Label:
     return IrrU0Label(k, *zip(*ClassIndex.pairs(k, x)))
 
 
-class OrbitInfo(Value, fields=("least", "stabilizer", "isotropic", "character")):
-    """An orbit, named by its least member, a tuple of `class_index` numbers.
-    `index` is the `ClassIndex` that names and moves the classes; equality
-    and the repr skip it."""
-
-    def __init__(self, least: tuple[int, ...], stabilizer: tuple[ResidueVector, ...],
-                 isotropic: tuple[ResidueVector, ...], character: CharacterLabel,
-                 index: ClassIndex) -> None:
-        self.__dict__.update(least=least, stabilizer=stabilizer, isotropic=isotropic,
-                             character=character, index=index)
-
-    @cached_property
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        """The members, least first: the least one moved by every codeword."""
-        words = (xi.entries for xi in self.character.code.elements)
-        moved = set(self.index.moved(self.least, words))
-        return (self.least, *sorted(moved - {self.least}))
-
-    @property
-    def representative(self) -> IrrU0Label:
-        return _label(self.character.code.k, self.least)
-
-    @property
-    def members(self) -> tuple[IrrU0Label, ...]:
-        k = self.character.code.k
-        return tuple(_label(k, x) for x in self.classes)
-
-    @property
-    def size(self) -> int:
-        return self.character.code.size // self.stabilizer_order
-
-    @property
-    def stabilizer_order(self) -> int:
-        return len(self.stabilizer)
-
-    @property
-    def isotropic_order(self) -> int:
-        return len(self.isotropic)
-
-    @property
-    def twisted_count(self) -> int:
-        """What the orbit contributes to its character's count: `twisted_count`."""
-        return twisted_count(self.character.code.k, self.stabilizer_order, self.isotropic_order)
-
-
 def twisted_count(k: int, stabilizer_order: int, isotropic_order: int) -> int:
     """Inequivalent irreducible twisted modules of its character that an
     orbit with stabilizer D_X contributes: one over a free orbit, else |D_X|
@@ -281,6 +234,26 @@ class CensusRow(NamedTuple):
     @property
     def twisted_count(self) -> int:
         return self.group.twisted_count
+
+    @property
+    def representative(self) -> IrrU0Label:
+        return _label(self.character.code.k, self.least)
+
+
+class CaseBRow(NamedTuple):
+    """A census row with what its orbit induces: `summand_count` irreducible
+    modules, each with `multiplicity`, and the decomposition of each over
+    the base algebra, (class tuple, multiplicity) pairs sorted by class
+    tuple.  `induce` gives one for an orbit of a Case A code, whose members
+    the decomposition lists; `case_b_inventory` one per trivial-character
+    orbit of the even part D0 of a Case B code, whose decomposition over the
+    whole code holds the orbit's members and their translates by the odd
+    representative."""
+
+    orbit: CensusRow
+    multiplicity: int
+    summand_count: int
+    decomposition: tuple[tuple[tuple[int, ...], int], ...]
 
 
 class _LabelKernel:
@@ -358,14 +331,13 @@ class _LabelKernel:
                 for x, chi in zip(product(*columns), named) if chi is target]
 
 
-def _orbit_of(code: Code, x: IrrU0Label) -> OrbitInfo:
+def _orbit_of(code: Code, x: IrrU0Label) -> CensusRow:
     _check_code_shape(code, x.k, x.length)
     kernel, x = _LabelKernel(code, class_index(code.k)), canonicalize_irr(x.k, x.mu, x.nu)
     form, group = kernel.cosets(x.mu)
     nu = least_in_coset(2 * code.k, form, x.nu)
     least = tuple(kernel.index.pair_class[m][v] for m, v in zip(x.mu, nu))
-    return OrbitInfo(least, group.stabilizer, group.isotropic, kernel.character(least),
-                     kernel.index)
+    return CensusRow(least, group, kernel.character(least))
 
 
 def _index_of(code: Code, index: ClassIndex | None) -> ClassIndex:
@@ -378,14 +350,15 @@ def _index_of(code: Code, index: ClassIndex | None) -> ClassIndex:
     return index
 
 
-def census_rows(
+def orbits(
     code: Code,
     restrict_to_character: CharacterLabel | None = None,
     index: ClassIndex | None = None,
 ) -> list[CensusRow]:
-    """The orbit census as `CensusRow`s, in `all_irr_labels` order of the
-    least members, which are tuples of the class numbers of `index`
-    (`class_index(code.k)`, built when not given).
+    """The orbit census of the code action on all canonical labels, as
+    `CensusRow`s, in `all_irr_labels` order of the least members, which are
+    tuples of the class numbers of `index` (`class_index(code.k)`, built
+    when not given).
 
     Characters are class functions only when every code pairing is
     integral, so Invalid codes are rejected.  A character restriction is
@@ -409,75 +382,57 @@ def census_rows(
     return census
 
 
-def orbits(
-    code: Code,
-    restrict_to_character: CharacterLabel | None = None,
-    index: ClassIndex | None = None,
-) -> tuple[OrbitInfo, ...]:
-    """The orbit census of the code action on all canonical labels, as
-    `OrbitInfo`s: `census_rows`, whose arguments it takes."""
-    index = _index_of(code, index)
-    rows = census_rows(code, restrict_to_character, index)[::-1]
-    # each row is dropped as its OrbitInfo is built: the census is held once
-    return tuple(OrbitInfo(least, group.stabilizer, group.isotropic, chi, index)
-                 for least, group, chi in (rows.pop() for _ in range(len(rows))))
-
-
-class InducedModuleReport(Value, fields=("orbit", "summand_count", "multiplicity")):
-    """Structure of the induced module over one orbit, per the stabilizer
-    branching: `summand_count` irreducibles, each appearing with
-    multiplicity `multiplicity`, each decomposing over the orbit members
-    with that same multiplicity.  Its character and stabilizer are the
-    orbit's."""
-
-    def __init__(self, orbit: OrbitInfo, summand_count: int, multiplicity: int) -> None:
-        self.__dict__.update(orbit=orbit, summand_count=summand_count,
-                             multiplicity=multiplicity)
-
-
 def _require_case_a(code: Code, what: str) -> None:
     if code.classification is not Classification.CASE_A:
         raise ValueError(f"{what} requires a Case A code, got {code.classification.value}")
 
 
-def induce(code: Code, x: IrrU0Label) -> InducedModuleReport:
-    """Induce from an irreducible label over a Case A code."""
-    return induce_from_orbit(code, _orbit_of(code, x))
-
-
-def induce_from_orbit(code: Code, info: OrbitInfo) -> InducedModuleReport:
-    """Induce over an orbit of the census of a Case A code, with the summand
-    count `info.twisted_count` (the k mod 4 rule) and multiplicity sqrt(|D_X|/count)."""
+def induction(code: Code, group: CosetGroup) -> tuple[int, int]:
+    """(summand count, multiplicity) of the module induced over each orbit
+    of `group` in the census of a Case A code: `group.twisted_count`
+    summands (the k mod 4 rule), each with multiplicity sqrt(|D_X|/count),
+    checked: |D_X| must be a square times the summand count."""
     _require_case_a(code, "induction")
-    _check_code_shape(code, info.character.code.k, len(info.least))
-    summands = info.twisted_count
-    mult = _multiplicity(code, info.least, summands, info.stabilizer_order, len(info.classes))
-    return InducedModuleReport(orbit=info, summand_count=summands, multiplicity=mult)
+    summands, order = group.twisted_count, group.stabilizer_order
+    mult = isqrt(order // summands) if summands else 0
+    if mult * mult * summands != order:
+        raise ValueError(f"stabilizer order {order} is not a square times "
+                         f"the summand count {summands}")
+    return summands, mult
 
 
-def _multiplicity(code: Code, least: tuple[int, ...], summands: int, stabilizer_order: int,
-                  size: int) -> int:
-    """sqrt(|D_X|/summands), the multiplicity of each summand induced over
-    the orbit of `least`, checked: |D_X| must be a square times the summand
-    count, and the total length over the base algebra must be |D| on the
-    `size` members built."""
-    mult = isqrt(stabilizer_order // summands) if summands else 0
-    if mult * mult * summands != stabilizer_order:
+def orbit_members(code: Code, row: CensusRow, index: ClassIndex,
+                  induced: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
+    """The members of the orbit of `row` in the census of `code`, least
+    first, as tuples of the class numbers of `index`: the least one moved
+    by every codeword.  Checked: the module `induced` over it (its
+    `induction`) has length |D| over the base algebra only if there are
+    `row.group.size` of them."""
+    _check_code_shape(code, row.character.code.k, len(row.least))
+    moved = set(index.moved(row.least, (xi.entries for xi in code.elements)))
+    if len(moved) != row.group.size:
+        summands, mult = induced
         raise ValueError(
-            f"stabilizer order {stabilizer_order} is not a square times "
-            f"the summand count {summands}"
+            f"orbit of {row.representative} is inconsistent with |D| = {code.size}: "
+            f"{summands} summands x multiplicity {mult}^2 x orbit size {len(moved)}"
         )
-    if summands * mult * mult * size != code.size:
-        raise ValueError(
-            f"orbit of {_label(code.k, least)} is inconsistent with |D| = {code.size}: "
-            f"{summands} summands x multiplicity {mult}^2 x orbit size {size}"
-        )
-    return mult
+    moved.discard(row.least)
+    return (row.least, *sorted(moved))
+
+
+def induce(code: Code, x: IrrU0Label) -> CaseBRow:
+    """Induce from an irreducible label over a Case A code: the `CensusRow`
+    of its orbit, with the multiplicity, the summand count and each member
+    at that multiplicity, as a `CaseBRow`."""
+    row = _orbit_of(code, x)
+    summands, mult = induced = induction(code, row.group)
+    members = orbit_members(code, row, class_index(code.k), induced)
+    return CaseBRow(row, mult, summands, tuple((m, mult) for m in members))
 
 
 def count_twisted_by_character(census) -> Counter:
     """The sum of `twisted_count` over the orbits of each character of a
-    census, which is of one code: its `OrbitInfo`s or its `CensusRow`s."""
+    census of one code, as `CensusRow`s."""
     # grouped by eta first, so that a CharacterLabel, and with it the Code,
     # is hashed once per character and not once per orbit
     totals: dict[tuple[int, ...], list] = {}
@@ -506,19 +461,6 @@ def weight_mod1_uxi(xi: ResidueVector) -> Fraction:
 UNDETERMINED_FLAG = "irreducible or splits into two irreducibles (undetermined)"
 
 
-class CaseBRow(NamedTuple):
-    """A trivial-character orbit of the even part D0 of a Case B code, as
-    its `CensusRow`, with what it induces: `summand_count` irreducible
-    modules of U_{D0}, each with `multiplicity`, and over the whole code the
-    decomposition of each, (class tuple, multiplicity) pairs sorted by class
-    tuple: the orbit's members and their translates by the odd representative."""
-
-    orbit: CensusRow
-    multiplicity: int
-    summand_count: int
-    decomposition: tuple[tuple[tuple[int, ...], int], ...]
-
-
 def case_b_inventory(code: Code, index: ClassIndex | None = None
                      ) -> tuple[Code, ResidueVector, Iterator[CaseBRow]]:
     """Inventory of irreducible modules of a Case B superalgebra code.
@@ -533,19 +475,22 @@ def case_b_inventory(code: Code, index: ClassIndex | None = None
     """
     even, xi1 = even_part(code)
     index = _index_of(code, index)
-    census = census_rows(even, trivial_character(even), index)
-    # the words of D0 and of xi1 + D0, entries in [0, 2k) as `moved` takes them
-    n, words = 2 * code.k, [xi.entries for xi in even.elements]
-    odd = [tuple((a + b) % n for a, b in zip(xi1.entries, w)) for w in words]
+    census = orbits(even, trivial_character(even), index)
+    # the words of xi1 + D0, entries in [0, 2k) as `moved` takes them
+    n = 2 * code.k
+    odd = [tuple((a + b) % n for a, b in zip(xi1.entries, xi.entries)) for xi in even.elements]
 
     def rows() -> Iterator[CaseBRow]:
+        induced: dict[CosetGroup, tuple[int, int]] = {}
         for orbit in census:
-            least, stab, summands = orbit.least, orbit.group.stabilizer_order, orbit.twisted_count
-            # D0 meets each member |D0_X| times, and xi1 + D0 each translate
-            counts = Counter(index.moved(least, words))
-            mult = _multiplicity(even, least, summands, stab, len(counts))
-            counts.update(index.moved(least, odd))
+            pair = induced.get(orbit.group)
+            if pair is None:
+                pair = induced[orbit.group] = induction(even, orbit.group)
+            # each member, and each translate by xi1 + D0, at the multiplicity
+            counts = Counter(orbit_members(even, orbit, index, pair))
+            counts.update(set(index.moved(orbit.least, odd)))
+            summands, mult = pair
             yield CaseBRow(orbit, mult, summands,
-                           tuple((x, c // stab * mult) for x, c in sorted(counts.items())))
+                           tuple((x, c * mult) for x, c in sorted(counts.items())))
 
     return even, xi1, rows()

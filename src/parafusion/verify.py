@@ -17,7 +17,7 @@ from .lattice import (
 )
 from .u0 import ClassIndex, U0Label, class_index, fusion_table, top_level, \
     top_level_closed_form
-from .ud import count_twisted_by_character, induce_from_orbit, orbits
+from .ud import count_twisted_by_character, induction, orbit_members, orbits
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -191,18 +191,23 @@ def suite_discriminant(k_max: int) -> list[CheckResult]:
 
 def _counting_fault(code) -> str | None:
     """What one census of a Case A code, grouped by character, gets wrong, or None."""
-    census = orbits(code)
+    index = class_index(code.k)
+    census = orbits(code, index=index)
     counts = count_twisted_by_character(census)
     if len(counts) != code.size:
         return f"character count {len(counts)} != |D| = {code.size}"
     total = sum(counts.values())
     if code.k % 2 == 0 and total != code.k ** (2 * code.length) // code.size:
         return f"count sum {total} != free-orbit total"
-    for o in census:
+    induced = {}
+    for row in census:
         try:
-            induce_from_orbit(code, o)
+            pair = induced.get(row.group)
+            if pair is None:
+                pair = induced[row.group] = induction(code, row.group)
+            orbit_members(code, row, index, pair)
         except ValueError as exc:
-            return f"induction fails on the orbit of {o.representative}: {exc}"
+            return f"induction fails on the orbit of {row.representative}: {exc}"
     return None
 
 

@@ -5,9 +5,10 @@ walk checks the orbit census that the program lists from the cosets of
 D + K_T, at k^(2 ell) labels and |D| translates per orbit.  The triple
 scan checks the associativity verdict of the fusion-axioms suite, the
 argparse parser checks the command line that cli.COMMANDS reads, and a
-Case A `modules` report built as a dict per orbit checks the report that
-the command writes from census rows, and a Case B report built from label
-objects under `act` checks the report written from the rows of the even
+Case A `modules` report built as a dict per orbit, each orbit's members
+and induced module walked from label objects under `act`, checks the
+report that the command writes from census rows, and a Case B report
+built the same way checks the report written from the rows of the even
 part's census.  The dataclass twins check the
 comparisons, hash and repr that `arith.Value` builds for each value type."""
 
@@ -15,6 +16,7 @@ import argparse
 from collections import Counter
 from dataclasses import field, fields, make_dataclass
 from itertools import chain, product
+from math import isqrt
 
 from parafusion import cli
 from parafusion.arith import IntegerMatrix, ResidueVector, mod1, standard_inner
@@ -25,16 +27,13 @@ from parafusion.u0 import SummandLabel, U0Label, all_u0_labels, weight_mod1
 from parafusion.ud import (
     UNDETERMINED_FLAG,
     CharacterLabel,
-    InducedModuleReport,
     IrrU0Label,
-    OrbitInfo,
     act,
     all_irr_labels,
     character_from_eta,
-    count_twisted_by_character,
-    induce_from_orbit,
     orbits,
     trivial_character,
+    twisted_count,
 )
 from parafusion.verify import SUITES, CheckResult
 from parafusion.virasoro import VirasoroLabel
@@ -46,9 +45,9 @@ SCANNED = [(k, ell) for ell in (1, 2) for k in range(2, 9)] + [(2, 3), (3, 3)]
 
 
 
-def _skipped(shown=True):
+def _skipped():
     """A field that equality, ordering and the hash skip."""
-    return field(compare=False, repr=shown)
+    return field(compare=False)
 
 
 # Each value type as the frozen dataclass it was declared as: its fields in
@@ -71,9 +70,6 @@ DATACLASS_TWINS = {
         (VirasoroLabel, ["m", "r", "s"], True),
         (IrrU0Label, ["k", "mu", "nu"], True),
         (CharacterLabel, ["code", "eta"], False),
-        (OrbitInfo, ["least", "stabilizer", "isotropic", "character",
-                     ("index", tuple, _skipped(shown=False))], False),
-        (InducedModuleReport, ["orbit", "summand_count", "multiplicity"], False),
         (CheckResult, ["name", "passed", ("detail", str, field(default=""))], False),
     ]
 }
@@ -150,34 +146,52 @@ def _modules_report(source: str, chi: str | None, induce: bool, results: dict) -
     }
 
 
+def orbit_reference(code, rep):
+    """(members, stabilizer order, isotropic order, summand count,
+    multiplicity) of the orbit of the label `rep`, walked label by label:
+    every codeword is applied to `rep` by `act`, for the members, sorted as
+    labels, and for the stabilizer, as in `scanned_stabilizer`; the summand
+    count is `twisted_count` of the two orders, and the multiplicity the
+    square root of the stabilizer order over it."""
+    moved = [(xi, act(xi, rep)) for xi in code.elements]
+    stab = [xi for xi, y in moved if y == rep]
+    isotropic = [xi for xi in stab if all(standard_inner(xi, eta) == 0 for eta in stab)]
+    summands = twisted_count(code.k, len(stab), len(isotropic))
+    return (sorted({y for _, y in moved}), len(stab), len(isotropic), summands,
+            isqrt(len(stab) // summands))
+
+
 def modules_report(source: str, chi: str | None = None, induce: bool = False) -> dict:
     """The report of `parafusion modules --code source [--chi chi] [--induce]`
-    on a Case A code, built orbit by orbit from `ud.orbits` as a dict per
-    entry: each class named by its label, each weight mod 1 summed from the
+    on a Case A code, built orbit by orbit as a dict per entry: the orbits
+    and their characters are those of `ud.orbits`, and each orbit's members,
+    orders and induced module are `orbit_reference`'s, from label objects;
+    each class is named by its label, each weight mod 1 summed from the
     classes' `weight_mod1`, each character named by `str`."""
     code = load_code(source)
     labels = all_u0_labels(code.k)
     character = None if chi is None else character_from_eta(
         code, [int(x) for x in chi.split(",")])
     census = orbits(code, restrict_to_character=character)
-    entries = []
+    entries, counts = [], Counter()
     for o in census:
+        members, stab, isotropic, summands, mult = orbit_reference(code, o.representative)
+        counts[str(o.character)] += summands
         entry = {
             "representative": [str(labels[c]) for c in o.least],
-            "size": o.size,
-            "stabilizer_order": o.stabilizer_order,
-            "isotropic_order": o.isotropic_order,
+            "size": len(members),
+            "stabilizer_order": stab,
+            "isotropic_order": isotropic,
             "character": str(o.character),
             "weight_mod1": str(mod1(sum(weight_mod1(labels[c]) for c in o.least))),
         }
         if induce:
-            report = induce_from_orbit(code, o)
             entry["induced"] = {
-                "summand_count": report.summand_count,
-                "multiplicity": report.multiplicity,
+                "summand_count": summands,
+                "multiplicity": mult,
                 "u0_decomposition": [
-                    {"label": [str(labels[c]) for c in x], "multiplicity": report.multiplicity}
-                    for x in o.classes
+                    {"label": [str(c) for c in x.components()], "multiplicity": mult}
+                    for x in members
                 ],
             }
         entries.append(entry)
@@ -185,27 +199,26 @@ def modules_report(source: str, chi: str | None = None, induce: bool = False) ->
         "classification": "CaseA",
         "orbit_count": len(census),
         "orbits": entries,
-        "twisted_module_counts": {
-            str(c): n for c, n in count_twisted_by_character(census).items()},
+        "twisted_module_counts": dict(counts),
     })
 
 
 def case_b_reference(code):
     """Case B entries built from label objects, as (representative, summand
     index, multiplicity, decomposition, flag): each member of a
-    trivial-character orbit of the even part and its translate by the odd
-    representative under `act`, sorted as labels."""
+    trivial-character orbit of the even part, from `orbit_reference`, and
+    its translate by the odd representative under `act`, sorted as labels."""
     even, xi1 = even_part(code)
     entries = []
-    for info in orbits(even, restrict_to_character=trivial_character(even)):
-        report = induce_from_orbit(even, info)
+    for row in orbits(even, restrict_to_character=trivial_character(even)):
+        members, _, _, summands, mult = orbit_reference(even, row.representative)
         decomp = Counter()
-        for w in info.members:
-            decomp[w] += report.multiplicity
-            decomp[act(xi1, w)] += report.multiplicity
+        for w in members:
+            decomp[w] += mult
+            decomp[act(xi1, w)] += mult
         decomposition = tuple(sorted(decomp.items()))
-        entries.extend((info.representative, s, report.multiplicity, decomposition,
-                        UNDETERMINED_FLAG) for s in range(report.summand_count))
+        entries.extend((members[0], s, mult, decomposition, UNDETERMINED_FLAG)
+                       for s in range(summands))
     return entries
 
 

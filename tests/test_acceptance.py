@@ -39,6 +39,7 @@ from parafusion.u0 import (
     u0_vacuum,
 )
 from parafusion.ud import (
+    act,
     character_of,
     count_twisted,
     induce,
@@ -221,12 +222,12 @@ def test_criterion_7_counting_consistency():
                 total = sum(count_twisted(code, chi) for chi in chars)
                 census_total = 0
                 for o in census:
-                    if o.stabilizer_order == 1:
+                    if o.group.stabilizer_order == 1:
                         contribution = 1
                     elif k % 4 == 1:
-                        contribution = o.stabilizer_order
+                        contribution = o.group.stabilizer_order
                     else:
-                        contribution = o.isotropic_order
+                        contribution = o.group.isotropic_order
                     census_total += contribution
                     report = induce(code, o.representative)
                     if report.summand_count != contribution:
@@ -248,8 +249,10 @@ def test_criterion_8_characters():
                     continue
                 census = orbits(code)
                 for info in census:
+                    # the members: every codeword applied to the representative
                     members_chars = {
-                        character_of(member, code) for member in info.members
+                        character_of(act(xi, info.representative), code)
+                        for xi in code.elements
                     }
                     if members_chars != {info.character}:
                         ok = False

@@ -124,6 +124,15 @@ def test_code_nested_too_deeply_is_a_usage_error(tmp_path, capsys, command):
         assert err == "error: code JSON is nested too deeply\n"
 
 
+@pytest.mark.parametrize("command", ["classify", "modules"])
+def test_code_with_an_unknown_field_is_a_usage_error(capsys, command):
+    # a field the schema does not name is refused, not ignored
+    source = '{"k":3,"length":1,"generators":[[3]],"extra":1}'
+    status, out, err = run_cli(capsys, [command, "--code", source])
+    assert status == 2 and out == ""
+    assert err == "error: code JSON has unknown fields: ['extra']\n"
+
+
 def test_modules_case_a(tmp_path, capsys):
     path = tmp_path / "code.json"
     path.write_text(json.dumps({"k": 2, "length": 2, "generators": [[2, 2]]}))
@@ -528,7 +537,7 @@ def test_case_a_census_stays_in_class_numbers(monkeypatch, capsys):
 
     monkeypatch.setattr(ud.IrrU0Label, "__init__", counted)
     census = orbits(code)
-    assert max(o.size for o in census) == code.size == 4
+    assert max(o.group.size for o in census) == code.size == 4
     source = json.dumps({"k": 3, "length": 3, "generators": [[3, 3, 0], [0, 3, 3]]})
     for flags in ([], ["--chi", "0,0,0"], ["--induce"]):
         status, out, _ = run_cli(capsys, ["modules", "--code", source] + flags)
@@ -540,9 +549,9 @@ def test_case_a_census_stays_in_class_numbers(monkeypatch, capsys):
     status, out, _ = run_cli(capsys, ["verify", "--suite", "counting", "--k", "3"])
     assert status == 0 and json.loads(out)["results"]["all_passed"]
     assert built == []
-    # the library still builds members on request, and the count sees them
-    assert len(census[-1].members) == census[-1].size
-    assert len(built) == census[-1].size
+    # the library still builds a label on request, and the count sees it
+    assert census[-1].representative.length == code.length
+    assert len(built) == 1
 
 
 def test_census_reduces_each_distinct_eta_once(monkeypatch, capsys):

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from parafusion import ud
+from parafusion import cli
 from parafusion.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -109,10 +109,10 @@ def test_census_reports_build_no_orbit_members(monkeypatch, capsys):
     # a census lists each orbit by its least member: every plain and --chi
     # Case A report keeps its bytes when building an orbit's members fails,
     # and an --induce report, which lists the members, does fail
-    def refuse(info):
-        raise AssertionError(f"built the members of {info.representative}")
+    def refuse(code, row, *args):
+        raise AssertionError(f"built the members of {row.representative}")
 
-    monkeypatch.setattr(ud.OrbitInfo, "classes", property(refuse))
+    monkeypatch.setattr(cli, "orbit_members", refuse)
     names = [name for name in _names("modules")
              if name.startswith(("case-a", "chi")) and "--induce" not in CASES[name]]
     assert len(names) == 7

@@ -185,14 +185,14 @@ def test_a_case_b_report_is_written_before_its_last_entry_is_read(monkeypatch, c
     rows = list(ud.case_b_inventory(cli.load_code(code))[2])
     assert sum(row.summand_count for row in rows) > 2 * cli.WRITE_PIECES
     last = rows[-1].orbit.least
-    multiplicity = ud._multiplicity
+    members = ud.orbit_members
 
-    def last_raises(code, least, *counts):
-        if least == last:
+    def last_raises(code, row, *args):
+        if row.least == last:
             raise ValueError("the last row's decomposition was computed")
-        return multiplicity(code, least, *counts)
+        return members(code, row, *args)
 
-    monkeypatch.setattr(ud, "_multiplicity", last_raises)
+    monkeypatch.setattr(ud, "orbit_members", last_raises)
     assert cli.main(["modules", "--code", code]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: the last row's decomposition was computed\n"

@@ -27,12 +27,12 @@ from parafusion.codes import (
     random_code,
     split_even_odd,
 )
-from parafusion.u0 import U0Label, all_u0_labels, b_form_u0
+from parafusion.u0 import ClassIndex, U0Label, all_u0_labels, b_form_u0, class_index
 from parafusion.ud import (
     UNDETERMINED_FLAG,
     CharacterLabel,
     IrrU0Label,
-    OrbitInfo,
+    CosetGroup,
     act,
     all_irr_labels,
     b_form_vec,
@@ -42,13 +42,27 @@ from parafusion.ud import (
     character_of,
     count_twisted,
     induce,
-    induce_from_orbit,
+    induction,
+    orbit_members,
     orbits,
     stabilizer,
     trivial_character,
     twisted_count,
     weight_mod1_uxi,
 )
+
+
+def _members(code, row):
+    """The members of a census row as labels, from `orbit_members`.  Its
+    (summand count, multiplicity) argument only names a refusal."""
+    members = orbit_members(code, row, class_index(code.k), (0, 0))
+    return tuple(IrrU0Label(code.k, *zip(*ClassIndex.pairs(code.k, x))) for x in members)
+
+
+def _key(row):
+    """What equality of a row compares beyond its `CosetGroup`, which a
+    census builds afresh: least member, stabilizer, isotropic part, character."""
+    return row.least, row.group.stabilizer, row.group.isotropic, row.character
 
 
 def test_label_validation_and_count():
@@ -163,7 +177,7 @@ def test_character_surjectivity_and_orbit_invariance(k, ell):
         census = orbits(code)
         # characters are constant on orbits
         for info in census:
-            chars = {character_of(member, code) for member in info.members}
+            chars = {character_of(member, code) for member in _members(code, info)}
             assert chars == {info.character}
         # every character of D is realized
         assert len({info.character for info in census}) == code.size
@@ -203,18 +217,19 @@ def test_stabilizer_closed_form(k, ell):
 def test_orbit_census_shapes():
     trivial = enumerate_code(2, 2, [])
     census = orbits(trivial)
-    assert len(census) == 16 and all(o.size == 1 for o in census)
+    assert len(census) == 16 and all(o.group.size == 1 for o in census)
 
     code = enumerate_code(2, 2, [(2, 2)])
     census = orbits(code)
-    assert len(census) == 8 and all(o.size == 2 for o in census)
-    assert sum(o.size for o in census) == 16
+    assert len(census) == 8 and all(o.group.size == 2 for o in census)
+    assert sum(o.group.size for o in census) == 16
     # representatives are the least members, orbits partition the labels
     seen = set()
     for o in census:
-        assert o.representative == min(o.members)
-        assert not (seen & set(o.members))
-        seen.update(o.members)
+        members = _members(code, o)
+        assert o.representative == min(members)
+        assert not (seen & set(members))
+        seen.update(members)
     assert len(seen) == 16
 
 
@@ -227,16 +242,17 @@ def test_induce_free_orbit():
     code = enumerate_code(2, 2, [(2, 2)])
     report = induce(code, IrrU0Label(2, (0, 0), (0, 0)))
     assert report.summand_count == 1 and report.multiplicity == 1
-    assert report.orbit.size == 2
+    assert report.orbit.group.size == 2
 
 
 def test_induce_stabilized_orbit_k3():
     # k = 3 mod 4: two summands, multiplicity one
     code = enumerate_code(3, 2, [(3, 3)])
     report = induce(code, IrrU0Label(3, (1, 1), (0, 0)))
-    assert report.orbit.stabilizer_order == 2
+    assert report.orbit.group.stabilizer_order == 2
     assert report.summand_count == 2 and report.multiplicity == 1
-    assert report.orbit.members == (IrrU0Label(3, (1, 1), (0, 0)),)
+    assert report.orbit.representative == IrrU0Label(3, (1, 1), (0, 0))
+    assert report.decomposition == ((report.orbit.least, 1),)
 
 
 def test_induce_stabilized_orbit_k5():
@@ -244,7 +260,7 @@ def test_induce_stabilized_orbit_k5():
     code = enumerate_code(5, 1, [(5,)])
     assert code.classification is Classification.CASE_A
     report = induce(code, IrrU0Label(5, (2,), (0,)))
-    assert report.orbit.stabilizer_order == 2
+    assert report.orbit.group.stabilizer_order == 2
     assert report.summand_count == 2 and report.multiplicity == 1
 
 
@@ -255,9 +271,10 @@ def test_induce_multiplicity_two():
     assert code.classification is Classification.CASE_A and code.size == 4
     X = IrrU0Label(3, (1, 1, 1, 1), (0, 0, 0, 0))
     report = induce(code, X)
-    assert report.orbit.stabilizer_order == 4
+    assert report.orbit.group.stabilizer_order == 4
     assert report.summand_count == 1 and report.multiplicity == 2
-    assert report.orbit.members == (X,)
+    assert report.orbit.representative == X
+    assert report.decomposition == ((report.orbit.least, 2),)
 
 
 def test_induce_requires_case_a():
@@ -281,12 +298,12 @@ def test_count_twisted_sum_rule():
             total = sum(count_twisted(code, chi) for chi in chars)
             expected = 0
             for o in census:
-                if o.stabilizer_order == 1:
+                if o.group.stabilizer_order == 1:
                     expected += 1
                 elif k % 4 == 1:
-                    expected += o.stabilizer_order
+                    expected += o.group.stabilizer_order
                 else:
-                    expected += o.isotropic_order
+                    expected += o.group.isotropic_order
             assert total == expected
             if k % 2 == 0:
                 assert total == k ** (2 * ell) // code.size
@@ -421,16 +438,22 @@ def test_orbit_kernel_matches_direct_census(monkeypatch):
         duals.clear()
         census = orbits(code)
         assert duals == []
-        got = [(o.representative, o.members, o.stabilizer, o.isotropic, o.character)
-               for o in census]
+        got = [(o.representative, _members(code, o), o.group.stabilizer, o.group.isotropic,
+                o.character) for o in census]
         assert got == direct_census(code), code
         assert all(character_of(o.representative, code) == o.character for o in census)
         for chi in {o.character for o in census}:
-            assert orbits(code, restrict_to_character=chi) == tuple(
-                o for o in census if o.character == chi)
+            assert list(map(_key, orbits(code, restrict_to_character=chi))) == [
+                _key(o) for o in census if o.character == chi]
         if code.classification is Classification.CASE_A:
+            index = class_index(code.k)
             for o in census:
-                assert induce_from_orbit(code, o) == induce(code, o.representative)
+                summands, mult = induced = induction(code, o.group)
+                members = orbit_members(code, o, index, induced)
+                report = induce(code, o.representative)
+                assert (_key(report.orbit), report.multiplicity, report.summand_count,
+                        report.decomposition) \
+                    == (_key(o), mult, summands, tuple((x, mult) for x in members))
         checked += 1
     assert checked > 40
 
@@ -460,15 +483,16 @@ def test_census_matches_the_label_walk(code, picks):
     census = orbits(code)
 
     def fields(o):
-        return o.representative, o.members, o.stabilizer, o.isotropic, o.character
+        return o.representative, _members(code, o), o.group.stabilizer, o.group.isotropic, \
+            o.character
 
     assert [fields(o) for o in census] == reference
-    assert [o.size for o in census] == [len(members) for _, members, *_ in reference]
+    assert [o.group.size for o in census] == [len(members) for _, members, *_ in reference]
     # each restriction is the census's orbits of that character, which
     # equal the reference's field by field
     for chi in {o.character for o in census}:
-        assert orbits(code, restrict_to_character=chi) == tuple(
-            o for o in census if o.character == chi)
+        assert list(map(_key, orbits(code, restrict_to_character=chi))) == [
+            _key(o) for o in census if o.character == chi]
     # any label, not only a representative: its stabilizer and its orbit,
     # also read off the raw pairs (k-1-i, l+k) of its classes
     orbit_of = {x: t for t, (_, members, *_) in enumerate(reference) for x in members}
@@ -479,7 +503,8 @@ def test_census_matches_the_label_walk(code, picks):
         for y in (x, raw):
             assert stabilizer(code, y) == scanned_stabilizer(code, x)
             info = ud._orbit_of(code, y)
-            assert info == census[orbit_of[x]] and fields(info) == reference[orbit_of[x]]
+            assert _key(info) == _key(census[orbit_of[x]])
+            assert fields(info) == reference[orbit_of[x]]
 
 
 @pytest.mark.parametrize("k, ell", SCANNED)
@@ -520,8 +545,8 @@ def test_a_character_names_the_subgroup_not_its_presentation():
 def test_orbits_reject_foreign_or_noncanonical_characters():
     code = enumerate_code(3, 2, [(3, 3)])
     other = enumerate_code(3, 2, [(0, 3)])
-    assert orbits(code, restrict_to_character=trivial_character(other)) == ()
-    assert orbits(code, restrict_to_character=CharacterLabel(code, (3, 3))) == ()
+    assert orbits(code, restrict_to_character=trivial_character(other)) == []
+    assert orbits(code, restrict_to_character=CharacterLabel(code, (3, 3))) == []
 
 
 def test_orbits_label_budget():
@@ -547,41 +572,43 @@ def test_stabilizer_past_the_code_budget_fails_fast():
     assert time.perf_counter() - start < 1.0
 
 
-def test_induce_from_inconsistent_orbit_is_an_error():
+def test_induce_from_inconsistent_orbit_is_an_error(monkeypatch):
     # the orbit size is |D|/|D_X|, so only the members induction builds can
     # disagree with a wrong stabilizer: too small, or too large
-    code = enumerate_code(3, 2, [(3, 3)])
-    census = orbits(code)
-    free = next(o for o in census if o.stabilizer_order == 1)
-    fixed = next(o for o in census if o.stabilizer_order == 2)
+    code, index = enumerate_code(3, 2, [(3, 3)]), class_index(3)
+    census = orbits(code, index=index)
+    free = next(o for o in census if o.group.stabilizer_order == 1)
+    fixed = next(o for o in census if o.group.stabilizer_order == 2)
+    small = CosetGroup(code, fixed.group.stabilizer[:1])
     with pytest.raises(ValueError, match=r"^orbit of U\(1,0\) x U\(1,0\) is inconsistent "
                        r"with \|D\| = 2: 1 summands x multiplicity 1\^2 x orbit size 1$"):
-        induce_from_orbit(code, OrbitInfo(fixed.least, fixed.stabilizer[:1], fixed.isotropic,
-                                          fixed.character, fixed.index))
+        orbit_members(code, fixed._replace(group=small), index, induction(code, small))
     with pytest.raises(ValueError, match=r"^orbit of U\(0,0\) x U\(0,0\) is inconsistent "
                        r"with \|D\| = 2: 2 summands x multiplicity 1\^2 x orbit size 2$"):
-        induce_from_orbit(code, OrbitInfo(free.least, fixed.stabilizer, fixed.isotropic,
-                                          free.character, free.index))
+        orbit_members(code, free._replace(group=fixed.group), index,
+                      induction(code, fixed.group))
+    # a group whose isotropic part is empty counts no summand
+    monkeypatch.setattr(ud, "_isotropic_part", lambda code, stab: ())
     with pytest.raises(ValueError, match="^stabilizer order 2 is not a square times "
                        "the summand count 0$"):
-        induce_from_orbit(code, OrbitInfo(fixed.least, fixed.stabilizer, (),
-                                          fixed.character, fixed.index))
+        induction(code, CosetGroup(code, fixed.group.stabilizer))
 
 
 def test_induce_from_orbit_refuses_an_orbit_of_another_shape():
     code = enumerate_code(3, 2, [(3, 3)])
     for other in (enumerate_code(3, 1, []), enumerate_code(5, 2, [])):
+        row = orbits(other)[0]
         with pytest.raises(ValueError, match="does not match"):
-            induce_from_orbit(code, orbits(other)[0])
+            orbit_members(code, row, class_index(other.k), induction(code, row.group))
 
 
 def test_twisted_count_rule():
     k3 = orbits(enumerate_code(3, 2, [(3, 3)]))
     k5 = orbits(enumerate_code(5, 1, [(5,)]))
-    assert {(o.stabilizer_order, o.twisted_count) for o in k3} == {(1, 1), (2, 2)}
-    assert {(o.stabilizer_order, o.twisted_count) for o in k5} == {(1, 1), (2, 2)}
+    assert {(o.group.stabilizer_order, o.twisted_count) for o in k3} == {(1, 1), (2, 2)}
+    assert {(o.group.stabilizer_order, o.twisted_count) for o in k5} == {(1, 1), (2, 2)}
     mixed = orbits(enumerate_code(3, 3, [(3, 3, 0), (0, 3, 3)]))
-    assert {(o.stabilizer_order, o.isotropic_order, o.twisted_count)
+    assert {(o.group.stabilizer_order, o.group.isotropic_order, o.twisted_count)
             for o in mixed} == {(1, 1, 1), (2, 2, 2), (4, 1, 1)}
 
 
@@ -591,12 +618,14 @@ def test_twisted_count_is_one_rule_of_k_and_two_orders(monkeypatch):
     assert [twisted_count(k, 1, 1) for k in (2, 3, 4, 5, 7, 9)] == [1] * 6
     assert [twisted_count(k, 4, 2) for k in (5, 9, 13)] == [4, 4, 4]
     assert [twisted_count(k, 4, 2) for k in (3, 7, 11)] == [2, 2, 2]
-    census = orbits(enumerate_code(3, 3, [(3, 3, 0), (0, 3, 3)]))
-    assert all(o.twisted_count == twisted_count(3, o.stabilizer_order, o.isotropic_order)
+    code = enumerate_code(3, 3, [(3, 3, 0), (0, 3, 3)])
+    census = orbits(code)
+    assert all(o.twisted_count
+               == twisted_count(3, o.group.stabilizer_order, o.group.isotropic_order)
                for o in census)
-    # an orbit reads its count from that one rule
+    # an orbit reads its count from that one rule, applied once per coset group
     monkeypatch.setattr(ud, "twisted_count", lambda k, stab, iso: (k, stab, iso))
-    assert {o.twisted_count for o in census} == {(3, 1, 1), (3, 2, 2), (3, 4, 1)}
+    assert {o.twisted_count for o in orbits(code)} == {(3, 1, 1), (3, 2, 2), (3, 4, 1)}
 
 
 def test_case_b_inventory_checks_its_even_part(monkeypatch):
@@ -607,12 +636,12 @@ def test_case_b_inventory_checks_its_even_part(monkeypatch):
 
 def _reference_summands(code, o):
     # the k mod 4 branching that induction used before it read the count
-    # from OrbitInfo.twisted_count
-    if o.stabilizer_order == 1:
+    # from the orbit's twisted_count
+    if o.group.stabilizer_order == 1:
         return 1
     if code.k % 4 == 1:
-        return o.stabilizer_order
-    return o.isotropic_order
+        return o.group.stabilizer_order
+    return o.group.isotropic_order
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
@@ -623,7 +652,7 @@ def test_induce_summands_match_the_reference_rule(k):
             if code.classification is not Classification.CASE_A:
                 continue
             for o in orbits(code):
-                assert induce_from_orbit(code, o).summand_count \
+                assert induction(code, o.group)[0] \
                     == _reference_summands(code, o) == o.twisted_count
                 checked += 1
     assert checked > 0

@@ -13,17 +13,14 @@ from hypothesis import strategies as st
 from scans import DATACLASS_TWINS, dataclass_twin
 
 from parafusion.arith import IntegerMatrix, ResidueVector
-from parafusion.codes import Classification, Code, all_codes, enumerate_code
+from parafusion.codes import Code, enumerate_code
 from parafusion.lattice import CosetSpec, LatticeVector, nja_coset, ntilde_coset
 from parafusion.parafermion import ParafermionLabel, TildeLabel
-from parafusion.u0 import SummandLabel, U0Label, class_index
+from parafusion.u0 import SummandLabel, U0Label
 from parafusion.ud import (
     CharacterLabel,
-    InducedModuleReport,
     IrrU0Label,
-    OrbitInfo,
     character_from_eta,
-    orbits,
 )
 from parafusion.verify import CheckResult
 from parafusion.virasoro import VirasoroLabel
@@ -41,23 +38,6 @@ def codes(draw):
     # several presentations of one subgroup are equal codes
     k, length = draw(levels), draw(st.integers(1, 2))
     return enumerate_code(k, length, draw(st.lists(tuples(small, length, length), max_size=2)))
-
-
-# codes whose orbits can be listed, with their census
-CENSUSES = [(code, orbits(code))
-            for code in all_codes(2, 1) + all_codes(2, 2) + all_codes(3, 1)
-            if code.classification is not Classification.INVALID]
-
-
-@st.composite
-def orbit_infos(draw):
-    # the census's own orbit, or one rebuilt with another class table
-    _, census = draw(st.sampled_from(CENSUSES))
-    o = draw(st.sampled_from(census))
-    if draw(st.booleans()):
-        return o
-    return OrbitInfo(o.least, o.stabilizer, o.isotropic, o.character,
-                     class_index(o.character.code.k))
 
 
 @st.composite
@@ -128,16 +108,13 @@ VALUES = {
     VirasoroLabel: virasoro_labels(),
     IrrU0Label: irr_labels(),
     CharacterLabel: characters(),
-    OrbitInfo: orbit_infos(),
-    InducedModuleReport: st.builds(InducedModuleReport, orbit_infos(), st.integers(0, 2),
-                                   st.integers(0, 2)),
     CheckResult: st.builds(CheckResult, st.sampled_from(["a", "b"]), st.booleans(),
                            st.sampled_from(["", "x"])),
 }
 
 
 def test_every_value_type_has_a_twin_and_a_strategy():
-    assert len(DATACLASS_TWINS) == 15
+    assert len(DATACLASS_TWINS) == 13
     assert VALUES.keys() == DATACLASS_TWINS.keys()
 
 
