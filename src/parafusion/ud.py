@@ -486,11 +486,11 @@ def case_b_inventory(code: Code, index: ClassIndex | None = None
             pair = induced.get(orbit.group)
             if pair is None:
                 pair = induced[orbit.group] = induction(even, orbit.group)
-            # each member, and each translate by xi1 + D0, at the multiplicity
-            counts = Counter(orbit_members(even, orbit, index, pair))
-            counts.update(set(index.moved(orbit.least, odd)))
             summands, mult = pair
-            yield CaseBRow(orbit, mult, summands,
-                           tuple((x, c * mult) for x, c in sorted(counts.items())))
+            # each member, and each translate by xi1 + D0, at the multiplicity
+            counts = dict.fromkeys(orbit_members(even, orbit, index, pair), mult)
+            for x in set(index.moved(orbit.least, odd)):
+                counts[x] = counts.get(x, 0) + mult
+            yield CaseBRow(orbit, mult, summands, tuple(sorted(counts.items())))
 
     return even, xi1, rows()
