@@ -215,7 +215,7 @@ def cmd_modules(args) -> tuple[dict, int]:
     quoted = list(map(_quote, starmap(index.name, index.pairs(code.k, range(code.k ** 2)))))
 
     if case_b:
-        even, xi1, rows = case_b_inventory(code, index)
+        even, xi1, rows = case_b_inventory(code)
         results = {
             "classification": "CaseB",
             "even_part_size": even.size,
@@ -225,14 +225,14 @@ def cmd_modules(args) -> tuple[dict, int]:
         return _report("modules", params, results), 0
 
     chi = _parse_chi(args.chi, code) if args.chi is not None else None
-    rows = orbits(code, restrict_to_character=chi, index=index)
+    rows = orbits(code, restrict_to_character=chi)
     totals = count_twisted_by_character(rows)
     # each character is named once, and an orbit finds its name by eta
     chi_names = {c.eta: str(c) for c in totals}
     results = {
         "classification": "CaseA",
         "orbit_count": len(rows),
-        "orbits": _Listing(rows, _orbit_entry(code, index, quoted, chi_names, args.induce)),
+        "orbits": _Listing(rows, _orbit_entry(code, quoted, chi_names, args.induce)),
         "twisted_module_counts": {chi_names[c.eta]: n for c, n in totals.items()},
     }
     return _report("modules", params, results), 0
@@ -270,25 +270,22 @@ def _case_b_entry(ell: int, quoted: list[str]):
     return entry
 
 
-def _orbit_entry(code, index, quoted: list[str], chi_names: dict, induce: bool):
+def _orbit_entry(code, quoted: list[str], chi_names: dict, induce: bool):
     """The writer of a census row's entry.  Its text is rendered once per
     coset group, character and indent, with a `_HOLE` for each class name
     and the weight, and split there; an orbit fills in its pre-quoted class
     names and its weight mod 1, each distinct weight quoted once.  With
     `induce` the entry lists the orbit's members: two of them in the
     rendered text give the pieces around and between members."""
+    index = class_index(code.k)
     name, ell, q = quoted.__getitem__, code.length, index.q
     pieces: dict[tuple, list[str]] = {}
     weights: dict[int, str] = {}
-    induced: dict = {}
 
     def entry(row, indent: str) -> str:
         least, group, chi = row
         if induce:
-            pair = induced.get(group)
-            if pair is None:
-                pair = induced[group] = induction(code, group)
-            members = orbit_members(code, row, index, pair)
+            members = orbit_members(code, row)
         p = pieces.get((group, chi.eta, indent))
         if p is None:
             value = {
@@ -300,7 +297,7 @@ def _orbit_entry(code, index, quoted: list[str], chi_names: dict, induce: bool):
                 "weight_mod1": _HOLE,
             }
             if induce:
-                summands, mult = pair
+                summands, mult = induction(code, group)
                 member = {"label": [_HOLE] * ell, "multiplicity": mult}
                 value["induced"] = {
                     "summand_count": summands,

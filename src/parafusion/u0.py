@@ -16,8 +16,10 @@ builds one `Fraction` at its return.
 
 `class_index` numbers the classes 0..k^2-1, with each class's eta and
 weight mod 1, in one table per k for every layer that works on class
-numbers (the orbit census, the `modules` report, the fusion-axioms suite);
-`fusion_table` is the fusion product on those numbers.
+numbers (the orbit census, the `modules` report, the fusion-axioms suite),
+each of which asks for it by k: the table of the last k asked is kept, so
+a request builds it once; `fusion_table` is the fusion product on those
+numbers.
 """
 
 from __future__ import annotations
@@ -137,8 +139,10 @@ class ClassIndex(NamedTuple):
         return [tuple(map(get, map(add, starts, d))) for d in words]
 
 
+@lru_cache(maxsize=1)
 def class_index(k: int) -> ClassIndex:
-    """The one table of the classes at level k: see `ClassIndex`."""
+    """The one table of the classes at level k: see `ClassIndex`.  Only the
+    last k's table is kept: a request works at one k."""
     if k < 2:
         raise ValueError(f"level k must be >= 2, got {k}")
     n, q = 2 * k, _weight_den(k)

@@ -269,8 +269,8 @@ class _LabelKernel:
     and named once per distinct key, reduced against the dual code's form.
     """
 
-    def __init__(self, code: Code, index: ClassIndex):
-        self.code, self.index = code, index
+    def __init__(self, code: Code):
+        self.code, self.index = code, class_index(code.k)
         self._by_key: dict[int, CharacterLabel] = {}
         self._characters: dict[tuple[int, ...], CharacterLabel] = {}
         self._cosets: dict[tuple[bool, ...], tuple] = {}
@@ -333,32 +333,19 @@ class _LabelKernel:
 
 def _orbit_of(code: Code, x: IrrU0Label) -> CensusRow:
     _check_code_shape(code, x.k, x.length)
-    kernel, x = _LabelKernel(code, class_index(code.k)), canonicalize_irr(x.k, x.mu, x.nu)
+    kernel, x = _LabelKernel(code), canonicalize_irr(x.k, x.mu, x.nu)
     form, group = kernel.cosets(x.mu)
     nu = least_in_coset(2 * code.k, form, x.nu)
     least = tuple(kernel.index.pair_class[m][v] for m, v in zip(x.mu, nu))
     return CensusRow(least, group, kernel.character(least))
 
 
-def _index_of(code: Code, index: ClassIndex | None) -> ClassIndex:
-    """`index`, or else `class_index(code.k)`, built once the label budget
-    admits the code: each table of the class index holds at most
-    2k^2 + 2k <= 3 k^(2 length) entries, so the label budget bounds it too."""
-    if index is None:
-        check_label_budget(code.k, code.length)
-        index = class_index(code.k)
-    return index
-
-
-def orbits(
-    code: Code,
-    restrict_to_character: CharacterLabel | None = None,
-    index: ClassIndex | None = None,
-) -> list[CensusRow]:
+def orbits(code: Code, restrict_to_character: CharacterLabel | None = None) -> list[CensusRow]:
     """The orbit census of the code action on all canonical labels, as
     `CensusRow`s, in `all_irr_labels` order of the least members, which are
-    tuples of the class numbers of `index` (`class_index(code.k)`, built
-    when not given).
+    tuples of the class numbers of `class_index(code.k)`, built once the
+    label budget admits the code: each of its tables holds at most
+    2k^2 + 2k <= 3 k^(2 length) entries, so the label budget bounds it too.
 
     Characters are class functions only when every code pairing is
     integral, so Invalid codes are rejected.  A character restriction is
@@ -370,7 +357,7 @@ def orbits(
     chi = restrict_to_character
     if chi is not None and (chi.code != code or len(chi.eta) != code.length):
         return []
-    kernel = _LabelKernel(code, _index_of(code, index))
+    kernel = _LabelKernel(code)
     target = None if chi is None else kernel.named(kernel.key(chi.eta))
     if target != chi:
         return []
@@ -401,17 +388,16 @@ def induction(code: Code, group: CosetGroup) -> tuple[int, int]:
     return summands, mult
 
 
-def orbit_members(code: Code, row: CensusRow, index: ClassIndex,
-                  induced: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
+def orbit_members(code: Code, row: CensusRow) -> tuple[tuple[int, ...], ...]:
     """The members of the orbit of `row` in the census of `code`, least
-    first, as tuples of the class numbers of `index`: the least one moved
-    by every codeword.  Checked: the module `induced` over it (its
-    `induction`) has length |D| over the base algebra only if there are
-    `row.group.size` of them."""
+    first, as tuples of the class numbers of `class_index(code.k)`: the
+    least one moved by every codeword.  Checked: the module induced over it
+    (its `induction`, named in the refusal) has length |D| over the base
+    algebra only if there are `row.group.size` of them."""
     _check_code_shape(code, row.character.code.k, len(row.least))
-    moved = set(index.moved(row.least, (xi.entries for xi in code.elements)))
+    moved = set(class_index(code.k).moved(row.least, (xi.entries for xi in code.elements)))
     if len(moved) != row.group.size:
-        summands, mult = induced
+        summands, mult = induction(code, row.group)
         raise ValueError(
             f"orbit of {row.representative} is inconsistent with |D| = {code.size}: "
             f"{summands} summands x multiplicity {mult}^2 x orbit size {len(moved)}"
@@ -425,8 +411,8 @@ def induce(code: Code, x: IrrU0Label) -> CaseBRow:
     of its orbit, with the multiplicity, the summand count and each member
     at that multiplicity, as a `CaseBRow`."""
     row = _orbit_of(code, x)
-    summands, mult = induced = induction(code, row.group)
-    members = orbit_members(code, row, class_index(code.k), induced)
+    summands, mult = induction(code, row.group)
+    members = orbit_members(code, row)
     return CaseBRow(row, mult, summands, tuple((m, mult) for m in members))
 
 
@@ -461,8 +447,7 @@ def weight_mod1_uxi(xi: ResidueVector) -> Fraction:
 UNDETERMINED_FLAG = "irreducible or splits into two irreducibles (undetermined)"
 
 
-def case_b_inventory(code: Code, index: ClassIndex | None = None
-                     ) -> tuple[Code, ResidueVector, Iterator[CaseBRow]]:
+def case_b_inventory(code: Code) -> tuple[Code, ResidueVector, Iterator[CaseBRow]]:
     """Inventory of irreducible modules of a Case B superalgebra code.
 
     The even-diagonal subgroup D0 is Case A; every irreducible module of
@@ -470,12 +455,11 @@ def case_b_inventory(code: Code, index: ClassIndex | None = None
     induces over U_D an object that is either irreducible or a direct sum
     of two irreducibles (not decided here).  Returns D0, the least vector
     xi1 of the odd part, and the `CaseBRow` of each trivial-character orbit
-    of D0, in census order, each computed as it is read.  `index` is
-    `class_index(code.k)`, built when not given.
+    of D0, in census order, each computed as it is read.
     """
     even, xi1 = even_part(code)
-    index = _index_of(code, index)
-    census = orbits(even, trivial_character(even), index)
+    census = orbits(even, trivial_character(even))
+    index = class_index(code.k)
     # the words of xi1 + D0, entries in [0, 2k) as `moved` takes them
     n = 2 * code.k
     odd = [tuple((a + b) % n for a, b in zip(xi1.entries, xi.entries)) for xi in even.elements]
@@ -488,7 +472,7 @@ def case_b_inventory(code: Code, index: ClassIndex | None = None
                 pair = induced[orbit.group] = induction(even, orbit.group)
             summands, mult = pair
             # each member, and each translate by xi1 + D0, at the multiplicity
-            counts = dict.fromkeys(orbit_members(even, orbit, index, pair), mult)
+            counts = dict.fromkeys(orbit_members(even, orbit), mult)
             for x in set(index.moved(orbit.least, odd)):
                 counts[x] = counts.get(x, 0) + mult
             yield CaseBRow(orbit, mult, summands, tuple(sorted(counts.items())))

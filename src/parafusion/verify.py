@@ -191,21 +191,17 @@ def suite_discriminant(k_max: int) -> list[CheckResult]:
 
 def _counting_fault(code) -> str | None:
     """What one census of a Case A code, grouped by character, gets wrong, or None."""
-    index = class_index(code.k)
-    census = orbits(code, index=index)
+    census = orbits(code)
     counts = count_twisted_by_character(census)
     if len(counts) != code.size:
         return f"character count {len(counts)} != |D| = {code.size}"
     total = sum(counts.values())
     if code.k % 2 == 0 and total != code.k ** (2 * code.length) // code.size:
         return f"count sum {total} != free-orbit total"
-    induced = {}
     for row in census:
         try:
-            pair = induced.get(row.group)
-            if pair is None:
-                pair = induced[row.group] = induction(code, row.group)
-            orbit_members(code, row, index, pair)
+            induction(code, row.group)
+            orbit_members(code, row)
         except ValueError as exc:
             return f"induction fails on the orbit of {row.representative}: {exc}"
     return None

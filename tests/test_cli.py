@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import parafusion
-from parafusion import ud, verify
+from parafusion import u0, ud, verify
 from parafusion.cli import main
 from parafusion.codes import all_codes, enumerate_code
 from parafusion.ud import character_from_eta, count_twisted_by_character, orbits
@@ -203,6 +203,16 @@ def test_verify_suites_pass(capsys):
         report = json.loads(out)
         assert report["results"]["all_passed"] is True
         assert all(c["passed"] for c in report["results"]["checks"])
+
+
+@pytest.mark.parametrize("suite, k", [("fusion-axioms", "4"), ("counting", "3")])
+def test_a_verify_request_builds_its_class_table_once(capsys, suite, k):
+    # fusion-axioms reads the class table and the fusion table on it;
+    # counting runs the census of every small Case A code at the one k
+    u0.class_index.cache_clear()
+    status, out, err = run_cli(capsys, ["verify", "--suite", suite, "--k", k])
+    assert status == 0 and err == "" and json.loads(out)["results"]["all_passed"]
+    assert u0.class_index.cache_info().misses == 1
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

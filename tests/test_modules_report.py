@@ -134,14 +134,15 @@ def test_every_small_case_b_report_matches_the_reference():
     assert checked == 110
 
 
-_COUNTED = ("class_index", "all_u0_labels")
+_COUNTED = ("all_u0_labels",)
 
 
 @pytest.mark.parametrize("flags", [[], ["--chi", "1,2,0"], ["--induce"], "case-b"])
 def test_a_modules_request_builds_each_class_table_once(monkeypatch, capsys, flags):
-    # each per-k table is counted wherever a program module binds it: the
-    # class table is built once, and no class is a U0Label on the way to the
-    # report; the weights mod 1 are a field of the class table
+    # the class table is built once, however many layers ask for it by k, and
+    # no class is a U0Label on the way to the report (the label list is
+    # counted wherever a program module binds it); the weights mod 1 are a
+    # field of the class table
     calls = dict.fromkeys(_COUNTED, 0)
 
     def counted(name, fn):
@@ -161,9 +162,11 @@ def test_a_modules_request_builds_each_class_table_once(monkeypatch, capsys, fla
     else:
         code = {"k": 3, "length": 3, "generators": [[3, 3, 0], [0, 3, 3]]}
         argv = ["modules", "--code", json.dumps(code)] + flags
+    u0.class_index.cache_clear()
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["results"]
-    assert calls == {"class_index": 1, "all_u0_labels": 0}
+    assert u0.class_index.cache_info().misses == 1
+    assert calls == {"all_u0_labels": 0}
 
 
 def test_a_failure_while_the_report_is_written_exits_2(monkeypatch, capsys):

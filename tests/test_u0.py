@@ -113,6 +113,8 @@ def test_class_index_builds_no_label(monkeypatch, k):
         raise AssertionError(f"U0Label{args} built")
 
     monkeypatch.setattr(U0Label, "__init__", refused)
+    # built here, not left by an earlier test at the same k
+    class_index.cache_clear()
     index = class_index(k)
     assert len(index.eta) == len(index.weight) == k * k
     assert index.names()[-1] == "U({},{})".format(*divmod(k * k - 1, 2 * k))

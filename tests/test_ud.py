@@ -53,9 +53,8 @@ from parafusion.ud import (
 
 
 def _members(code, row):
-    """The members of a census row as labels, from `orbit_members`.  Its
-    (summand count, multiplicity) argument only names a refusal."""
-    members = orbit_members(code, row, class_index(code.k), (0, 0))
+    """The members of a census row as labels, from `orbit_members`."""
+    members = orbit_members(code, row)
     return tuple(IrrU0Label(code.k, *zip(*ClassIndex.pairs(code.k, x))) for x in members)
 
 
@@ -446,10 +445,9 @@ def test_orbit_kernel_matches_direct_census(monkeypatch):
             assert list(map(_key, orbits(code, restrict_to_character=chi))) == [
                 _key(o) for o in census if o.character == chi]
         if code.classification is Classification.CASE_A:
-            index = class_index(code.k)
             for o in census:
-                summands, mult = induced = induction(code, o.group)
-                members = orbit_members(code, o, index, induced)
+                summands, mult = induction(code, o.group)
+                members = orbit_members(code, o)
                 report = induce(code, o.representative)
                 assert (_key(report.orbit), report.multiplicity, report.summand_count,
                         report.decomposition) \
@@ -575,18 +573,17 @@ def test_stabilizer_past_the_code_budget_fails_fast():
 def test_induce_from_inconsistent_orbit_is_an_error(monkeypatch):
     # the orbit size is |D|/|D_X|, so only the members induction builds can
     # disagree with a wrong stabilizer: too small, or too large
-    code, index = enumerate_code(3, 2, [(3, 3)]), class_index(3)
-    census = orbits(code, index=index)
+    code = enumerate_code(3, 2, [(3, 3)])
+    census = orbits(code)
     free = next(o for o in census if o.group.stabilizer_order == 1)
     fixed = next(o for o in census if o.group.stabilizer_order == 2)
     small = CosetGroup(code, fixed.group.stabilizer[:1])
     with pytest.raises(ValueError, match=r"^orbit of U\(1,0\) x U\(1,0\) is inconsistent "
                        r"with \|D\| = 2: 1 summands x multiplicity 1\^2 x orbit size 1$"):
-        orbit_members(code, fixed._replace(group=small), index, induction(code, small))
+        orbit_members(code, fixed._replace(group=small))
     with pytest.raises(ValueError, match=r"^orbit of U\(0,0\) x U\(0,0\) is inconsistent "
                        r"with \|D\| = 2: 2 summands x multiplicity 1\^2 x orbit size 2$"):
-        orbit_members(code, free._replace(group=fixed.group), index,
-                      induction(code, fixed.group))
+        orbit_members(code, free._replace(group=fixed.group))
     # a group whose isotropic part is empty counts no summand
     monkeypatch.setattr(ud, "_isotropic_part", lambda code, stab: ())
     with pytest.raises(ValueError, match="^stabilizer order 2 is not a square times "
@@ -594,12 +591,21 @@ def test_induce_from_inconsistent_orbit_is_an_error(monkeypatch):
         induction(code, CosetGroup(code, fixed.group.stabilizer))
 
 
+def test_induce_builds_its_class_table_once():
+    # the label's orbit and its members read one table, asked for by k
+    code = enumerate_code(3, 2, [(3, 3)])
+    class_index.cache_clear()
+    report = induce(code, IrrU0Label(3, (0, 1), (2, 1)))
+    assert len(report.decomposition) == 2
+    assert class_index.cache_info().misses == 1
+
+
 def test_induce_from_orbit_refuses_an_orbit_of_another_shape():
     code = enumerate_code(3, 2, [(3, 3)])
     for other in (enumerate_code(3, 1, []), enumerate_code(5, 2, [])):
         row = orbits(other)[0]
         with pytest.raises(ValueError, match="does not match"):
-            orbit_members(code, row, class_index(other.k), induction(code, row.group))
+            orbit_members(code, row)
 
 
 def test_twisted_count_rule():
