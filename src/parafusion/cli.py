@@ -5,9 +5,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import islice, starmap
-from math import prod
+from math import gcd, prod
 from types import SimpleNamespace
 
 from .codes import Classification, euclidean_weight, load_code
@@ -307,8 +306,9 @@ def _orbit_entry(code, quoted: list[str], chi_names: dict, induce: bool):
             p = pieces[group, chi.eta, indent] = _render(value, indent).split(_quote(_HOLE))
         r = sum(map(index.weight.__getitem__, least)) % q
         weight = weights.get(r)
-        if weight is None:
-            weight = weights[r] = _quote(str(Fraction(r, q)))
+        if weight is None:  # r/q in lowest terms, as str(Fraction(r, q)) writes it
+            g = gcd(r, q)
+            weight = weights[r] = _quote(f"{r // g}/{q // g}" if r else "0")
         if not induce:
             return p[0] + p[1].join(map(name, least)) + p[ell] + weight + p[ell + 1]
         # the members, the representative and the weight, in key order

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .arith import Value
 from .fusion import FusionSum, sl2_channels
+from .u0 import pf_weight_num
 
 __all__ = [
     "ParafermionLabel",
@@ -21,7 +22,6 @@ __all__ = [
     "pf_vacuum",
     "all_pf_labels",
     "pf_weight",
-    "pf_weight_num",
     "fuse_pf",
     "pf_simple_current_shift",
     "pf_theta",
@@ -79,16 +79,6 @@ def pf_weight(label: ParafermionLabel) -> Fraction:
     representative (which satisfies j < i).
     """
     return Fraction(pf_weight_num(label.k, label.i, label.j), 2 * label.k * (label.k + 2))
-
-
-def pf_weight_num(k: int, i: int, j: int) -> int:
-    """2k(k+2) times the weight of M(k; i, j), 0 <= i <= k, in integers.  At
-    k = 1 it reads 0: the level-one parafermion algebra is trivial."""
-    j %= k
-    if j >= i:  # the partner (k-i, j-i) is canonical
-        i, j = k - i, j - i
-    t = i - 2 * j
-    return k * t - t * t + 2 * k * (i - j + 1) * j
 
 
 def fuse_pf(a: ParafermionLabel, b: ParafermionLabel) -> FusionSum:

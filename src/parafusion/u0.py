@@ -5,14 +5,15 @@ subject to the identification (i, l) ~ (k-1-i, l+k); there are exactly k^2
 classes.  Each module decomposes into summands X(i, j, l), 0 <= j < k-1,
 given by a level-(k-1) parafermion factor tensored with a rank-one lattice
 coset of offset -l/2k + (i-2j)/2(k-1) (in units of a generator of squared
-norm 2(k-1)k).  Weights, the fusion product, simple currents, and the two
-fusion-ring symmetries are computed exactly.
+norm 2(k-1)k).  Weights, the fusion product and simple currents are
+computed exactly.
 
 Every summand weight times Q = 4k(k-1)(k+1) is an integer: the level-(k-1)
-parafermion weight has denominator 2(k-1)(k+1) and the lattice part
-4k(k-1).  So weights are held as integer numerators over Q, minimized and
-compared as integers (`_summand_num`), and each public weight function
-builds one `Fraction` at its return.
+parafermion weight has denominator 2(k-1)(k+1) (its numerator is
+`pf_weight_num`) and the lattice part 4k(k-1).  So weights are held as
+integer numerators over Q, minimized and compared as integers
+(`_summand_num`), and each public weight function builds one `Fraction`
+at its return.
 
 `class_index` numbers the classes 0..k^2-1, with each class's eta and
 weight mod 1, in one table per k for every layer that works on class
@@ -30,9 +31,8 @@ from itertools import repeat, starmap
 from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import Value, check_budget, mod1
+from .arith import Value, check_budget
 from .fusion import FusionSum, sl2_channels
-from .parafermion import pf_weight_num
 
 __all__ = [
     "U0Label",
@@ -52,11 +52,7 @@ __all__ = [
     "top_level_closed_form",
     "weight_mod1",
     "eta_u0",
-    "b_form_u0",
-    "theta_u0",
-    "phi_grade",
-    "stabilizing_currents",
-    "verify_weight_difference",
+    "pf_weight_num",
 ]
 
 class U0Label(Value, fields=("k", "i", "l"), order=True):
@@ -241,6 +237,17 @@ def _summand_num(k: int, i: int, j: int, l: int) -> tuple[int, int]:
     return _offset_num(k, i, j, k * (i - 2 * j) - (k - 1) * l)
 
 
+def pf_weight_num(k: int, i: int, j: int) -> int:
+    """2k(k+2) times the weight of the parafermion module M(k; i, j),
+    0 <= i <= k, in integers.  At k = 1 it reads 0: the level-one
+    parafermion algebra is trivial."""
+    j %= k
+    if j >= i:  # the partner (k-i, j-i) is canonical
+        i, j = k - i, j - i
+    t = i - 2 * j
+    return k * t - t * t + 2 * k * (i - j + 1) * j
+
+
 def _offset_num(k: int, i: int, j: int, s: int) -> tuple[int, int]:
     """Q times the weight of the parafermion factor (i, j) at level k-1 on the
     lattice offset s/D, D = 2k(k-1), and the number of lattice minimizers.
@@ -308,45 +315,3 @@ def eta_u0(k: int, i: int, l: int) -> int:
     """((k-1)l - ki) mod 2k: U(0,p) pairs with U(i,l) as p eta/2k mod 1, so
     a label's eta, read componentwise, names its character of a code."""
     return ((k - 1) * l - k * i) % (2 * k)
-
-
-def b_form_u0(p: int, a: U0Label) -> Fraction:
-    """b(U(0,p), U(i,l)) = p((k-1)l - ki)/2k mod 1."""
-    return mod1(Fraction(p * eta_u0(a.k, a.i, a.l), 2 * a.k))
-
-
-def theta_u0(a: U0Label) -> U0Label:
-    """The order-two symmetry (i, l) -> (i, -l), canonicalized."""
-    return canonicalize_u0(a.k, a.i, -a.l)
-
-
-def phi_grade(a: U0Label) -> int:
-    """Grade of the order-k fusion-algebra symmetry: l mod k (well defined
-    on classes, since l and l+k agree mod k)."""
-    return a.l % a.k
-
-
-def stabilizing_currents(a: U0Label) -> tuple[int, ...]:
-    """All p with U(0,p) x U(i,l) = U(i,l): {0} generically, {0, k} exactly
-    when k is odd and i = (k-1)/2."""
-    c = canonicalize_u0(a.k, a.i, a.l)
-    return tuple(
-        p for p in range(2 * a.k) if canonicalize_u0(a.k, c.i, c.l + p) == c
-    )
-
-
-def verify_weight_difference(k: int, i: int, j: int, s: int) -> bool:
-    """Check that the exact weight difference of the summand pair
-    (i, p) on offsets s/2(k-1)k - p/(k-1), p = 0 and p = j, is congruent
-    to j(i-s)/(k-1) mod 1."""
-    if not (0 <= i <= k - 1):
-        raise ValueError(f"index i must lie in [0, {k - 1}], got {i}")
-    if not (0 <= j < max(k - 1, 1)):
-        raise ValueError(f"index j must lie in [0, {k - 1}), got {j}")
-    if not (0 <= s < 2 * (k - 1) * k):
-        raise ValueError(f"offset s must lie in [0, {2 * (k - 1) * k}), got {s}")
-
-    # the offset s/D - p/(k-1) is (s - 2kp)/D, and Q j(i-s)/(k-1) = 4k(k+1) j(i-s)
-    weight_j, _ = _offset_num(k, i, j, s - 2 * k * j)
-    weight_0, _ = _offset_num(k, i, 0, s)
-    return (weight_j - weight_0 - 4 * k * (k + 1) * j * (i - s)) % _weight_den(k) == 0

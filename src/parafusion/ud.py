@@ -29,8 +29,6 @@ __all__ = [
     "CaseBRow",
     "canonicalize_irr",
     "all_irr_labels",
-    "act",
-    "b_form_vec",
     "character_of",
     "character_from_eta",
     "trivial_character",
@@ -103,22 +101,6 @@ def _check_code_shape(code: Code, k: int, length: int) -> None:
             f"code (k={code.k}, length={code.length}) does not match label "
             f"(k={k}, length={length})"
         )
-
-
-def act(xi: ResidueVector, x: IrrU0Label) -> IrrU0Label:
-    """Translation action of a codeword: nu -> nu + xi, canonicalized."""
-    if xi.modulus != 2 * x.k or len(xi) != x.length:
-        raise ValueError("codeword shape does not match the label")
-    return canonicalize_irr(x.k, x.mu, tuple(n + c for n, c in zip(x.nu, xi)))
-
-
-def b_form_vec(xi: ResidueVector, x: IrrU0Label) -> Fraction:
-    """(xi | (k-1)nu - k*mu)/2k mod 1."""
-    if xi.modulus != 2 * x.k or len(xi) != x.length:
-        raise ValueError("codeword shape does not match the label")
-    k = x.k
-    total = sum(c * eta_u0(k, m, n) for c, m, n in zip(xi, x.mu, x.nu))
-    return mod1(Fraction(total, 2 * k))
 
 
 class CharacterLabel(Value, fields=("code", "eta")):
@@ -333,6 +315,8 @@ class _LabelKernel:
 
 def _orbit_of(code: Code, x: IrrU0Label) -> CensusRow:
     _check_code_shape(code, x.k, x.length)
+    # refused before the class table is built, as `orbits` refuses
+    check_label_budget(code.k, code.length)
     kernel, x = _LabelKernel(code), canonicalize_irr(x.k, x.mu, x.nu)
     form, group = kernel.cosets(x.mu)
     nu = least_in_coset(2 * code.k, form, x.nu)

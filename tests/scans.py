@@ -10,12 +10,17 @@ and induced module walked from label objects under `act`, checks the
 report that the command writes from census rows, and a Case B report
 built the same way checks the report written from the rows of the even
 part's census.  The dataclass twins check the
-comparisons, hash and repr that `arith.Value` builds for each value type."""
+comparisons, hash and repr that `arith.Value` builds for each value type.
+The paper's definitions that no command runs, written label by label (the
+code action `act`, the pairings `b_form_u0` and `b_form_vec`, the fusion
+ring's symmetries and the weight-difference lemma), live here too, as the
+oracles the tests check the program's class-number routes against."""
 
 import argparse
 from collections import Counter
 from dataclasses import field, fields, make_dataclass
 from itertools import chain, product
+from fractions import Fraction
 from math import isqrt
 
 from parafusion import cli
@@ -23,13 +28,22 @@ from parafusion.arith import IntegerMatrix, ResidueVector, mod1, standard_inner
 from parafusion.codes import Code, even_part, load_code
 from parafusion.lattice import CosetSpec, LatticeVector
 from parafusion.parafermion import ParafermionLabel, TildeLabel
-from parafusion.u0 import SummandLabel, U0Label, all_u0_labels, weight_mod1
+from parafusion.u0 import (
+    SummandLabel,
+    U0Label,
+    _offset_num,
+    _weight_den,
+    all_u0_labels,
+    canonicalize_u0,
+    eta_u0,
+    weight_mod1,
+)
 from parafusion.ud import (
     UNDETERMINED_FLAG,
     CharacterLabel,
     IrrU0Label,
-    act,
     all_irr_labels,
+    canonicalize_irr,
     character_from_eta,
     orbits,
     trivial_character,
@@ -79,6 +93,65 @@ def dataclass_twin(value):
     """The dataclass twin of a value, holding the value's fields."""
     twin = DATACLASS_TWINS[type(value)]
     return twin(**{f.name: getattr(value, f.name) for f in fields(twin)})
+
+
+def b_form_u0(p: int, a: U0Label) -> Fraction:
+    """b(U(0,p), U(i,l)) = p((k-1)l - ki)/2k mod 1."""
+    return mod1(Fraction(p * eta_u0(a.k, a.i, a.l), 2 * a.k))
+
+
+def theta_u0(a: U0Label) -> U0Label:
+    """The order-two symmetry (i, l) -> (i, -l), canonicalized."""
+    return canonicalize_u0(a.k, a.i, -a.l)
+
+
+def phi_grade(a: U0Label) -> int:
+    """Grade of the order-k fusion-algebra symmetry: l mod k (well defined
+    on classes, since l and l+k agree mod k)."""
+    return a.l % a.k
+
+
+def stabilizing_currents(a: U0Label) -> tuple[int, ...]:
+    """All p with U(0,p) x U(i,l) = U(i,l): {0} generically, {0, k} exactly
+    when k is odd and i = (k-1)/2."""
+    c = canonicalize_u0(a.k, a.i, a.l)
+    return tuple(
+        p for p in range(2 * a.k) if canonicalize_u0(a.k, c.i, c.l + p) == c
+    )
+
+
+def verify_weight_difference(k: int, i: int, j: int, s: int) -> bool:
+    """Check that the exact weight difference of the summand pair
+    (i, p) on offsets s/2(k-1)k - p/(k-1), p = 0 and p = j, is congruent
+    to j(i-s)/(k-1) mod 1."""
+    if not (0 <= i <= k - 1):
+        raise ValueError(f"index i must lie in [0, {k - 1}], got {i}")
+    if not (0 <= j < max(k - 1, 1)):
+        raise ValueError(f"index j must lie in [0, {k - 1}), got {j}")
+    if not (0 <= s < 2 * (k - 1) * k):
+        raise ValueError(f"offset s must lie in [0, {2 * (k - 1) * k}), got {s}")
+
+    # the offset s/D - p/(k-1) is (s - 2kp)/D, and Q j(i-s)/(k-1) = 4k(k+1) j(i-s)
+    weight_j, _ = _offset_num(k, i, j, s - 2 * k * j)
+    weight_0, _ = _offset_num(k, i, 0, s)
+    return (weight_j - weight_0 - 4 * k * (k + 1) * j * (i - s)) % _weight_den(k) == 0
+
+
+def act(xi: ResidueVector, x: IrrU0Label) -> IrrU0Label:
+    """Translation action of a codeword: nu -> nu + xi, canonicalized."""
+    if xi.modulus != 2 * x.k or len(xi) != x.length:
+        raise ValueError("codeword shape does not match the label")
+    return canonicalize_irr(x.k, x.mu, tuple(n + c for n, c in zip(x.nu, xi)))
+
+
+def b_form_vec(xi: ResidueVector, x: IrrU0Label) -> Fraction:
+    """(xi | (k-1)nu - k*mu)/2k mod 1."""
+    if xi.modulus != 2 * x.k or len(xi) != x.length:
+        raise ValueError("codeword shape does not match the label")
+    k = x.k
+    total = sum(c * eta_u0(k, m, n) for c, m, n in zip(xi, x.mu, x.nu))
+    return mod1(Fraction(total, 2 * k))
+
 
 def ambient_keys(code):
     """Every eta in lexicographic order, with its values (g | eta) mod 2k on

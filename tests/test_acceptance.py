@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+from scans import act, phi_grade, theta_u0
 from parafusion import lattice
 from parafusion.arith import ResidueVector
 from parafusion.codes import (
@@ -32,14 +33,11 @@ from parafusion.u0 import (
     U0Label,
     all_u0_labels,
     fuse_u0,
-    phi_grade,
-    theta_u0,
     top_level,
     top_level_closed_form,
     u0_vacuum,
 )
 from parafusion.ud import (
-    act,
     character_of,
     count_twisted,
     induce,

@@ -221,3 +221,36 @@ def test_a_request_imports_no_argparse_gettext_locale_dataclasses_or_inspect():
     added = set(after.stderr.split()) - set(bare.stderr.split())
     assert "parafusion.cli" in added
     assert {"argparse", "gettext", "locale", "dataclasses", "inspect"} & added == set()
+
+
+def test_the_cli_compiles_neither_parafermion_nor_virasoro():
+    # no command runs the parafermion labels or the Virasoro tables, so a
+    # fresh interpreter that imports the CLI and runs a request loads neither;
+    # the package still names theirs, each module loaded on first use
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(parafusion.__file__).parent.parent), env.get("PYTHONPATH")]))
+    code = json.dumps({"k": 3, "length": 2, "generators": [[3, 3]]})
+    source = (
+        "import sys, parafusion.cli; "
+        f"parafusion.cli.main(['modules', '--code', {code!r}, '--induce']); "
+        "print(' '.join(sorted(sys.modules)), file=sys.stderr); "
+        "from parafusion import central_charge, fuse_pf; "
+        "print(central_charge(1), fuse_pf.__module__)")
+    done = subprocess.run([sys.executable, "-c", source], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded = set(done.stderr.split())
+    assert "parafusion.cli" in loaded
+    assert {"parafusion.parafermion", "parafusion.virasoro"} & loaded == set()
+    assert done.stdout.splitlines()[-1] == "1/2 parafusion.parafermion"
+
+
+def test_a_star_import_of_the_package_gives_every_module_s_names():
+    # a star import sees the names that load on first use as well
+    names = {}
+    exec("from parafusion import *", names)
+    for name in ("arith", "codes", "fusion", "lattice", "parafermion", "u0", "ud",
+                 "virasoro"):
+        module = getattr(parafusion, name)
+        assert all(names[n] is getattr(module, n) for n in module.__all__), name
+    assert set(parafusion.__all__) == set(names) - {"__builtins__"}

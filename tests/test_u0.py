@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weights as ref
-from scans import first_non_associative
+from scans import (
+    b_form_u0,
+    first_non_associative,
+    phi_grade,
+    stabilizing_currents,
+    theta_u0,
+    verify_weight_difference,
+)
 from parafusion import u0, verify
 from parafusion.arith import mod1
 from parafusion.cli import main
@@ -20,21 +27,16 @@ from parafusion.u0 import (
     TopLevel,
     U0Label,
     all_u0_labels,
-    b_form_u0,
     canonicalize_u0,
     class_index,
     eta_u0,
     fuse_u0,
     fusion_table,
-    phi_grade,
     simple_currents,
-    stabilizing_currents,
     summand_weight,
-    theta_u0,
     top_level,
     top_level_closed_form,
     u0_vacuum,
-    verify_weight_difference,
     weight_mod1,
 )
 from parafusion.verify import suite_appendix_a, suite_fusion_axioms
@@ -572,6 +574,15 @@ def test_stabilizing_currents_closed_form(k):
         expected = (0, k) if k % 2 and lab.i == (k - 1) // 2 else (0,)
         assert stabilizing_currents(lab) == expected
 
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_stabilizing_currents_are_the_moves_that_fix_a_class_number(k):
+    # the label-by-label reference against the program's class-number route
+    index = class_index(k)
+    for c, a in enumerate(all_u0_labels(k)):
+        fixed = tuple(p for p in range(2 * k) if index.moved([c], [(p,)]) == [(c,)])
+        assert stabilizing_currents(a) == fixed
 
 def test_stabilizing_currents_examples():
     assert stabilizing_currents(U0Label(4, 1, 3)) == (0,)

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scans import (
     SCANNED,
+    act,
     ambient_keys,
+    b_form_u0,
+    b_form_vec,
     case_b_reference,
     direct_census,
     first_hit_names,
@@ -27,15 +30,13 @@ from parafusion.codes import (
     random_code,
     split_even_odd,
 )
-from parafusion.u0 import ClassIndex, U0Label, all_u0_labels, b_form_u0, class_index
+from parafusion.u0 import ClassIndex, U0Label, all_u0_labels, class_index
 from parafusion.ud import (
     UNDETERMINED_FLAG,
     CharacterLabel,
     IrrU0Label,
     CosetGroup,
-    act,
     all_irr_labels,
-    b_form_vec,
     canonicalize_irr,
     case_b_inventory,
     character_from_eta,
@@ -599,6 +600,21 @@ def test_induce_builds_its_class_table_once():
     assert len(report.decomposition) == 2
     assert class_index.cache_info().misses == 1
 
+
+
+def test_induce_past_the_label_budget_fails_before_a_table_is_built():
+    # the trivial length-1 code at k = 1025 has 1025^2 labels, past the 2^20
+    # budget: induce refuses it as orbits does, before its k^2-sized table
+    code = enumerate_code(1025, 1, [])
+    x = IrrU0Label(1025, (0,), (0,))
+    class_index.cache_clear()
+    start = time.perf_counter()
+    for run in (orbits, lambda code: induce(code, x)):
+        with pytest.raises(CodeTooLargeError,
+                           match="label space of size 1050625 exceeds the budget 1048576"):
+            run(code)
+    assert class_index.cache_info().misses == 0
+    assert time.perf_counter() - start < 1.0
 
 def test_induce_from_orbit_refuses_an_orbit_of_another_shape():
     code = enumerate_code(3, 2, [(3, 3)])
