@@ -26,8 +26,9 @@ _ON_DEMAND = ("parafermion", "virasoro")
 
 
 def __getattr__(name: str):
-    """A name of `parafermion` or `virasoro`, loaded on first use, or the
-    package's `__all__`: every module's `__all__` in turn."""
+    """A name of `parafermion` or `virasoro`, or one of the two modules,
+    loaded on first use; or the package's `__all__`: every module's
+    `__all__` in turn."""
     from importlib import import_module
 
     modules = [import_module(f"{__name__}.{m}") for m in _ON_DEMAND]
@@ -35,6 +36,9 @@ def __getattr__(name: str):
         return [n for module in _EAGER + tuple(modules) for n in module.__all__]
     for module in modules:
         if name in module.__all__:
-            value = globals()[name] = getattr(module, name)
-            return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+            globals()[name] = getattr(module, name)
+    # importing a module binds it here too
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
