@@ -26,9 +26,8 @@ from .ud import (
 from .verify import SUITES, run_suite
 
 SCHEMA = "parafusion-report/1"
-# the report, its results and their lists are written piece by piece, and
-# each element below them as one piece; a write joins this many pieces
-STREAMED_LEVELS = 3
+# every container of a report is written piece by piece, and each row of a
+# `_Listing` as one piece; a write joins this many pieces
 WRITE_PIECES = 64
 _quote = json.encoder.encode_basestring_ascii
 # a string no report holds, standing for text filled in after rendering
@@ -44,64 +43,50 @@ class _Listing:
         self.rows, self.entry = rows, entry
 
 
-def _render(value, indent: str) -> str:
+def _stream(value, indent: str = ""):
     """The JSON text of a report value whose first line sits at `indent`,
-    byte for byte as JSONEncoder(indent=2, sort_keys=True) writes it.
-    Reports hold no floats, so a float is refused like any other type, and
-    `_quote` refuses a key that is not a string."""
+    byte for byte as JSONEncoder(indent=2, sort_keys=True) writes it, in
+    pieces: every container piece by piece at any depth, each element's
+    first piece led by the separator and key before it, and each row of a
+    `_Listing` as one piece, the text of its entries.  Reports hold no
+    floats, so a float is refused like any other type, and `_quote`
+    refuses a key that is not a string."""
     if isinstance(value, str):
-        return _quote(value)
+        yield _quote(value)
+        return
     if isinstance(value, int):
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        return int.__repr__(value)
+        yield "true" if value is True else "false" if value is False else int.__repr__(value)
+        return
     if value is None:
-        return "null"
+        yield "null"
+        return
     inner = indent + "  "
-    sep = ",\n" + inner
-    # no element's text is empty, so only an empty container has an empty body
-    if isinstance(value, dict):
-        body = sep.join([_quote(k) + ": " + _render(v, inner) for k, v in sorted(value.items())])
-        return "{\n" + inner + body + "\n" + indent + "}" if body else "{}"
+    close, sep = "]", "[\n" + inner
     if isinstance(value, _Listing):
-        body = sep.join([value.entry(row, inner) for row in value.rows])
-    elif isinstance(value, (list, tuple)):
-        try:  # most lists hold only strings: one join
-            body = sep.join(map(_quote, value))
-        except TypeError:
-            body = sep.join([_render(v, inner) for v in value])
+        for row in value.rows:
+            yield sep + value.entry(row, inner)
+            sep = ",\n" + inner
+    elif isinstance(value, (dict, list, tuple)):
+        if isinstance(value, dict):
+            close, sep = "}", "{\n" + inner
+            entries = ((_quote(k) + ": ", v) for k, v in sorted(value.items()))
+        else:
+            entries = (("", v) for v in value)
+        for key, v in entries:
+            # every value yields a first piece, which carries what comes before it
+            pieces = _stream(v, inner)
+            yield sep + key + next(pieces)
+            yield from pieces
+            sep = ",\n" + inner
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    return "[\n" + inner + body + "\n" + indent + "]" if body else "[]"
+    # only an empty container still holds its opening separator
+    yield "\n" + indent + close if sep[0] == "," else sep[0] + close
 
 
-def _stream(value, indent: str, levels: int):
-    """`_render(value, indent)` in pieces: a container within the top
-    `levels` levels piece by piece, and each of its entries below them as
-    one piece, as is each row's text of a `_Listing`."""
-    if levels == 0 or not isinstance(value, (dict, list, tuple, _Listing)):
-        yield _render(value, indent)
-        return
-    inner, render = indent + "  ", _render
-    if isinstance(value, dict):
-        head, close = "{\n", "}"
-        entries = ((_quote(k) + ": ", v) for k, v in sorted(value.items()))
-    else:
-        head, close, items = "[\n", "]", value
-        if isinstance(value, _Listing):  # each row's text is one piece
-            render, levels, items = value.entry, 1, value.rows
-        entries = (("", v) for v in items)
-    n = -1
-    for n, (key, v) in enumerate(entries):
-        prefix = (",\n" if n else head) + inner + key
-        if levels == 1:
-            yield prefix + render(v, inner)
-        else:
-            yield prefix
-            yield from _stream(v, inner, levels - 1)
-    yield "\n" + indent + close if n >= 0 else head[0] + close
+def _render(value, indent: str) -> str:
+    """The text `_stream` writes for a report value, as one string."""
+    return "".join(_stream(value, indent))
 
 
 def _report(command: str, parameters: dict, results: dict, seed=None) -> dict:
@@ -445,7 +430,7 @@ def main(argv=None) -> int:
         return 2
     # batched: one write is one system call when stdout is unbuffered
     # (python -u, PYTHONUNBUFFERED)
-    pieces = _stream(report, "", STREAMED_LEVELS)
+    pieces = _stream(report)
     try:
         while text := "".join(islice(pieces, WRITE_PIECES)):
             sys.stdout.write(text)

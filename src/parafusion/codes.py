@@ -31,6 +31,7 @@ __all__ = [
     "Code",
     "CodeTooLargeError",
     "enumerate_code",
+    "hermite_form",
     "split_even_odd",
     "even_part",
     "euclidean_weight",
@@ -93,7 +94,7 @@ class Code(Value, fields=("k", "length", "generators", "hermite", "classificatio
             for i in range(c - 1, -1, -1):
                 x[i] = -sum(full[i][j] * x[j] for j in range(i + 1, c + 1)) // full[i][i]
             columns.append(x)
-        return _hermite(n, ell, columns)
+        return hermite_form(n, ell, columns)
 
     def zero(self) -> ResidueVector:
         return ResidueVector.zero(2 * self.k, self.length)
@@ -150,7 +151,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _hermite(
+def hermite_form(
     n: int, length: int, generators: Iterable[Sequence[int]]
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The rows (j, h) of the row Hermite normal form of span(generators) +
@@ -221,7 +222,7 @@ def enumerate_code(
         if vec.modulus != 2 * k or len(vec) != length:
             raise ValueError(f"generator {vec} does not match mod {2 * k}, length {length}")
         gens.append(vec)
-    return Code(k, length, tuple(gens), _hermite(2 * k, length, gens), _classify(k, gens))
+    return Code(k, length, tuple(gens), hermite_form(2 * k, length, gens), _classify(k, gens))
 
 
 def split_even_odd(code: Code) -> tuple[tuple[ResidueVector, ...], tuple[ResidueVector, ...]]:
@@ -282,7 +283,7 @@ def all_codes(k: int, length: int) -> tuple[Code, ...]:
     A subgroup is named by its Hermite form.  Each upper triangular matrix
     with pivots d_j | 2k (a pivot 2k stores no row) and entries above a
     pivot in [0, d_j) is a candidate, and it is the form of the code it
-    spans exactly when `_hermite` returns it unchanged.
+    spans exactly when `hermite_form` returns it unchanged.
     """
     _check_shape(k, length)
     n = 2 * k
@@ -294,7 +295,7 @@ def all_codes(k: int, length: int) -> tuple[Code, ...]:
         for fill in product(*tails):
             form = tuple((j, (0,) * j + (diagonal[j],) + tail)
                          for j, tail in zip(pivots, fill))
-            if _hermite(n, length, (h for _, h in form)) == form:
+            if hermite_form(n, length, (h for _, h in form)) == form:
                 gens = tuple(ResidueVector(n, h) for _, h in form)
                 codes.append(Code(k, length, gens, form, _classify(k, gens)))
     return tuple(codes)

@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .arith import ResidueVector, Value, check_budget, mod1, standard_inner
-from .codes import Classification, Code, enumerate_code, even_part, least_in_coset
+from .codes import Classification, Code, even_part, hermite_form, least_in_coset
 from .u0 import ClassIndex, U0Label, canonicalize_u0, class_index, eta_u0
 
 __all__ = [
@@ -287,7 +287,7 @@ class _LabelKernel:
         if paired not in self._cosets:
             gens = [h for _, h in code.hermite]
             gens += [tuple(k * (j == r) for j in range(ell)) for r in range(ell) if paired[r]]
-            self._cosets[paired] = (enumerate_code(k, ell, gens).hermite,
+            self._cosets[paired] = (hermite_form(2 * k, ell, gens),
                                     CosetGroup(code, _fixed_subgroup(code, mu)))
         return self._cosets[paired]
 
@@ -449,12 +449,8 @@ def case_b_inventory(code: Code) -> tuple[Code, ResidueVector, Iterator[CaseBRow
     odd = [tuple((a + b) % n for a, b in zip(xi1.entries, xi.entries)) for xi in even.elements]
 
     def rows() -> Iterator[CaseBRow]:
-        induced: dict[CosetGroup, tuple[int, int]] = {}
         for orbit in census:
-            pair = induced.get(orbit.group)
-            if pair is None:
-                pair = induced[orbit.group] = induction(even, orbit.group)
-            summands, mult = pair
+            summands, mult = induction(even, orbit.group)
             # each member, and each translate by xi1 + D0, at the multiplicity
             counts = dict.fromkeys(orbit_members(even, orbit), mult)
             for x in set(index.moved(orbit.least, odd)):

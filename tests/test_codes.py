@@ -12,12 +12,12 @@ from parafusion.arith import ResidueVector, standard_inner
 from parafusion.codes import (
     Classification,
     CodeTooLargeError,
-    _hermite,
     all_codes,
     dual_code,
     enumerate_code,
     euclidean_weight,
     generating_subset,
+    hermite_form,
     least_in_coset,
     load_code,
     random_code,
@@ -186,7 +186,7 @@ def test_hermite_form_matches_closure():
             more.append(tuple(c * a for a in rng.choice(gens)))
             more.append(tuple(a + b for a, b in zip(rng.choice(gens), rng.choice(gens))))
         rng.shuffle(more)
-        assert _hermite(n, length, more) == code.hermite
+        assert hermite_form(n, length, more) == code.hermite
 
 
 def test_split_even_odd():
