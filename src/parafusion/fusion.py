@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+from .arith import Value
+
 __all__ = ["FusionSum", "sl2_channels"]
 
 
@@ -16,30 +18,21 @@ def sl2_channels(level: int, i1: int, i2: int) -> range:
     return range(abs(i1 - i2), min(i1 + i2, 2 * level - i1 - i2) + 1, 2)
 
 
-class FusionSum:
-    """An immutable multiset of canonical labels with positive multiplicities."""
-
-    __slots__ = ("_terms",)
+class FusionSum(Value, fields=("terms",)):
+    """An immutable multiset of canonical labels with positive multiplicities,
+    held as its (label, multiplicity) pairs sorted by label."""
 
     def __init__(self, terms):
-        if isinstance(terms, FusionSum):
-            counts = Counter(dict(terms.items()))
-        elif isinstance(terms, dict):
-            counts = Counter(terms)
-        else:
-            counts = Counter(terms)
+        counts = Counter(dict(terms.items()) if isinstance(terms, FusionSum) else terms)
         if any(m <= 0 for m in counts.values()):
             raise ValueError("fusion multiplicities must be positive")
-        object.__setattr__(self, "_terms", tuple(sorted(counts.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FusionSum is immutable")
+        self.__dict__.update(terms=tuple(sorted(counts.items())))
 
     def items(self):
-        return self._terms
+        return self.terms
 
     def multiplicity(self, label) -> int:
-        for lab, m in self._terms:
+        for lab, m in self.terms:
             if lab == label:
                 return m
         return 0
@@ -47,7 +40,7 @@ class FusionSum:
     def map_labels(self, fn) -> "FusionSum":
         """Push the multiset through a label map, merging multiplicities."""
         counts: Counter = Counter()
-        for label, m in self._terms:
+        for label, m in self.terms:
             counts[fn(label)] += m
         return FusionSum(counts)
 
@@ -55,21 +48,7 @@ class FusionSum:
         return self.multiplicity(label) > 0
 
     def __iter__(self):
-        return iter(self._terms)
+        return iter(self.terms)
 
     def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FusionSum):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._terms)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{label!r}" if m == 1 else f"{label!r}*{m}" for label, m in self._terms
-        )
-        return f"FusionSum({{{inner}}})"
+        return len(self.terms)

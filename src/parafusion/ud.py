@@ -104,8 +104,11 @@ def _check_code_shape(code: Code, k: int, length: int) -> None:
 
 
 class CharacterLabel(Value, fields=("code", "eta")):
-    """A character of D, named by eta mod the dual code; eta is stored as
-    the lexicographically least representative of its dual-code coset."""
+    """A character of D, named by eta mod the dual code.  `character_of`,
+    `character_from_eta` and the census store eta as the lexicographically
+    least representative of its dual-code coset, entries in [0, 2k); a
+    label built by hand keeps the eta it is given, and equals none of theirs
+    unless that eta is the least one."""
 
     def __init__(self, code: Code, eta: tuple[int, ...]) -> None:
         self.__dict__.update(code=code, eta=eta)
@@ -238,6 +241,20 @@ class CaseBRow(NamedTuple):
     decomposition: tuple[tuple[tuple[int, ...], int], ...]
 
 
+class _Characters(dict):
+    """The characters of a code's census by eta tuple: a new eta is reduced
+    once against the dual code's form, and each character gets one label."""
+
+    def __init__(self, code: Code):
+        super().__init__()
+        self.code = code
+
+    def __missing__(self, eta: tuple[int, ...]) -> CharacterLabel:
+        least = least_in_coset(2 * self.code.k, self.code.dual_hermite, eta)
+        chi = self[eta] = self.setdefault(least, CharacterLabel(self.code, least))
+        return chi
+
+
 class _LabelKernel:
     """A code's orbits on labels written as class-index tuples.
 
@@ -246,39 +263,15 @@ class _LabelKernel:
     orbits of the labels with rows mu are the cosets of D + K_T (T, K_T as
     in `_fixed_subgroup`), each led by its nu reduced against the Hermite
     form of D + K_T: entry j in [0, d_j) at a pivot, free in [0, 2k) elsewhere.
-    That form and the `CosetGroup` are computed once per T.  An eta is keyed
-    by the integer whose base-2k digits it is, summed position by position,
-    and named once per distinct key, reduced against the dual code's form.
+    That form and the `CosetGroup` are computed once per T.  A row's
+    character is looked up by its eta tuple in `characters`, which names
+    each distinct eta once.
     """
 
     def __init__(self, code: Code):
         self.code, self.index = code, class_index(code.k)
-        self._by_key: dict[int, CharacterLabel] = {}
-        self._characters: dict[tuple[int, ...], CharacterLabel] = {}
+        self.characters = _Characters(code)
         self._cosets: dict[tuple[bool, ...], tuple] = {}
-
-    def named(self, key: int) -> CharacterLabel:
-        """The character that the eta keyed by `key` names."""
-        chi = self._by_key.get(key)
-        if chi is None:
-            n, eta, rest = 2 * self.code.k, [], key
-            for _ in range(self.code.length):
-                rest, e = divmod(rest, n)
-                eta.append(e)
-            least = least_in_coset(n, self.code.dual_hermite, eta[::-1])
-            chi = self._characters.setdefault(least, CharacterLabel(self.code, least))
-            self._by_key[key] = chi
-        return chi
-
-    def key(self, eta) -> int:
-        """The integer whose base-2k digits are eta, the first most significant."""
-        n, key = 2 * self.code.k, 0
-        for e in eta:
-            key = key * n + e % n
-        return key
-
-    def character(self, x: tuple[int, ...]) -> CharacterLabel:
-        return self.named(self.key(map(self.index.eta.__getitem__, x)))
 
     def cosets(self, mu) -> tuple[tuple, CosetGroup]:
         """(the Hermite form of D + K_T, the `CosetGroup` of T)."""
@@ -295,18 +288,12 @@ class _LabelKernel:
         """The census rows of the labels with rows mu, least members rising,
         only those of the character `target` unless it is None."""
         form, group = self.cosets(mu)
-        n, eta = 2 * self.code.k, self.index.eta
+        eta = self.index.eta
         columns = [self.index.pair_class[m] for m in mu]
         for j, h in form:
             columns[j] = columns[j][:h[j]]
-        # the keys of product(*columns), in its order
-        keys = [0]
-        for column in columns:
-            etas = [eta[c] for c in column]
-            keys = [key * n + e for key in keys for e in etas]
-        for key in set(keys).difference(self._by_key):
-            self.named(key)
-        named = map(self._by_key.__getitem__, keys)
+        etas = product(*[[eta[c] for c in column] for column in columns])
+        named = map(self.characters.__getitem__, etas)
         if target is None:
             return list(map(CensusRow, product(*columns), repeat(group), named))
         return [CensusRow(x, group, chi)
@@ -321,7 +308,8 @@ def _orbit_of(code: Code, x: IrrU0Label) -> CensusRow:
     form, group = kernel.cosets(x.mu)
     nu = least_in_coset(2 * code.k, form, x.nu)
     least = tuple(kernel.index.pair_class[m][v] for m, v in zip(x.mu, nu))
-    return CensusRow(least, group, kernel.character(least))
+    eta = tuple(map(kernel.index.eta.__getitem__, least))
+    return CensusRow(least, group, kernel.characters[eta])
 
 
 def orbits(code: Code, restrict_to_character: CharacterLabel | None = None) -> list[CensusRow]:
@@ -342,7 +330,7 @@ def orbits(code: Code, restrict_to_character: CharacterLabel | None = None) -> l
     if chi is not None and (chi.code != code or len(chi.eta) != code.length):
         return []
     kernel = _LabelKernel(code)
-    target = None if chi is None else kernel.named(kernel.key(chi.eta))
+    target = None if chi is None else kernel.characters[tuple(chi.eta)]
     if target != chi:
         return []
     census = []

@@ -26,6 +26,7 @@ from math import isqrt
 from parafusion import cli
 from parafusion.arith import IntegerMatrix, ResidueVector, mod1, standard_inner
 from parafusion.codes import Code, even_part, load_code
+from parafusion.fusion import FusionSum
 from parafusion.lattice import CosetSpec, LatticeVector
 from parafusion.parafermion import ParafermionLabel, TildeLabel
 from parafusion.u0 import (
@@ -85,6 +86,7 @@ DATACLASS_TWINS = {
         (IrrU0Label, ["k", "mu", "nu"], True),
         (CharacterLabel, ["code", "eta"], False),
         (CheckResult, ["name", "passed", ("detail", str, field(default=""))], False),
+        (FusionSum, ["terms"], False),
     ]
 }
 

@@ -546,6 +546,9 @@ def test_orbits_reject_foreign_or_noncanonical_characters():
     other = enumerate_code(3, 2, [(0, 3)])
     assert orbits(code, restrict_to_character=trivial_character(other)) == []
     assert orbits(code, restrict_to_character=CharacterLabel(code, (3, 3))) == []
+    # (6, 0) reduces mod 2k = 6 to the trivial character, but is not its name
+    assert orbits(code, restrict_to_character=CharacterLabel(code, (6, 0))) == []
+    assert orbits(code, restrict_to_character=CharacterLabel(code, (0,))) == []
 
 
 def test_orbits_label_budget():

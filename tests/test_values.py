@@ -14,6 +14,7 @@ from scans import DATACLASS_TWINS, dataclass_twin
 
 from parafusion.arith import IntegerMatrix, ResidueVector
 from parafusion.codes import Code, enumerate_code
+from parafusion.fusion import FusionSum
 from parafusion.lattice import CosetSpec, LatticeVector, nja_coset, ntilde_coset
 from parafusion.parafermion import ParafermionLabel, TildeLabel
 from parafusion.u0 import SummandLabel, U0Label
@@ -110,11 +111,12 @@ VALUES = {
     CharacterLabel: characters(),
     CheckResult: st.builds(CheckResult, st.sampled_from(["a", "b"]), st.booleans(),
                            st.sampled_from(["", "x"])),
+    FusionSum: st.builds(FusionSum, st.lists(labels(U0Label, -1), max_size=3)),
 }
 
 
 def test_every_value_type_has_a_twin_and_a_strategy():
-    assert len(DATACLASS_TWINS) == 13
+    assert len(DATACLASS_TWINS) == 14
     assert VALUES.keys() == DATACLASS_TWINS.keys()
 
 
